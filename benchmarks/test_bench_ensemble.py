@@ -5,7 +5,7 @@ analyzes a complex circuit "in about 8.4 seconds" where a wet-lab measurement
 takes hours, and every statistically honest study in this reproduction
 multiplies that by tens of independent stochastic runs.  This benchmark
 measures how fast the ensemble engine executes a replicate batch of the
-AND-gate circuit, serially and with ``jobs=4`` worker processes, and records
+AND-gate circuit, serially and with ``workers=4`` worker processes, and records
 runs/sec in the same pytest-benchmark JSON format as the other benchmarks
 (``--benchmark-json``; the throughput numbers land in ``extra_info``).
 
@@ -38,7 +38,7 @@ N_REPLICATES = 6
 
 #: Hold time per input combination of each replicate, long enough that the
 #: six serial replicates take ~0.4 s on a 2-vCPU VM (~60 ms each).  The
-#: jobs=4 scaling gate below compares wall times, and at hold 100 (~8 ms per
+#: workers=4 scaling gate below compares wall times, and at hold 100 (~8 ms per
 #: replicate) the serial ensemble finishes before a fresh pool has started.
 ENSEMBLE_HOLD_TIME = 800.0
 BASE_SEED = 20170654
@@ -105,7 +105,7 @@ def test_ensemble_throughput_jobs4(benchmark, template_job):
 
 
 def test_parallel_matches_serial_and_scales(template_job):
-    """Bit-identical results; measurably faster with jobs=4 given >1 CPU."""
+    """Bit-identical results; measurably faster with workers=4 given >1 CPU."""
     started = time.perf_counter()
     serial = _run_batch(template_job, 1)
     serial_wall = time.perf_counter() - started
@@ -119,14 +119,14 @@ def test_parallel_matches_serial_and_scales(template_job):
 
     print(
         f"\nensemble of {N_REPLICATES} AND-gate runs: serial {serial_wall:.2f} s "
-        f"({serial.stats.runs_per_second:.2f} runs/s), jobs=4 {parallel_wall:.2f} s "
+        f"({serial.stats.runs_per_second:.2f} runs/s), workers=4 {parallel_wall:.2f} s "
         f"({parallel.stats.runs_per_second:.2f} runs/s) on {_cpus()} CPU(s)",
     )
     if _cpus() > 1:
         # With real cores available the pool must deliver a measurable win.
         check_wallclock(
             parallel_wall < serial_wall * 0.9,
-            f"jobs=4 ({parallel_wall:.2f} s) did not beat serial "
+            f"workers=4 ({parallel_wall:.2f} s) did not beat serial "
             f"({serial_wall:.2f} s) by 10% on {_cpus()} CPU(s)",
         )
 

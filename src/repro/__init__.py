@@ -23,10 +23,7 @@ from .analysis import (
     RobustnessReport,
     RuntimeMeasurement,
     ThresholdSweepEntry,
-    ameasure_analysis_runtime,
-    arun_replicate_study,
     assess_robustness,
-    athreshold_sweep,
     measure_analysis_runtime,
     run_replicate_study,
     threshold_sweep,
@@ -89,7 +86,7 @@ from .io import read_datalog_csv, result_to_dict, save_result_json, write_datalo
 from .logic import TruthTable, compare_tables, identify_gate, minimize, parse_expr
 from .sbml import Model, read_sbml_file, read_sbml_string, write_sbml_file, write_sbml_string
 from .sbol import ConversionParameters, SBOLDocument, sbol_to_sbml
-from .search import SearchFrontier, SearchSpec, arun_design_search, run_design_search
+from .search import SearchFrontier, SearchSpec, run_design_search
 from .service import AnalysisService, ResultCache, ServiceServer, serve
 from .stochastic import (
     InputSchedule,
@@ -103,7 +100,6 @@ from .version import __version__
 from .vlab import (
     LogicExperiment,
     SimulationDataLog,
-    aestimate_threshold,
     estimate_propagation_delay,
     estimate_threshold,
     exhaustive_protocol,
@@ -158,7 +154,6 @@ __all__ = [
     "exhaustive_protocol",
     "gray_code_protocol",
     "estimate_threshold",
-    "aestimate_threshold",
     "estimate_propagation_delay",
     # logic toolkit
     "TruthTable",
@@ -197,22 +192,18 @@ __all__ = [
     "map_over_parameters",
     # higher-level studies
     "threshold_sweep",
-    "athreshold_sweep",
     "ThresholdSweepEntry",
     "assess_robustness",
     "RobustnessReport",
     "run_replicate_study",
-    "arun_replicate_study",
     "ReplicateStudy",
     "CandidateScore",
     "measure_analysis_runtime",
-    "ameasure_analysis_runtime",
     "RuntimeMeasurement",
     # design-space search
     "SearchSpec",
     "SearchFrontier",
     "run_design_search",
-    "arun_design_search",
     # HTTP analysis service
     "AnalysisService",
     "ResultCache",

@@ -15,15 +15,14 @@ natural extension the paper's conclusion points towards.
 The canonical request form is a frozen :class:`~repro.engine.StudySpec` —
 one serializable object naming the circuit, protocol, seed, analyzer
 configuration and execution knobs — consumed identically by
-:func:`run_replicate_study`, :func:`arun_replicate_study`, the CLI
-(``genlogic verify --spec``) and the HTTP service (:mod:`repro.service`).
+:func:`run_replicate_study`, the CLI (``genlogic verify --spec``) and the
+HTTP service (:mod:`repro.service`).
 The legacy keyword form (circuit object plus scattered kwargs) is kept as a
 thin shim that constructs a spec.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
@@ -35,7 +34,7 @@ from ..engine.api import replicate_jobs, run_ensemble
 from ..engine.cache import model_blob, worker_model_from_blob
 from ..engine.executors import get_executor
 from ..engine.jobs import EnsembleStats
-from ..engine.spec import StudySpec, canonical_workers
+from ..engine.spec import StudySpec
 from ..errors import AnalysisError, EngineError
 from ..gates.circuits import GeneticCircuit
 from ..logic.truthtable import TruthTable
@@ -43,7 +42,7 @@ from ..stochastic.rng import RandomState
 from ..vlab.experiment import LogicExperiment
 from .scoring import CandidateScore
 
-__all__ = ["ReplicateStudy", "run_replicate_study", "arun_replicate_study"]
+__all__ = ["ReplicateStudy", "run_replicate_study"]
 
 
 @dataclass
@@ -283,8 +282,6 @@ def run_replicate_study(
     progress=None,
     analysis_jobs: Optional[int] = None,
     batch_size: Optional[int] = None,
-    *,
-    jobs: Optional[int] = None,
 ) -> ReplicateStudy:
     """Run ``n_replicates`` independent experiments and aggregate the analyses.
 
@@ -295,8 +292,7 @@ def run_replicate_study(
     ``n_replicates=5``, ``threshold=15.0``, ``fov_ud=0.25``,
     ``hold_time=200.0``, ``repeats=1``, ``simulator="ssa"``) is a shim that
     constructs the same spec, so both forms execute identically, bit for
-    bit.  ``workers`` is the canonical concurrency keyword (``jobs=`` is a
-    deprecated alias that warns).
+    bit.
 
     The replicate simulations are submitted as one batch to the ensemble
     engine: ``workers=N`` runs them on ``N`` worker processes, with
@@ -317,13 +313,10 @@ def run_replicate_study(
     bounded memory for parallel analysis, and the recovered results are
     identical either way.
 
-    ``batch_size=B`` dispatches the replicates in lockstep batches of up to B
-    per worker call — same trajectories, same analyses, less dispatch and
+    ``batch_size=B`` dispatches the replicates in batches of up to B per
+    worker call — same trajectories, same analyses, less dispatch and
     result-transport overhead per replicate.
     """
-    workers = canonical_workers(workers, jobs, default=1) if (
-        workers is not None or jobs is not None
-    ) else None
     spec = _as_study_spec(
         circuit,
         n_replicates=n_replicates,
@@ -401,52 +394,4 @@ def run_replicate_study(
         results=results,
         stats=ensemble.stats,
         spec=spec,
-    )
-
-
-async def arun_replicate_study(
-    circuit: Union[StudySpec, GeneticCircuit, str],
-    n_replicates: Optional[int] = None,
-    threshold: Optional[float] = None,
-    fov_ud: Optional[float] = None,
-    hold_time: Optional[float] = None,
-    repeats: Optional[int] = None,
-    simulator: Optional[str] = None,
-    rng: RandomState = None,
-    workers: Optional[int] = None,
-    executor=None,
-    progress=None,
-    analysis_jobs: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    *,
-    jobs: Optional[int] = None,
-) -> ReplicateStudy:
-    """Async entry point: :func:`run_replicate_study` off the event loop.
-
-    Runs the (blocking) study on a worker thread via
-    :func:`asyncio.to_thread`, so a caller inside an event loop — e.g. a web
-    handler running one study per request — never stalls its loop while the
-    simulations execute.  Mirrors the signature of
-    :func:`run_replicate_study` exactly (same canonical
-    :class:`~repro.engine.StudySpec` form, same legacy keyword shim, same
-    deprecated ``jobs=`` alias); pass ``executor=`` (e.g. the shared pool of
-    :func:`repro.engine.gather_studies` or the HTTP service's warm executor)
-    to multiplex many concurrent studies over one worker pool.
-    """
-    return await asyncio.to_thread(
-        run_replicate_study,
-        circuit,
-        n_replicates=n_replicates,
-        threshold=threshold,
-        fov_ud=fov_ud,
-        hold_time=hold_time,
-        repeats=repeats,
-        simulator=simulator,
-        rng=rng,
-        workers=workers,
-        executor=executor,
-        progress=progress,
-        analysis_jobs=analysis_jobs,
-        batch_size=batch_size,
-        jobs=jobs,
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..engine.spec import canonical_workers
 from ..errors import AnalysisError
 from ..gates.circuits import GeneticCircuit
 from ..stochastic.rng import RandomState
@@ -89,20 +88,17 @@ def assess_robustness(
     simulator: str = "ssa",
     rng: RandomState = None,
     fov_ud: float = 0.25,
-    workers: Optional[int] = None,
+    workers: int = 1,
     executor=None,
     progress=None,
-    *,
-    jobs: Optional[int] = None,
 ) -> RobustnessReport:
     """Sweep the thresholds and package the verdicts into a report.
 
     The underlying sweep runs through the ensemble engine; ``workers=N``
-    parallelises the per-threshold simulations across worker processes
-    (``jobs=`` is a deprecated alias), and an opened ``executor`` lets
-    several robustness reports share one live worker pool.
+    parallelises the per-threshold simulations across worker processes, and
+    an opened ``executor`` lets several robustness reports share one live
+    worker pool.
     """
-    workers = canonical_workers(workers, jobs, default=1)
     if nominal_threshold <= 0:
         raise AnalysisError("nominal_threshold must be positive")
     entries = threshold_sweep(

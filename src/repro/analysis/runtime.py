@@ -12,7 +12,6 @@ into the measurement).
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -20,7 +19,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.analyzer import LogicAnalyzer
-from ..engine.spec import canonical_workers
 from ..errors import AnalysisError
 from ..logic.truthtable import TruthTable
 from ..stochastic.rng import RandomState, fan_out_seeds, make_rng
@@ -29,7 +27,6 @@ __all__ = [
     "RuntimeMeasurement",
     "synthetic_experiment_arrays",
     "measure_analysis_runtime",
-    "ameasure_analysis_runtime",
 ]
 
 
@@ -122,11 +119,9 @@ def measure_analysis_runtime(
     fov_ud: float = 0.25,
     repeats: int = 3,
     rng: RandomState = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     progress=None,
     executor=None,
-    *,
-    jobs: Optional[int] = None,
 ) -> List[RuntimeMeasurement]:
     """Time the analyzer over a range of trace sizes.
 
@@ -138,10 +133,9 @@ def measure_analysis_runtime(
     ``workers=1`` when absolute numbers matter.  An explicit ``executor``
     (e.g. a :class:`~repro.engine.DistributedEnsembleExecutor` behind the
     CLI's ``--dispatch``) overrides ``workers`` and stays open for the
-    caller.  ``jobs=`` is a deprecated alias for ``workers=``.  ``progress``
-    is called after each measured size with ``(done, total, size_index)``.
+    caller.  ``progress`` is called after each measured size with
+    ``(done, total, size_index)``.
     """
-    workers = canonical_workers(workers, jobs, default=1)
     if repeats < 1:
         raise AnalysisError("repeats must be at least 1")
     if executor is not None or workers > 1:
@@ -182,15 +176,3 @@ def measure_analysis_runtime(
         if progress is not None:
             progress(len(measurements), len(sample_sizes), len(measurements) - 1)
     return measurements
-
-
-async def ameasure_analysis_runtime(*args, **kwargs) -> List[RuntimeMeasurement]:
-    """Async entry point: :func:`measure_analysis_runtime` off the event loop.
-
-    Runs the (blocking) measurement sweep on a worker thread via
-    :func:`asyncio.to_thread`.  Accepts exactly the arguments of
-    :func:`measure_analysis_runtime`; note that timings taken while an event
-    loop juggles other work are noisier still, so treat the absolute numbers
-    accordingly.
-    """
-    return await asyncio.to_thread(measure_analysis_runtime, *args, **kwargs)

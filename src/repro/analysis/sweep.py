@@ -16,20 +16,18 @@ intended behaviour.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core.analyzer import LogicAnalysisResult, LogicAnalyzer
 from ..engine.api import run_ensemble
-from ..engine.spec import canonical_workers
 from ..errors import AnalysisError
 from ..gates.circuits import GeneticCircuit
 from ..logic.compare import LogicComparison
 from ..stochastic.rng import RandomState, fan_out_seeds
 from ..vlab.experiment import LogicExperiment
 
-__all__ = ["ThresholdSweepEntry", "threshold_sweep", "athreshold_sweep"]
+__all__ = ["ThresholdSweepEntry", "threshold_sweep"]
 
 
 @dataclass
@@ -78,11 +76,9 @@ def threshold_sweep(
     fov_ud: float = 0.25,
     input_high_equals_threshold: bool = True,
     input_high: Optional[float] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     executor=None,
     progress=None,
-    *,
-    jobs: Optional[int] = None,
 ) -> List[ThresholdSweepEntry]:
     """Analyse ``circuit`` once per threshold value.
 
@@ -94,13 +90,11 @@ def threshold_sweep(
     All per-threshold simulations are submitted as one batch to the ensemble
     engine (compiling the circuit model once for the whole sweep);
     ``workers=N`` runs them on ``N`` worker processes with results identical
-    to the serial path (``jobs=`` is a deprecated alias).  Each run is
-    analyzed as it completes and its trajectory discarded, so the sweep never
-    materializes more than the executor's in-flight window.  An opened
-    ``executor`` is reused (and left open) so several sweeps can share one
-    warm worker pool.
+    to the serial path.  Each run is analyzed as it completes and its
+    trajectory discarded, so the sweep never materializes more than the
+    executor's in-flight window.  An opened ``executor`` is reused (and left
+    open) so several sweeps can share one warm worker pool.
     """
-    workers = canonical_workers(workers, jobs, default=1)
     thresholds = list(thresholds)
     if not thresholds:
         raise AnalysisError("threshold_sweep needs at least one threshold value")
@@ -147,15 +141,3 @@ def threshold_sweep(
         reduce=_entry,
     )
     return list(ensemble.reduced)
-
-
-async def athreshold_sweep(*args, **kwargs) -> List[ThresholdSweepEntry]:
-    """Async entry point: :func:`threshold_sweep` off the event loop.
-
-    Runs the (blocking) sweep on a worker thread via
-    :func:`asyncio.to_thread`, so callers inside an event loop never stall
-    it.  Accepts exactly the arguments of :func:`threshold_sweep`; share a
-    warm pool across concurrent sweeps with ``executor=`` (see
-    :func:`repro.engine.gather_studies`).
-    """
-    return await asyncio.to_thread(threshold_sweep, *args, **kwargs)

@@ -32,18 +32,17 @@ Four sub-commands cover the paper's workflow end to end:
 
 Multi-run execution: ``simulate``, ``verify`` and ``runtime`` accept
 ``--replicates N`` (independent seeded runs; measurement repeats for
-``runtime``) and ``--workers N`` (worker processes; ``--jobs`` is the
-deprecated spelling of the same flag).  Simulation batches go through
-:mod:`repro.engine`, so their results are bit-identical regardless of
-``--workers``; ``runtime`` measures wall time, which is inherently
+``runtime``) and ``--workers N`` (worker processes).  Simulation batches go
+through :mod:`repro.engine`, so their results are bit-identical regardless
+of ``--workers``; ``runtime`` measures wall time, which is inherently
 workers-sensitive.  Replicate CSVs are written as each run completes (the
 engine's streamed path), and a live ``done/total`` progress line is shown on
 interactive terminals — ``--progress`` / ``--no-progress`` override the TTY
 autodetection (CI logs stay clean by default).  ``simulate`` and ``verify``
-also accept ``--batch B``: replicates are dispatched in lockstep batches of
-up to B per worker call (one propensity evaluation per step for the whole
-batch, one compact binary result frame per batch) — bit-identical to
-``--batch 1``, just less dispatch overhead per replicate.
+also accept ``--batch B``: replicates are dispatched in batches of up to B
+per worker call (one dispatch, one model compile and one compact binary
+result frame per batch) — bit-identical to ``--batch 1``, just less dispatch
+overhead per replicate.
 
 Distributed execution: the same three sub-commands accept
 ``--dispatch host:port,...`` — a comma-separated list of machines running
@@ -68,7 +67,7 @@ from typing import Optional, Sequence
 from .analysis.replicates import run_replicate_study
 from .analysis.runtime import measure_analysis_runtime
 from .engine.distributed import DistributedEnsembleExecutor, parse_dispatch_spec
-from .engine.spec import StudySpec, canonical_workers
+from .engine.spec import StudySpec
 from .core.analyzer import LogicAnalyzer
 from .core.report import format_analysis_report
 from .errors import ReproError
@@ -376,13 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_workers_flag(subparser: argparse.ArgumentParser, help_text: str) -> None:
-    subparser.add_argument("--workers", type=int, default=None, help=help_text)
-    subparser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="deprecated alias for --workers (same meaning)",
-    )
+    subparser.add_argument("--workers", type=int, default=1, help=help_text)
 
 
 def _add_dispatch_flag(subparser: argparse.ArgumentParser) -> None:
@@ -392,7 +385,7 @@ def _add_dispatch_flag(subparser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "shard the batch across 'genlogic worker --listen' processes at "
-            "these addresses (bit-identical results; excludes --jobs)"
+            "these addresses (bit-identical results; excludes --workers)"
         ),
     )
     _add_key_flag(subparser)
@@ -418,7 +411,7 @@ def _add_batch_flag(subparser: argparse.ArgumentParser) -> None:
         default=1,
         metavar="B",
         help=(
-            "replicates per worker dispatch: run lockstep batches of up to B "
+            "replicates per worker dispatch: run batches of up to B "
             "replicates per call (bit-identical to --batch 1, lower dispatch "
             "and result-transport overhead)"
         ),
@@ -545,19 +538,10 @@ def _command_analyze(args: argparse.Namespace) -> int:
 
 
 def _validate_workers(args: argparse.Namespace) -> None:
-    """Fold the deprecated ``--jobs`` alias into canonical ``args.workers``."""
-    if args.jobs is not None and args.jobs < 1:
-        raise ReproError("--jobs must be at least 1")
-    if args.workers is not None and args.workers < 1:
+    if args.workers < 1:
         raise ReproError("--workers must be at least 1")
-    if args.jobs is not None:
-        print("note: --jobs is deprecated; use --workers (same meaning)", file=sys.stderr)
-    try:
-        args.workers = canonical_workers(args.workers, args.jobs, default=1)
-    except ReproError:
-        raise ReproError("pass either --workers or the deprecated --jobs, not both") from None
     if getattr(args, "dispatch", None) is not None and args.workers > 1:
-        raise ReproError("--dispatch and --workers/--jobs are mutually exclusive")
+        raise ReproError("--dispatch and --workers are mutually exclusive")
     if getattr(args, "batch", 1) < 1:
         raise ReproError("--batch must be at least 1")
 
@@ -570,7 +554,7 @@ def _dispatch_executor(args: argparse.Namespace):
     this context and the executor is closed on exit (disconnecting from the
     workers, which keep listening for the next coordinator).  Without
     ``--dispatch`` the context yields ``None`` and the command falls back to
-    its ``--jobs`` behaviour.
+    its ``--workers`` behaviour.
     """
     spec = getattr(args, "dispatch", None)
     if spec is None:
@@ -589,7 +573,7 @@ def _dispatch_executor(args: argparse.Namespace):
 def _warn_if_workers_unused(args: argparse.Namespace) -> None:
     if args.workers > 1 or getattr(args, "dispatch", None) is not None:
         print(
-            "note: --workers / --jobs only parallelises replicate batches "
+            "note: --workers only parallelises replicate batches "
             "(--dispatch likewise); a single run (--replicates 1) executes serially",
             file=sys.stderr,
         )

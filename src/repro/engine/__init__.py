@@ -13,7 +13,7 @@ simulations cheaply; this subsystem is where they all execute:
   narrow :class:`ExecutorBackend` protocol so every transport shares it;
 * :class:`SerialExecutor` / :class:`ProcessPoolEnsembleExecutor` /
   :class:`DistributedEnsembleExecutor` — pluggable context-managed executors
-  (thin transport adapters over the core) selected by ``jobs=N`` or built
+  (thin transport adapters over the core) selected by ``workers=N`` or built
   explicitly, bit-identical by construction because seeds are fanned out from
   one root ``SeedSequence`` before dispatch; pool and distributed executors
   keep one live transport per instance, reused across batches until
@@ -27,8 +27,8 @@ simulations cheaply; this subsystem is where they all execute:
   materialized or streamed one result at a time (``iter_ensemble`` /
   ``reduce=``) with peak memory bounded by the in-flight window; all accept
   ``batch_size=B`` to pack consecutive same-configuration replicates into
-  lockstep batches (one dispatch, one compact binary result frame per B
-  replicates — bit-identical to ``batch_size=1``);
+  batches (one dispatch, one compile and one compact binary result frame per
+  B replicates — bit-identical to ``batch_size=1``);
 * :func:`arun_ensemble` / :func:`aiter_ensemble` / :func:`gather_studies` /
   :class:`AsyncEnsembleExecutor` — the asyncio layer: the same batches (and
   bit-identical trajectories) driven from inside an event loop without
@@ -60,12 +60,11 @@ from .api import (
     run_ensemble,
     run_job,
 )
-from .spec import STUDY_SPEC_SCHEMA, StudySpec, canonical_workers
+from .spec import STUDY_SPEC_SCHEMA, StudySpec
 from .auth import AuthenticationError, ProtocolError, resolve_key
 from .backoff import Backoff, BackoffPolicy
 from .cache import CompiledModelCache, default_cache, model_fingerprint
 from .core import (
-    BATCH_TRANSPORTS,
     BaseEnsembleExecutor,
     BatchCacheStats,
     ExecutorBackend,
@@ -87,7 +86,6 @@ from .supervisor import WorkerSupervisor
 __all__ = [
     "STUDY_SPEC_SCHEMA",
     "StudySpec",
-    "canonical_workers",
     "SimulationJob",
     "EnsembleResult",
     "EnsembleStats",
@@ -119,6 +117,5 @@ __all__ = [
     "EnsembleStream",
     "replicate_jobs",
     "map_over_parameters",
-    "BATCH_TRANSPORTS",
     "batch_job_groups",
 ]

@@ -206,9 +206,9 @@ async def aiter_ensemble(
     runs and closes the ephemeral executor deterministically.
     ``batch_stats`` collects this batch's cache counters for callers
     assembling their own :class:`EnsembleStats`.  ``batch_size=B`` packs
-    consecutive same-configuration jobs into lockstep batches of up to B
-    replicates per dispatch, exactly as in the sync API — results, order and
-    bits are unchanged.
+    consecutive same-configuration jobs into batches of up to B replicates
+    per dispatch, exactly as in the sync API — results, order and bits are
+    unchanged.
 
     A ``break`` out of ``async for`` does *not* finalize an async generator
     immediately — cleanup would wait for garbage collection.  When you may
@@ -226,18 +226,13 @@ async def aiter_ensemble(
     cache = cache if cache is not None else default_cache()
     stats = batch_stats if batch_stats is not None else BatchCacheStats()
     iter_kwargs = _batching_kwargs(chosen, batch_size)
+    # Third-party executors that predate the ``batch_stats`` keyword are
+    # driven without it (their batches simply report no cache statistics).
     if getattr(chosen, "supports_batch_stats", False):
         iter_kwargs["batch_stats"] = stats
-        source = chosen.iter_jobs(
-            jobs, cache=cache, progress=progress, ordered=ordered, **iter_kwargs
-        )
-    else:
-        # Third-party executors that predate the ``batch_stats`` keyword are
-        # driven without it (their batches simply report no cache statistics).
-        source = chosen.iter_jobs(
-            jobs, cache=cache, progress=progress, ordered=ordered, **iter_kwargs
-        )
-    iterator = iter(source)
+    iterator = iter(
+        chosen.iter_jobs(jobs, cache=cache, progress=progress, ordered=ordered, **iter_kwargs)
+    )
     try:
         while True:
             item = await asyncio.to_thread(next, iterator, _EXHAUSTED)

@@ -266,7 +266,7 @@ def iter_ensemble(
     ``workers=N`` is closed when the stream ends.
 
     ``batch_size=B`` packs consecutive same-configuration jobs (a replicate
-    fan-out) into lockstep batches of up to B replicates per dispatch —
+    fan-out) into batches of up to B replicates per dispatch —
     results, order and bits are unchanged, only dispatch and result-transport
     overhead is amortized ~B×.
     """
@@ -357,8 +357,8 @@ def run_ensemble(
         ``wall_seconds`` then covers execution *and* the interleaved reducer
         calls (see :attr:`EnsembleStream.stats`).
     batch_size:
-        Pack consecutive same-configuration jobs into lockstep batches of up
-        to this many replicates per dispatch (default 1: one job per
+        Pack consecutive same-configuration jobs into batches of up to
+        this many replicates per dispatch (default 1: one job per
         dispatch).  Purely a dispatch/transport amortization — results stay
         bit-identical and in the same order.
     """
@@ -474,7 +474,7 @@ def map_over_parameters(
     reducer streams the sweep, keeping per-run summaries instead of
     trajectories.  ``batch_size`` is forwarded too, though a sweep rarely
     benefits: grid entries differ in overrides, and only *consecutive
-    same-configuration* jobs pack into one lockstep batch.
+    same-configuration* jobs pack into one batch.
     """
     grid = [dict(entry) for entry in parameter_grid]
     if not grid:

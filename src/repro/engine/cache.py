@@ -313,18 +313,13 @@ def worker_model_from_blob(fingerprint: str, blob: bytes):
             _WORKER_MODELS.pop(fingerprint)
             _WORKER_MODELS[fingerprint] = known
             return known
-    payload = pickle.loads(blob)
-    if isinstance(payload, _ModelBlob):
-        inner, legacy = payload.model_pickle, None
-        if payload.kernels:
-            with _WORKER_MODELS_LOCK:
-                for overrides, source in payload.kernels.items():
-                    _WORKER_KERNELS.setdefault((fingerprint, overrides), source)
-                while len(_WORKER_KERNELS) > _WORKER_KERNELS_MAX:
-                    _WORKER_KERNELS.pop(next(iter(_WORKER_KERNELS)))
-    else:
-        # Legacy raw-model blob (a plain pickle of the object itself).
-        inner, legacy = None, payload
+    envelope: _ModelBlob = pickle.loads(blob)
+    if envelope.kernels:
+        with _WORKER_MODELS_LOCK:
+            for overrides, source in envelope.kernels.items():
+                _WORKER_KERNELS.setdefault((fingerprint, overrides), source)
+            while len(_WORKER_KERNELS) > _WORKER_KERNELS_MAX:
+                _WORKER_KERNELS.pop(next(iter(_WORKER_KERNELS)))
     with _WORKER_MODELS_LOCK:
         _WORKER_BLOBS_SEEN[seen_key] = True
         while len(_WORKER_BLOBS_SEEN) > _WORKER_BLOBS_SEEN_MAX:
@@ -334,7 +329,7 @@ def worker_model_from_blob(fingerprint: str, blob: bytes):
             _WORKER_MODELS.pop(fingerprint)
             _WORKER_MODELS[fingerprint] = known
             return known
-    model = pickle.loads(inner) if inner is not None else legacy
+    model = pickle.loads(envelope.model_pickle)
     with _WORKER_MODELS_LOCK:
         while len(_WORKER_MODELS) >= _WORKER_MODELS_MAX:
             _WORKER_MODELS.pop(next(iter(_WORKER_MODELS)))

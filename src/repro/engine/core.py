@@ -32,9 +32,7 @@ bit-identical trajectories for the same job list.
 from __future__ import annotations
 
 import concurrent.futures
-import secrets
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 from typing import (
     Any,
     Callable,
@@ -76,12 +74,9 @@ __all__ = [
     "submission_window",
     "job_payloads",
     "simulate_payload",
-    "BATCH_TRANSPORTS",
     "batch_job_groups",
     "batch_job_payloads",
     "simulate_batch_payload",
-    "decode_batch_result",
-    "discard_batch_segment",
 ]
 
 #: Called after each completed run.  ``executor.map`` hooks receive
@@ -176,7 +171,6 @@ def iter_windowed(
     progress: Optional[ProgressHook] = None,
     items: Optional[Sequence[Any]] = None,
     weights: Optional[Sequence[int]] = None,
-    drain_on_close: bool = False,
 ) -> Iterator[Tuple[int, Any]]:
     """THE windowed submission loop, yielding ``(index, result)`` per payload.
 
@@ -201,10 +195,7 @@ def iter_windowed(
     cancels every still-pending future — whether the loop ended by
     exhaustion, by a raising payload, or by the consumer closing the
     generator mid-stream, the backend is never left grinding through work
-    nobody will collect.  ``drain_on_close=True`` additionally *waits* for
-    futures that refused cancellation (they were already executing) before
-    returning — required when results own external resources (shared-memory
-    segments) that the caller sweeps up right after the loop ends.
+    nobody will collect.
     """
     payloads = list(payloads)
     total = len(payloads)
@@ -251,9 +242,8 @@ def iter_windowed(
                     yield next_yield, buffered.pop(next_yield)
                     next_yield += 1
     finally:
-        uncancellable = [future for future in pending if not future.cancel()]
-        if drain_on_close and uncancellable:
-            concurrent.futures.wait(uncancellable)
+        for future in pending:
+            future.cancel()
 
 
 def job_payloads(jobs: Sequence[SimulationJob]) -> List[Dict[str, Any]]:
@@ -344,26 +334,20 @@ def simulate_payload(payload: Dict[str, Any]) -> Tuple[Trajectory, bool]:
     return trajectory, cache_hit
 
 
-# -- batch-lockstep payloads ----------------------------------------------------
+# -- batch payloads --------------------------------------------------------------
 #
 # With ``batch_size > 1`` the engine packs consecutive jobs that share one
 # simulation configuration (same model, overrides, simulator, schedule and
-# sampling) into one *batch payload*: the worker advances all B replicates in
-# lockstep (``repro.stochastic.batch``) and returns one compact binary frame
-# instead of B pickled trajectories.  Dispatch overhead and result framing are
-# paid once per batch, which is the whole point; per-replicate seeds are still
-# fanned out by the parent, so every replicate stays bit-identical to its
-# serial ``batch_size=1`` run.
-
-#: How a backend wants batch results returned.  ``"inline"`` — in-process
-#: objects (serial); ``"frame"`` — the binary frame as bytes riding the
-#: transport's existing result path (sockets); ``"shm"`` — the frame in a
-#: ``multiprocessing.shared_memory`` segment, name + size returned (pools).
-BATCH_TRANSPORTS = ("inline", "frame", "shm")
+# sampling) into one *batch payload*: the worker runs the B replicates one by
+# one on one compiled model and one sample grid (``repro.stochastic.batch``)
+# and returns one compact binary frame instead of B pickled trajectories.
+# Dispatch overhead and result framing are paid once per batch, which is the
+# whole point; per-replicate seeds are still fanned out by the parent, so
+# every replicate stays bit-identical to its serial ``batch_size=1`` run.
 
 
 def _batch_config_key(job: SimulationJob) -> Tuple:
-    """Everything replicates must share to run in one lockstep batch."""
+    """Everything replicates must share to run in one batch."""
     initial = tuple(sorted(job.initial_state.items())) if job.initial_state else None
     record = tuple(job.record_species) if job.record_species is not None else None
     return (
@@ -411,18 +395,12 @@ def batch_job_groups(jobs: Sequence[SimulationJob], batch_size: int) -> List[Lis
 def batch_job_payloads(
     jobs: Sequence[SimulationJob],
     groups: Sequence[Sequence[int]],
-    transport: str = "frame",
 ) -> List[Dict[str, Any]]:
     """One declarative batch payload per group (model blob + seed list).
 
     The payload is the single-job envelope of :func:`job_payloads` with the
-    scalar ``seed`` replaced by the group's ``seeds`` list plus the result
-    ``transport`` the backend wants; shared-memory transports pre-assign the
-    segment name here, in the parent, so an abandoned or failed batch can be
-    swept up by name no matter how far the worker got.
+    scalar ``seed`` replaced by the group's ``seeds`` list.
     """
-    if transport not in BATCH_TRANSPORTS:
-        raise EngineError(f"unknown batch transport {transport!r}")
     for job in jobs:
         if isinstance(job.seed, np.random.Generator):
             raise EngineError(
@@ -434,70 +412,20 @@ def batch_job_payloads(
     for payload, group in zip(payloads, groups):
         del payload["seed"]
         payload["seeds"] = [jobs[index].seed for index in group]
-        payload["transport"] = transport
-        if transport == "shm":
-            payload["shm_name"] = "glt_" + secrets.token_hex(8)
     return payloads
 
 
-def _untrack_segment(segment) -> None:
-    """Forget a segment in this process's resource tracker (3.11 registers on
-    both create and attach; whoever is *not* responsible for the unlink must
-    unregister, or a clean exit would tear the segment down under the reader)."""
-    try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker already gone at shutdown
-        pass
-
-
-def _unlink_segment(segment) -> None:
-    """Close and remove a segment, leaving the resource tracker consistent."""
-    segment.close()
-    try:
-        segment.unlink()  # unregisters on success
-    except OSError:  # pragma: no cover - raced with another unlinker
-        _untrack_segment(segment)
-
-
-def _pack_batch_result(trajectories: List[Trajectory], payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker side: wrap a batch's trajectories for the requested transport.
-
-    Shared-memory packing degrades gracefully: if the segment cannot be
-    created (exhausted ``/dev/shm``, unsupported platform) the frame rides
-    the ordinary result path inline.  After a successful write the worker
-    unregisters the segment from *its* resource tracker — the parent owns the
-    unlink once it has decoded (or swept) the segment.
-    """
-    transport = payload.get("transport", "inline")
-    if transport == "inline":
-        return {"kind": "inline", "trajectories": trajectories}
-    frame = encode_trajectories(trajectories)
-    if transport == "shm":
-        name = payload.get("shm_name")
-        try:
-            segment = shared_memory.SharedMemory(name=name, create=True, size=len(frame))
-        except (OSError, ValueError):
-            return {"kind": "frame", "frame": frame}
-        try:
-            segment.buf[: len(frame)] = frame
-        except BaseException:
-            _unlink_segment(segment)
-            raise
-        segment.close()
-        _untrack_segment(segment)
-        return {"kind": "shm", "shm_name": name, "frame_bytes": len(frame)}
-    return {"kind": "frame", "frame": frame}
-
-
-def simulate_batch_payload(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
+def simulate_batch_payload(payload: Dict[str, Any]) -> Tuple[bytes, bool]:
     """Execute one batch payload (remote-side entry point).
 
-    The SSA runs all replicates through the lockstep stepper
-    (:func:`repro.stochastic.batch.simulate_ssa_batch`); other simulators run
-    their replicates sequentially inside the one dispatch — the dispatch and
-    result-transport amortization still applies, only the stepping is not
-    vectorised.  Returns ``(packed_result, cache_hit)``; unpack with
-    :func:`decode_batch_result`.
+    The SSA runs its replicates through
+    :func:`repro.stochastic.batch.simulate_ssa_batch` on one shared sample
+    grid; other simulators run their replicates one after another inside the
+    one dispatch.  Returns ``(frame, cache_hit)``: the replicates as one
+    :func:`~repro.stochastic.trajectory.encode_trajectories` frame, which
+    rides the transport's ordinary result path — the pool's result pipe or
+    the fabric's result message — and decodes with
+    :func:`~repro.stochastic.trajectory.decode_trajectories`.
     """
     fingerprint = payload["fingerprint"]
     model = worker_model_from_blob(fingerprint, payload["model_blob"])
@@ -513,43 +441,7 @@ def simulate_batch_payload(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], boo
         trajectories = [
             simulate(compiled, payload["t_end"], rng=seed, **kwargs) for seed in seeds
         ]
-    return _pack_batch_result(trajectories, payload), cache_hit
-
-
-def decode_batch_result(result: Dict[str, Any]) -> List[Trajectory]:
-    """Parent side: unpack a batch result, releasing its transport resources.
-
-    For shared-memory results this attaches, copies the frame out, and
-    **unlinks** the segment — decode is the hand-off point of the segment
-    lifetime contract (worker creates, parent removes).
-    """
-    kind = result.get("kind")
-    if kind == "inline":
-        return result["trajectories"]
-    if kind == "frame":
-        return decode_trajectories(result["frame"])
-    if kind == "shm":
-        segment = shared_memory.SharedMemory(name=result["shm_name"])
-        try:
-            frame = bytes(segment.buf[: result["frame_bytes"]])
-        finally:
-            _unlink_segment(segment)
-        return decode_trajectories(frame)
-    raise EngineError(f"unknown batch result kind {kind!r}")
-
-
-def discard_batch_segment(name: str) -> None:
-    """Best-effort sweep of one pre-assigned segment name (idempotent).
-
-    Used for payloads whose results were never decoded — a worker died
-    mid-batch, or the consumer abandoned the stream: if the worker got far
-    enough to create the segment, remove it; if not, there is nothing to do.
-    """
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError, ValueError):
-        return
-    _unlink_segment(segment)
+    return encode_trajectories(trajectories), cache_hit
 
 
 class BaseEnsembleExecutor:
@@ -573,11 +465,6 @@ class BaseEnsembleExecutor:
     supports_batch_stats = True
     #: This executor's ``iter_jobs`` / ``run_jobs`` accept ``batch_size``.
     supports_job_batching = True
-    #: How batch results travel back (one of :data:`BATCH_TRANSPORTS`).
-    #: ``"frame"`` — raw binary frame bytes on the existing result path — is
-    #: the safe default for any remote transport; pools override to ``"shm"``
-    #: and the in-process serial executor bypasses transport entirely.
-    batch_transport = "frame"
 
     # -- transport protocol (ExecutorBackend) — subclasses implement ---------------
     @property
@@ -632,19 +519,17 @@ class BaseEnsembleExecutor:
         jobs: Sequence[SimulationJob],
         cache: Optional[CompiledModelCache],
         batch_size: int,
-    ) -> Tuple[Callable[[Any], Tuple[Dict[str, Any], bool]], Sequence[Any], List[List[int]]]:
+    ) -> Tuple[Callable[[Any], Tuple[Any, bool]], Sequence[Any], List[List[int]]]:
         """``(fn, payloads, groups)`` for a batched submission.
 
-        ``fn(payload)`` returns ``(packed_result, cache_hit)`` where the
-        packed result decodes through :func:`decode_batch_result` into one
-        trajectory per job index in the matching group.  The default ships
-        :func:`simulate_batch_payload` envelopes over this backend's
-        ``batch_transport``; the serial executor overrides to run lockstep
-        batches in-process against the shared ``cache``.
+        ``fn(payload)`` returns ``(result, cache_hit)`` where the result holds
+        one trajectory per job index in the matching group.  The default ships
+        :func:`simulate_batch_payload` envelopes, whose result is one binary
+        frame; the serial executor overrides to run batches in-process against
+        the shared ``cache`` and returns the trajectory list itself.
         """
         groups = batch_job_groups(jobs, batch_size)
-        payloads = batch_job_payloads(jobs, groups, transport=self.batch_transport)
-        return simulate_batch_payload, payloads, groups
+        return simulate_batch_payload, batch_job_payloads(jobs, groups), groups
 
     def _record_last_stats(self, stats: BatchCacheStats) -> None:
         """Snapshot hook for the legacy ``last_cache_hits/misses`` attributes."""
@@ -694,7 +579,7 @@ class BaseEnsembleExecutor:
         trajectory memory is bounded by the window, not by ``len(jobs)``.
 
         ``batch_size=B`` packs consecutive same-configuration jobs into
-        lockstep batch payloads of up to B replicates (see
+        batch payloads of up to B replicates (see
         :func:`batch_job_groups`); yielded pairs, delivery order and
         bit-identity are unchanged — batching is purely a dispatch/transport
         amortization, and the window counts replicates, not payloads.
@@ -745,21 +630,8 @@ class BaseEnsembleExecutor:
         batch (its first replicate); the remaining ``B - 1`` replicates reuse
         that compiled model by construction and are recorded as hits, so
         ``hits + misses == len(jobs)`` holds exactly as at ``batch_size=1``.
-
-        Shared-memory hygiene: segment names are pre-assigned in the parent,
-        decode unlinks each segment, and the ``finally`` sweeps every payload
-        that was submitted but never decoded (worker death, abandoned
-        stream) — combined with ``drain_on_close`` there are no leaked
-        ``/dev/shm`` entries on any exit path.
         """
         fn, payloads, groups = self._batch_submissions(jobs, cache, batch_size)
-        weights = [len(group) for group in groups]
-        shm_names = {
-            index: payload["shm_name"]
-            for index, payload in enumerate(payloads)
-            if isinstance(payload, dict) and payload.get("transport") == "shm"
-        }
-        decoded = set()
         hook = None
         if progress is not None:
             total_jobs = len(jobs)
@@ -769,34 +641,26 @@ class BaseEnsembleExecutor:
                 done_jobs[0] += len(group)
                 progress(done_jobs[0], total_jobs, jobs[group[-1]])
 
-        try:
-            for payload_index, (result, cache_hit) in iter_windowed(
-                self,
-                fn,
-                payloads,
-                ordered=ordered,
-                progress=hook,
-                items=groups,
-                weights=weights,
-                drain_on_close=bool(shm_names),
-            ):
-                group = groups[payload_index]
-                trajectories = decode_batch_result(result)
-                decoded.add(payload_index)
-                if len(trajectories) != len(group):
-                    raise EngineError(
-                        f"batch payload returned {len(trajectories)} trajectories "
-                        f"for {len(group)} jobs",
-                    )
-                stats.record(cache_hit)
-                for _ in range(len(group) - 1):
-                    stats.record(True)
-                for job_index, trajectory in zip(group, trajectories):
-                    yield job_index, trajectory
-        finally:
-            for payload_index, name in shm_names.items():
-                if payload_index not in decoded:
-                    discard_batch_segment(name)
+        for payload_index, (result, cache_hit) in iter_windowed(
+            self,
+            fn,
+            payloads,
+            ordered=ordered,
+            progress=hook,
+            items=groups,
+            weights=[len(group) for group in groups],
+        ):
+            group = groups[payload_index]
+            trajectories = decode_trajectories(result) if isinstance(result, bytes) else result
+            if len(trajectories) != len(group):
+                raise EngineError(
+                    f"batch payload returned {len(trajectories)} trajectories "
+                    f"for {len(group)} jobs",
+                )
+            stats.record(cache_hit)
+            for _ in range(len(group) - 1):
+                stats.record(True)
+            yield from zip(group, trajectories)
 
     def run_jobs(
         self,

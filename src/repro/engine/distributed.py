@@ -35,9 +35,8 @@ coordinator left with no workers and no way to get one fails the batch with
 
 Wire format: each frame is a 4-byte big-endian length followed by a pickled
 message dict — see :func:`send_message` / :func:`recv_message`, shared
-verbatim by :mod:`repro.engine.worker`.  Lockstep batches (``batch_size=B``)
-ride the same frames: the executor inherits ``batch_transport = "frame"``
-from the base, so a B-replicate result crosses the socket as one compact
+verbatim by :mod:`repro.engine.worker`.  Batches (``batch_size=B``) ride
+the same frames: a B-replicate result crosses the socket as one compact
 binary trajectory frame (raw little-endian float64 blocks plus a species
 table encoded once per batch, :func:`repro.stochastic.encode_trajectories`)
 inside the result message, instead of B pickled ``Trajectory`` objects.

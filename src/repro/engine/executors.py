@@ -32,9 +32,7 @@ trajectories for the same job list.
 from __future__ import annotations
 
 import concurrent.futures
-import os
 import threading
-from multiprocessing import resource_tracker
 from typing import Any, Callable, Collection, Mapping, Optional, Tuple
 
 from ..errors import EngineError
@@ -46,7 +44,6 @@ from .core import (
     BatchCacheStats,
     ProgressHook,
     batch_job_groups,
-    simulate_payload,
 )
 from .jobs import SimulationJob
 
@@ -57,11 +54,6 @@ __all__ = [
     "ProcessPoolEnsembleExecutor",
     "get_executor",
 ]
-
-#: Worker-side entry point, re-exported under its historical private name for
-#: callers that dispatched it to pools directly.
-_simulate_payload = simulate_payload
-
 
 class _DeferredCall(concurrent.futures.Future):
     """A future whose work runs lazily, when the serial transport waits on it.
@@ -130,13 +122,13 @@ class SerialExecutor(BaseEnsembleExecutor):
         return run, jobs
 
     def _batch_submissions(self, jobs, cache: Optional[CompiledModelCache], batch_size: int):
-        """Run lockstep batches in-process: no envelopes, no result encoding.
+        """Run batches in-process: no envelopes, no result encoding.
 
         The same grouping as the remote path, but each payload is just the
-        group's index list and the result stays an in-process object — the
-        serial executor gets the lockstep stepping win without paying any
-        transport.  Live ``Generator`` seeds are fine here (nothing crosses a
-        process boundary), exactly as at ``batch_size=1``.
+        group's index list and the result is the group's trajectory list
+        itself — the serial executor gets the one-compile-per-batch win
+        without paying any transport.  Live ``Generator`` seeds are fine here
+        (nothing crosses a process boundary), exactly as at ``batch_size=1``.
         """
         chosen = cache if cache is not None else default_cache()
         groups = batch_job_groups(jobs, batch_size)
@@ -153,7 +145,7 @@ class SerialExecutor(BaseEnsembleExecutor):
                 trajectories = [
                     simulate(compiled, first.t_end, rng=seed, **kwargs) for seed in seeds
                 ]
-            return {"kind": "inline", "trajectories": trajectories}, cache_hit
+            return trajectories, cache_hit
 
         return run, groups, groups
 
@@ -180,11 +172,6 @@ class ProcessPoolEnsembleExecutor(BaseEnsembleExecutor):
     """
 
     name = "process-pool"
-    #: Batch results travel as binary frames in ``multiprocessing.shared_memory``
-    #: segments (worker creates and writes; parent decodes and unlinks), so a
-    #: B-replicate result costs the pool's pickle channel a ~100-byte
-    #: descriptor instead of B trajectory pickles.
-    batch_transport = "shm"
 
     def __init__(self, workers: int):
         if workers < 1:
@@ -205,15 +192,6 @@ class ProcessPoolEnsembleExecutor(BaseEnsembleExecutor):
         """Start the worker pool now (otherwise it starts on first use)."""
         with self._lifecycle_lock:
             if self._pool is None:
-                # On POSIX, shared-memory batch results register with
-                # multiprocessing's resource tracker, a helper process
-                # launched on first use.  Launched here, before the workers
-                # fork, the parent's tracker serves them all, as it does for
-                # spawn-started workers; otherwise the parent and every
-                # worker each start their own in the background as the first
-                # batch comes back.
-                if os.name == "posix":
-                    resource_tracker.ensure_running()
                 self._pool = concurrent.futures.ProcessPoolExecutor(
                     max_workers=self.workers,
                 )
@@ -240,8 +218,8 @@ class ProcessPoolEnsembleExecutor(BaseEnsembleExecutor):
         self.last_cache_misses = stats.misses
 
 
-def get_executor(jobs: int = 1):
-    """The executor for a ``jobs=N`` request: serial for 1, process pool for N>1."""
-    if jobs is None or jobs <= 1:
+def get_executor(workers: int = 1):
+    """The executor for a ``workers=N`` request: serial for 1, process pool for N>1."""
+    if workers is None or workers <= 1:
         return SerialExecutor()
-    return ProcessPoolEnsembleExecutor(jobs)
+    return ProcessPoolEnsembleExecutor(workers)

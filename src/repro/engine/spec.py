@@ -1,13 +1,13 @@
 """The canonical study request object: :class:`StudySpec`.
 
 Before this module existed, the parameters of a replicate study were
-scattered across divergent keyword forms — ``workers=`` on the engine APIs,
-``--jobs`` on the CLI, ``executor=`` / ``batch_size=`` / ``analysis_jobs=``
-threaded ad hoc through :mod:`repro.analysis.replicates` and
-:mod:`repro.vlab.experiment` — which meant there was no single serializable
-object that *names a study*.  A web tier needs exactly that object twice
-over: once as the request schema (``POST /v1/studies`` bodies are StudySpec
-JSON) and once as the identity under content-addressed result caching.
+scattered across divergent keyword forms — ``workers=`` / ``executor=`` /
+``batch_size=`` / ``analysis_jobs=`` threaded ad hoc through
+:mod:`repro.analysis.replicates` and :mod:`repro.vlab.experiment` — which
+meant there was no single serializable object that *names a study*.  A web
+tier needs exactly that object twice over: once as the request schema
+(``POST /v1/studies`` bodies are StudySpec JSON) and once as the identity
+under content-addressed result caching.
 
 :class:`StudySpec` is that object.  It is
 
@@ -32,8 +32,7 @@ JSON) and once as the identity under content-addressed result caching.
   parent and a fabric worker agree on a key without talking to each other.
 
 The same spec is consumed identically by the Python API
-(:func:`repro.analysis.run_replicate_study` /
-:func:`~repro.analysis.arun_replicate_study`), the CLI (``genlogic verify
+(:func:`repro.analysis.run_replicate_study`), the CLI (``genlogic verify
 --spec study.json``) and the HTTP service (:mod:`repro.service`).
 """
 
@@ -43,47 +42,18 @@ import dataclasses
 import hashlib
 import json
 import pickle
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from ..errors import EngineError
 from ..stochastic import canonical_simulator_name
 
-__all__ = ["STUDY_SPEC_SCHEMA", "StudySpec", "canonical_workers", "frozen_overrides"]
+__all__ = ["STUDY_SPEC_SCHEMA", "StudySpec", "frozen_overrides"]
 
 #: Version of the StudySpec wire schema.  Bump when a field is added,
 #: removed or changes meaning; :meth:`StudySpec.from_dict` rejects specs from
 #: a *newer* schema instead of silently dropping fields it does not know.
 STUDY_SPEC_SCHEMA = 1
-
-
-def canonical_workers(
-    workers: Optional[int],
-    jobs: Optional[int],
-    *,
-    default: int = 1,
-) -> int:
-    """Resolve the canonical ``workers`` value, honouring the ``jobs`` alias.
-
-    ``workers`` is the canonical name of the concurrency knob everywhere in
-    the package (it always meant the same thing as the CLI's ``--jobs``);
-    ``jobs=`` is kept as a deprecated alias so existing call sites keep
-    working, but it warns and may not disagree with an explicit ``workers=``.
-    """
-    if jobs is not None:
-        warnings.warn(
-            "the 'jobs' keyword is deprecated; use 'workers' (same meaning)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if workers is not None and int(workers) != int(jobs):
-            raise EngineError(
-                "pass either workers= or the deprecated jobs= alias, not "
-                f"conflicting values of both (workers={workers!r}, jobs={jobs!r})",
-            )
-        return int(jobs)
-    return default if workers is None else int(workers)
 
 
 def frozen_overrides(
@@ -146,7 +116,7 @@ class StudySpec:
         Parameter overrides applied at model-compile time (part of the
         compiled-model cache key and of :meth:`cache_key`).
     workers / batch_size / analysis_jobs:
-        Execution knobs: worker processes, lockstep replicates per dispatch,
+        Execution knobs: worker processes, replicates per dispatch,
         analysis fan-out.  They tune *how* the study runs, never what it
         computes — results are bit-identical by the engine's contract — so
         they are excluded from :meth:`cache_key`.

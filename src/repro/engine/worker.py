@@ -32,8 +32,8 @@ or EOF.  A dedicated reader thread answers the coordinator's ``ping`` frames
 with ``pong`` *while jobs are computing*, so a busy worker never looks dead
 to the heartbeat monitor — only a wedged or unreachable one does.  Batched
 payloads (:func:`repro.engine.core.simulate_batch_payload`, dispatched at
-``batch_size > 1``) need no protocol change: the worker runs the lockstep
-batch and the ``result`` frame's value carries the replicates as one compact
+``batch_size > 1``) need no protocol change: the worker runs the batch
+and the ``result`` frame's value carries the replicates as one compact
 binary trajectory frame (``bytes``) instead of per-replicate pickled
 ``Trajectory`` objects.  Task failures never kill the worker — only
 transport failures (and the operator's Ctrl-C) end a session.

@@ -1,21 +1,18 @@
 """Explicit part assignments: the pure core of circuit composition.
 
-Historically, which repressor carries which internal net was decided by
-*mutating* :class:`~repro.gates.parts_library.PartsLibrary` allocation state
-while composing a circuit — fine for building one circuit, hostile to
-searching over many: there was no value that *names* a candidate, so there
-was nothing to enumerate, hash, cache or ship to a worker.
+Which repressor carries which internal net is a value, not library state:
+searching over many circuits needs a value that *names* a candidate, so that
+there is something to enumerate, hash, cache or ship to a worker.
 
 :class:`PartAssignment` is that value: a frozen mapping of assignable gates
 to repressor names plus an optional set of kinetic parameter overrides
 (RBS/promoter variants).  Composition
 (:func:`repro.gates.compose.assign_proteins`) is a pure function of the
 netlist, the library and an assignment; :func:`default_assignment` computes
-the assignment the legacy first-fit allocator would have produced, so the
-stateful API is now a shim over this module.  :func:`enumerate_assignments`
-yields the full candidate stream — repressor permutations × a variant grid —
-deterministically and resumably, which is what the design-space search layer
-(:mod:`repro.search`) iterates over.
+the first-fit assignment used when none is given.
+:func:`enumerate_assignments` yields the full candidate stream — repressor
+permutations × a variant grid — deterministically and resumably, which is
+what the design-space search layer (:mod:`repro.search`) iterates over.
 
 Gate names are stable tokens here: :mod:`repro.gates.synthesis` names gates
 deterministically (``g_inv0``, ``g_nor0``, ... in synthesis order), so an
@@ -167,8 +164,7 @@ def assignable_gates(netlist: Netlist, output_protein: str = "GFP") -> List[str]
     The output-driving gate carries the reporter, and gates with a usable
     pre-assigned repressor (hand-built circuits) keep it; every other gate is
     assignable.  A pre-assignment colliding with an input, the reporter or an
-    earlier pre-assignment is unusable and makes its gate assignable again —
-    exactly the legacy allocator's behaviour.
+    earlier pre-assignment is unusable and makes its gate assignable again.
     """
     netlist.check_complete()
     reserved = set(netlist.inputs) | {output_protein}
@@ -189,13 +185,12 @@ def default_assignment(
     output_protein: str = "GFP",
     overrides: Optional[VariantLike] = None,
 ) -> PartAssignment:
-    """The assignment the legacy first-fit allocator produces, computed purely.
+    """The first-fit assignment, computed purely.
 
     Walks the netlist in topological order and gives each assignable gate the
     first library repressor not yet reserved (inputs, the reporter, earlier
-    choices and usable pre-assignments all reserve their names) — the exact
-    selection :meth:`PartsLibrary.allocate_repressor` made statefully, without
-    touching any library state.
+    choices and usable pre-assignments all reserve their names) through
+    :meth:`PartsLibrary.select_repressor`, without touching any library state.
     """
     netlist.check_complete()
     library = library or default_library()

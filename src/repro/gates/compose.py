@@ -46,11 +46,10 @@ def assign_proteins(
     Which repressor carries which net is a pure function of ``assignment``
     (an explicit :class:`~repro.gates.assignment.PartAssignment`): no library
     state is read or written.  When ``assignment`` is omitted, the default is
-    :func:`~repro.gates.assignment.default_assignment` — the first-fit choice
-    the legacy stateful allocator always made, so existing callers see
-    identical circuits.  An explicit assignment wins over a gate's
-    pre-assigned ``repressor`` attribute; gates the assignment does not cover
-    fall back to their usable pre-assignment.
+    :func:`~repro.gates.assignment.default_assignment`, the first-fit choice.
+    An explicit assignment wins over a gate's pre-assigned ``repressor``
+    attribute; gates the assignment does not cover fall back to their usable
+    pre-assignment.
     """
     netlist.check_complete()
     library = library or default_library()

@@ -26,7 +26,7 @@ substitution is documented in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..errors import ModelError
 
@@ -136,17 +136,9 @@ class PartsLibrary:
     Part *selection* is pure: :meth:`select_repressor` answers "which
     repressor would be picked given these unavailable names" without touching
     any state, and :mod:`repro.gates.assignment` builds entire circuit
-    assignments on top of it.  The legacy stateful interface
-    (:meth:`allocate_repressor` / :meth:`reset_allocation`) is kept as a thin
-    shim over the pure selection: it records each handed-out name in the
-    library's allocation bookkeeping so that every gate of a circuit uses a
-    different repressor, mirroring Cello's no-reuse constraint.
-
-    Allocation-state semantics: the bookkeeping (``_allocated``) belongs to
-    *this instance only*.  :meth:`copy` and :meth:`with_kinetics` both return
-    a library with **fresh, empty** allocation state — a derived library
-    never shares (or inherits) the parent's bookkeeping, so composing one
-    circuit from a ``copy()`` can never exhaust another circuit's parts.
+    assignments on top of it — passing the names already used, so that every
+    gate of a circuit gets a different repressor, mirroring Cello's no-reuse
+    constraint.  A library holds no per-circuit state.
     """
 
     def __init__(
@@ -162,7 +154,6 @@ class PartsLibrary:
             self.repressors[part.name] = part
         self.reporters: Dict[str, ReporterPart] = {r.name: r for r in reporters}
         self.inputs: Dict[str, InputSignal] = {s.name: s for s in inputs}
-        self._allocated: List[str] = []
 
     # -- selection (pure) ------------------------------------------------------
     def select_repressor(self, unavailable: Sequence[str] = ()) -> RepressorPart:
@@ -183,31 +174,8 @@ class PartsLibrary:
             f"{sorted(banned)}",
         )
 
-    # -- allocation (legacy stateful shim) -------------------------------------
-    def allocate_repressor(self, exclude: Sequence[str] = ()) -> RepressorPart:
-        """Return an unused repressor, skipping names in ``exclude``.
-
-        Stateful shim over :meth:`select_repressor`: the chosen name is
-        recorded so the next call skips it.  Repressors whose protein doubles
-        as an input signal of the circuit must be excluded to avoid
-        cross-talk, which is what ``exclude`` is for.  New code should prefer
-        an explicit :class:`~repro.gates.assignment.PartAssignment`.
-        """
-        part = self.select_repressor(unavailable=[*self._allocated, *exclude])
-        self._allocated.append(part.name)
-        return part
-
-    def reset_allocation(self) -> None:
-        """Forget previous allocations (call between circuits)."""
-        self._allocated = []
-
     def copy(self) -> "PartsLibrary":
-        """An independent library with the same parts and *no* allocations.
-
-        The copy shares no allocation bookkeeping with its parent: names the
-        parent already handed out are available again in the copy, and
-        allocating from the copy never consumes the parent's pool.
-        """
+        """An independent library with the same parts."""
         return PartsLibrary(
             list(self.repressors.values()),
             list(self.reporters.values()),
@@ -243,9 +211,7 @@ class PartsLibrary:
         """A copy of the library with uniformly overridden kinetics.
 
         Used by parameter sweeps (e.g. the threshold-robustness experiment of
-        Figure 5) to rescale every gate at once.  Like :meth:`copy`, the
-        returned library starts with empty allocation state regardless of
-        what this instance has already handed out.
+        Figure 5) to rescale every gate at once.
         """
         new_repressors = []
         for part in self.repressors.values():

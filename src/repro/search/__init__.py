@@ -6,12 +6,11 @@ the **scoring** layer (:class:`repro.analysis.CandidateScore`) aggregates
 replicate analyses refinably; this package adds the **search** layer — a
 canonical :class:`SearchSpec` plus a racing (successive-halving) replicate
 allocator over the simulation engine — and returns a ranked, serializable
-:class:`SearchFrontier`.  Entry points: :func:`run_design_search` /
-:func:`arun_design_search`, the ``genlogic search`` CLI and ``POST
-/v1/search`` on the HTTP service.
+:class:`SearchFrontier`.  Entry points: :func:`run_design_search`, the
+``genlogic search`` CLI and ``POST /v1/search`` on the HTTP service.
 """
 
-from .engine import FrontierEntry, SearchFrontier, arun_design_search, run_design_search
+from .engine import FrontierEntry, SearchFrontier, run_design_search
 from .spec import SEARCH_SPEC_SCHEMA, SearchSpec
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "FrontierEntry",
     "SearchFrontier",
     "run_design_search",
-    "arun_design_search",
 ]

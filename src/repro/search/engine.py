@@ -37,7 +37,6 @@ payload (minus its ``engine`` timing block) is content-addressable under
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -57,7 +56,6 @@ __all__ = [
     "FrontierEntry",
     "SearchFrontier",
     "run_design_search",
-    "arun_design_search",
 ]
 
 
@@ -419,25 +417,4 @@ def run_design_search(
         total_replicates=total_replicates,
         rounds=rounds,
         engine_stats=engine_stats,
-    )
-
-
-async def arun_design_search(
-    spec: Union[SearchSpec, Mapping, str, bytes],
-    executor=None,
-    progress=None,
-) -> SearchFrontier:
-    """Async entry point: :func:`run_design_search` off the event loop.
-
-    Runs the blocking search on a worker thread via
-    :func:`asyncio.to_thread`, mirroring
-    :func:`repro.analysis.arun_replicate_study`; pass ``executor=`` to
-    multiplex concurrent searches over one warm worker pool (e.g. the HTTP
-    service's).
-    """
-    return await asyncio.to_thread(
-        run_design_search,
-        spec,
-        executor=executor,
-        progress=progress,
     )

@@ -19,7 +19,6 @@ from .protocol import (
 )
 from .threshold import (
     ThresholdAnalysis,
-    aestimate_threshold,
     estimate_threshold,
     settled_output_levels,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "run_logic_experiment",
     "ThresholdAnalysis",
     "estimate_threshold",
-    "aestimate_threshold",
     "settled_output_levels",
     "PropagationDelayAnalysis",
     "estimate_propagation_delay",

@@ -219,8 +219,8 @@ class LogicExperiment:
         The stream's ``.stats`` carry the batch statistics once exhausted.
         Pass an opened ``executor`` to reuse a live worker pool across
         batches; otherwise ``workers=N`` builds (and afterwards closes) one.
-        ``batch_size=B`` dispatches the replicates in lockstep batches of up
-        to B per worker call (bit-identical, just cheaper dispatch).
+        ``batch_size=B`` dispatches the replicates in batches of up to B
+        per worker call (bit-identical, just cheaper dispatch).
         """
         template = self.job(
             protocol=protocol,

@@ -24,7 +24,6 @@ import numpy as np
 from ..engine.api import run_ensemble
 from ..engine.executors import get_executor
 from ..engine.jobs import SimulationJob
-from ..engine.spec import canonical_workers
 from ..errors import AnalysisError, SimulationError, ThresholdError
 from ..logic.truthtable import TruthTable
 from ..sbml.model import Model
@@ -100,10 +99,8 @@ def estimate_propagation_delay(
     rng: RandomState = None,
     expected_table: Optional[TruthTable] = None,
     transitions: Optional[Sequence[Tuple[str, str]]] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     executor=None,
-    *,
-    jobs: Optional[int] = None,
 ) -> PropagationDelayAnalysis:
     """Measure output propagation delays across input-combination switches.
 
@@ -115,13 +112,12 @@ def estimate_propagation_delay(
     The analysis runs (up to) two ensemble-engine batches — the settled-levels
     phase and the transition phase — on **one** executor: with ``workers=N``
     a single worker pool is opened for the whole analysis, so the transition
-    batch hits the compiled-model caches the settle batch warmed up
-    (``jobs=`` is a deprecated alias).  Pass an opened ``executor`` to extend
+    batch hits the compiled-model caches the settle batch warmed up.  Pass
+    an opened ``executor`` to extend
     that reuse across several analyses; it is left open for the caller.  Each
     transition trace is reduced to its crossing time as it completes, so no
     batch is ever materialized.
     """
-    workers = canonical_workers(workers, jobs, default=1)
     if threshold <= 0:
         raise ThresholdError("threshold must be positive")
     try:

@@ -15,14 +15,12 @@ available for studying how noise shifts the estimate.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 from ..engine.api import run_ensemble
 from ..engine.jobs import SimulationJob
-from ..engine.spec import canonical_workers
 from ..errors import SimulationError, ThresholdError
 from ..sbml.model import Model
 from ..stochastic import canonical_simulator_name
@@ -32,7 +30,6 @@ from ..stochastic.rng import RandomState, fan_out_seeds
 __all__ = [
     "ThresholdAnalysis",
     "estimate_threshold",
-    "aestimate_threshold",
     "settled_output_levels",
 ]
 
@@ -81,10 +78,8 @@ def settled_output_levels(
     simulator: str = "ode",
     rng: RandomState = None,
     tail_fraction: float = 0.25,
-    workers: Optional[int] = None,
+    workers: int = 1,
     executor=None,
-    *,
-    jobs: Optional[int] = None,
 ) -> Dict[str, float]:
     """Settled output level for every input combination.
 
@@ -93,13 +88,12 @@ def settled_output_levels(
     mean over the last ``tail_fraction`` of the run (for the ODE simulator
     this is simply the final value region).  The per-combination settling
     runs execute as one ensemble-engine batch with one independent seed per
-    combination; ``workers=N`` spreads them over worker processes (``jobs=``
-    is a deprecated alias).  Each run is reduced to its tail mean as it
+    combination; ``workers=N`` spreads them over worker processes.  Each
+    run is reduced to its tail mean as it
     completes (the trace itself is dropped), and an opened ``executor`` —
     e.g. the one a propagation-delay analysis holds for its transition batch
     — is reused with its worker caches warm.
     """
-    workers = canonical_workers(workers, jobs, default=1)
     try:
         simulator = canonical_simulator_name(simulator)
     except SimulationError as error:
@@ -152,10 +146,8 @@ def estimate_threshold(
     settle_time: float = 300.0,
     simulator: str = "ode",
     rng: RandomState = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     executor=None,
-    *,
-    jobs: Optional[int] = None,
 ) -> ThresholdAnalysis:
     """Estimate the digital threshold of the output species.
 
@@ -174,7 +166,7 @@ def estimate_threshold(
         settle_time=settle_time,
         simulator=simulator,
         rng=rng,
-        workers=canonical_workers(workers, jobs, default=1),
+        workers=workers,
         executor=executor,
     )
     values = sorted(levels.values())
@@ -198,16 +190,3 @@ def estimate_threshold(
         high_group=high_group,
         output_species=output_species,
     )
-
-
-async def aestimate_threshold(*args, **kwargs) -> ThresholdAnalysis:
-    """Async entry point: :func:`estimate_threshold` off the event loop.
-
-    Runs the (blocking) estimation on a worker thread via
-    :func:`asyncio.to_thread`, so callers inside an event loop — e.g. a
-    service estimating a threshold per uploaded model — never stall it.
-    Accepts exactly the arguments of :func:`estimate_threshold`; share a
-    warm pool across concurrent scans with ``executor=`` (see
-    :func:`repro.engine.gather_studies`).
-    """
-    return await asyncio.to_thread(estimate_threshold, *args, **kwargs)

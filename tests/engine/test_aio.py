@@ -5,7 +5,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.analysis import arun_replicate_study, run_replicate_study
+from repro.analysis import run_replicate_study
 from repro.engine import (
     AsyncEnsembleExecutor,
     ProcessPoolEnsembleExecutor,
@@ -293,38 +293,6 @@ class TestGatherStudies:
 
 
 class TestAsyncStudyEntryPoints:
-    def test_arun_replicate_study_matches_sync(self, and_circuit):
-        sync = run_replicate_study(and_circuit, n_replicates=3, hold_time=80.0, rng=5)
-        as_run = asyncio.run(
-            arun_replicate_study(and_circuit, n_replicates=3, hold_time=80.0, rng=5)
-        )
-        assert as_run.fitness_values == sync.fitness_values
-        assert as_run.recovery_rate == sync.recovery_rate
-
-    def test_aestimate_threshold_matches_sync(self, toy_model):
-        from repro.vlab import aestimate_threshold, estimate_threshold
-
-        kwargs = dict(
-            input_species=["A"],
-            output_species="Y",
-            settle_time=120.0,
-            simulator="ode",
-        )
-        sync = estimate_threshold(toy_model, **kwargs)
-        as_run = asyncio.run(aestimate_threshold(toy_model, **kwargs))
-        assert as_run.threshold == sync.threshold
-        assert as_run.levels == sync.levels
-
-    def test_athreshold_sweep_matches_sync(self, and_circuit):
-        from repro.analysis import athreshold_sweep, threshold_sweep
-
-        kwargs = dict(thresholds=[15.0], hold_time=80.0, simulator="ode")
-        sync = threshold_sweep(and_circuit, **kwargs)
-        as_run = asyncio.run(athreshold_sweep(and_circuit, **kwargs))
-        assert [e.result.truth_table.outputs for e in as_run] == [
-            e.result.truth_table.outputs for e in sync
-        ]
-
     def test_concurrent_replicate_studies_inside_one_loop(self, and_circuit):
         """The web-service shape: several requests' studies awaited together,
         multiplexed over one shared pool, each reporting its own stats."""
@@ -332,11 +300,21 @@ class TestAsyncStudyEntryPoints:
         async def _go():
             with ProcessPoolEnsembleExecutor(2) as executor:
                 return await asyncio.gather(
-                    arun_replicate_study(
-                        and_circuit, n_replicates=2, hold_time=80.0, rng=1, executor=executor
+                    asyncio.to_thread(
+                        run_replicate_study,
+                        and_circuit,
+                        n_replicates=2,
+                        hold_time=80.0,
+                        rng=1,
+                        executor=executor,
                     ),
-                    arun_replicate_study(
-                        and_circuit, n_replicates=2, hold_time=80.0, rng=2, executor=executor
+                    asyncio.to_thread(
+                        run_replicate_study,
+                        and_circuit,
+                        n_replicates=2,
+                        hold_time=80.0,
+                        rng=2,
+                        executor=executor,
                     ),
                 )
 

@@ -1,15 +1,14 @@
-"""Batch grouping, the batch transports, and the shared-memory lifetime contract.
+"""Batch grouping, the two batch result forms, and batched pool lifecycles.
 
-The engine-level half of the lockstep-batching tests: how jobs pack into
-groups, how batch results cross each transport (inline objects, binary frame
-bytes, shared-memory segments), and — the part that can silently rot a
-machine — that ``/dev/shm`` holds no leaked ``glt_*`` segments after decode,
-after an abandoned stream, or after a worker dies mid-batch.
+The engine-level half of the batching tests: how jobs pack into groups, how
+a batch result comes home (the serial executor's in-process trajectory list,
+or one binary frame on the pool's result pipe and the fabric's result
+message), that a pool survives an abandoned or exhausted batched stream, and
+that a batched pool run needs no shared memory and no resource tracker.
 """
 
 import dataclasses
 import glob
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -28,19 +27,24 @@ from repro.engine import (
     run_ensemble,
 )
 from repro.engine import distributed
-from repro.engine.core import (
-    batch_job_payloads,
-    decode_batch_result,
-    discard_batch_segment,
-    simulate_batch_payload,
-)
+from repro.engine.core import batch_job_payloads, simulate_batch_payload
 from repro.engine.jobs import SimulationJob
 from repro.errors import EngineError
 from repro.stochastic.events import InputSchedule
+from repro.stochastic.trajectory import decode_trajectories
 
 
 def _shm_segments():
+    """Shared-memory segments under the ``glt_`` prefix; none may exist."""
     return sorted(os.path.basename(p) for p in glob.glob("/dev/shm/glt_*"))
+
+
+def _assert_bit_identical(trajectories, baseline):
+    assert len(trajectories) == len(baseline.jobs)
+    for index, trajectory in enumerate(trajectories):
+        expected = baseline.trajectory(index)
+        assert np.array_equal(trajectory.times, expected.times)
+        assert np.array_equal(trajectory.data, expected.data)
 
 
 @pytest.fixture(autouse=True)
@@ -105,99 +109,62 @@ class TestGrouping:
         ]
         groups = batch_job_groups(jobs, 2)
         with pytest.raises(EngineError, match="picklable seeds"):
-            batch_job_payloads(jobs, groups, transport="frame")
-
-    def test_unknown_transport_rejected(self, template):
-        jobs = replicate_jobs(template, 2, seed=1)
-        with pytest.raises(EngineError, match="transport"):
-            batch_job_payloads(jobs, batch_job_groups(jobs, 2), transport="carrier-pigeon")
+            batch_job_payloads(jobs, groups)
 
 
 class TestTransports:
-    @pytest.mark.parametrize("transport", ["inline", "frame", "shm"])
-    def test_round_trip_matches_serial_baseline(self, template, transport):
+    @pytest.mark.parametrize("form", ["inline", "frame"])
+    def test_round_trip_matches_serial_baseline(self, template, form):
+        """A batch comes home as the serial executor's in-process trajectory
+        list, or as one binary frame from the worker entry point that pools
+        and fabric workers run; both carry the serial runs bit for bit."""
         jobs = replicate_jobs(template, 3, seed=17)
         baseline = run_ensemble(jobs, workers=1)
-        payloads = batch_job_payloads(jobs, batch_job_groups(jobs, 3), transport=transport)
+        if form == "inline":
+            fn, payloads, _ = SerialExecutor()._batch_submissions(jobs, None, 3)
+            trajectories, cache_hit = fn(payloads[0])
+            assert isinstance(trajectories, list)
+        else:
+            payloads = batch_job_payloads(jobs, batch_job_groups(jobs, 3))
+            frame, cache_hit = simulate_batch_payload(payloads[0])
+            assert isinstance(frame, bytes)
+            trajectories = decode_trajectories(frame)
         assert len(payloads) == 1
-        packed, cache_hit = simulate_batch_payload(payloads[0])
-        trajectories = decode_batch_result(packed)
         assert isinstance(cache_hit, bool)
-        assert len(trajectories) == 3
-        for index, trajectory in enumerate(trajectories):
-            expected = baseline.trajectory(index)
-            assert np.array_equal(trajectory.times, expected.times)
-            assert np.array_equal(trajectory.data, expected.data)
-        # Whatever the transport allocated, decode released it.
-        assert _shm_segments() == []
-
-    def test_unknown_result_kind_rejected(self):
-        with pytest.raises(EngineError, match="kind"):
-            decode_batch_result({"kind": "telegram"})
+        _assert_bit_identical(trajectories, baseline)
 
 
-class TestSharedMemoryLifetime:
-    def test_decode_unlinks_the_segment(self, template):
-        jobs = replicate_jobs(template, 2, seed=5)
-        payloads = batch_job_payloads(jobs, batch_job_groups(jobs, 2), transport="shm")
-        packed, _ = simulate_batch_payload(payloads[0])
-        assert packed["kind"] == "shm"
-        assert packed["shm_name"] in _shm_segments()
-        decode_batch_result(packed)
-        assert _shm_segments() == []
-
-    def test_discard_sweeps_an_undecoded_segment(self, template):
-        """The abandoned-batch path: the worker wrote its segment but no one
-        ever decoded the result — the sweep must remove it by name."""
-        jobs = replicate_jobs(template, 2, seed=5)
-        payloads = batch_job_payloads(jobs, batch_job_groups(jobs, 2), transport="shm")
-        packed, _ = simulate_batch_payload(payloads[0])
-        assert _shm_segments() == [packed["shm_name"]]
-        discard_batch_segment(payloads[0]["shm_name"])
-        assert _shm_segments() == []
-
-    def test_discard_is_idempotent_for_never_created_segments(self):
-        discard_batch_segment("glt_never_created")
-        discard_batch_segment("glt_never_created")
-
-    def test_worker_death_mid_batch_leaves_no_segment_behind(self, template):
-        """A worker that dies *after* writing its segment but before the
-        parent decodes: the parent's by-name sweep is all the cleanup there
-        is, and it must suffice — no ``/dev/shm`` entry may outlive it."""
-        jobs = replicate_jobs(template, 2, seed=5)
-        payloads = batch_job_payloads(jobs, batch_job_groups(jobs, 2), transport="shm")
-
-        context = multiprocessing.get_context("spawn")
-        worker = context.Process(target=_run_payload_then_die, args=(payloads[0],))
-        worker.start()
-        worker.join(timeout=120)
-        assert worker.exitcode == 0
-        # The worker hard-exited without its resource tracker unlinking the
-        # segment (it unregistered after writing — the parent owns the unlink).
-        assert _shm_segments() == [payloads[0]["shm_name"]]
-        discard_batch_segment(payloads[0]["shm_name"])
-        assert _shm_segments() == []
-
-    def test_abandoned_pool_stream_sweeps_its_segments(self, template):
-        """Breaking out of a batched pool stream must leave ``/dev/shm`` clean:
-        undecoded in-flight batches are swept when the stream closes."""
+class TestPoolBatchLifecycle:
+    def test_abandoned_pool_stream_leaves_the_pool_usable(self, template):
+        """Breaking out of a batched pool stream cancels the queued batches;
+        the same executor then runs the batched study bit-identical to
+        serial, and no shared-memory segment exists at any point."""
         jobs = replicate_jobs(template, 8, seed=9)
+        baseline = run_ensemble(jobs, workers=1)
         with ProcessPoolEnsembleExecutor(2) as executor:
             stream = iter_ensemble(jobs, executor=executor, batch_size=2, ordered=True)
             for index, _, _ in stream:
-                break  # leaves ~3 batches undecoded or in flight
+                break  # leaves ~3 batches undelivered or in flight
             stream.close()
             assert _shm_segments() == []
-
-    def test_exhausted_pool_run_leaves_no_segments(self, template):
-        jobs = replicate_jobs(template, 5, seed=3)
-        with ProcessPoolEnsembleExecutor(2) as executor:
-            run_ensemble(jobs, executor=executor, batch_size=2)
+            again = run_ensemble(jobs, executor=executor, batch_size=2)
+        _assert_bit_identical(again.trajectories, baseline)
         assert _shm_segments() == []
 
-    def test_pool_workers_share_the_parents_resource_tracker(self, tmp_path):
-        """A pool launches the resource tracker before its workers fork, so a
-        shared-memory batch starts no tracker process of a worker's own.
+    def test_exhausted_pool_run_leaves_the_pool_usable(self, template):
+        jobs = replicate_jobs(template, 5, seed=3)
+        baseline = run_ensemble(jobs, workers=1)
+        with ProcessPoolEnsembleExecutor(2) as executor:
+            first = run_ensemble(jobs, executor=executor, batch_size=2)
+            again = run_ensemble(jobs, executor=executor, batch_size=2)
+        _assert_bit_identical(first.trajectories, baseline)
+        _assert_bit_identical(again.trajectories, baseline)
+        assert _shm_segments() == []
+
+    def test_batched_pool_run_starts_no_resource_tracker(self, tmp_path):
+        """A batch comes home on the pool's result pipe, so a batched run on
+        fork-started workers registers nothing with multiprocessing's
+        resource tracker: neither the parent nor the worker starts one.
 
         Runs in a fresh interpreter: this process's tracker may already be
         running from an earlier test, which would hide a regression.
@@ -213,10 +180,11 @@ class TestSharedMemoryLifetime:
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        parent, worker = result.stdout.split()
-        # A forked worker inherits the parent's tracker pid; spawn- and
-        # forkserver-started workers are handed the tracker without its pid.
-        assert worker in (parent, "None")
+        start_method, parent, worker = result.stdout.split()
+        if start_method != "fork":
+            # Other start methods launch the tracker to start their workers.
+            pytest.skip(f"workers start by {start_method!r}, not 'fork'")
+        assert (parent, worker) == ("None", "None")
 
 
 class TestDistributedBatchFaults:
@@ -262,10 +230,12 @@ class TestDistributedBatchFaults:
         assert _shm_segments() == []
 
 
-#: Prints the resource-tracker pid of this process and of a pool worker
-#: after a shared-memory batch.  It runs from a file, so that workers of any
-#: start method can resolve ``tracker_pid`` in their ``__main__``.
+#: Prints the start method, then the resource-tracker pid of this process
+#: and of a pool worker after a batched run.  It runs from a file, so that
+#: workers of any start method can resolve ``tracker_pid`` in their
+#: ``__main__``.
 _TRACKER_PIDS_SCRIPT = """
+import multiprocessing
 from multiprocessing import resource_tracker
 from repro import and_gate_circuit
 from repro.engine import ProcessPoolEnsembleExecutor, replicate_jobs, run_ensemble
@@ -281,16 +251,8 @@ if __name__ == "__main__":
     with ProcessPoolEnsembleExecutor(1) as executor:
         run_ensemble(replicate_jobs(template, 2, seed=1), executor=executor, batch_size=2)
         [worker] = executor.map(tracker_pid, [None])
-    print(resource_tracker._resource_tracker._pid, worker)
+    print(multiprocessing.get_start_method(), resource_tracker._resource_tracker._pid, worker)
 """
-
-
-def _run_payload_then_die(payload):
-    """Subprocess body: execute the batch, then exit without any cleanup —
-    ``os._exit`` skips atexit hooks, finalizers and the resource tracker's
-    orderly shutdown, approximating a crash right after the result was ready."""
-    simulate_batch_payload(payload)
-    os._exit(0)
 
 
 class TestStatisticsInvariant:

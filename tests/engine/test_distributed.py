@@ -298,9 +298,9 @@ class TestWorkerEntryPoint:
 
 
 class TestDispatchCli:
-    def test_verify_dispatch_matches_jobs_run(self, tmp_path, capsys):
-        """genlogic verify --dispatch against two listening workers produces
-        the same study a --jobs run does."""
+    def test_verify_dispatch_matches_serial_run(self, tmp_path, capsys):
+        """genlogic verify --dispatch against a listening worker produces
+        the same study a serial run does."""
         from repro.cli import main
 
         ready = threading.Event()
@@ -339,11 +339,11 @@ class TestDispatchCli:
         assert "distributed" in dispatched
         worker.join(timeout=10.0)
 
-    def test_dispatch_excludes_jobs(self, capsys):
+    def test_dispatch_excludes_workers(self, capsys):
         from repro.cli import main
 
         code = main(
-            ["verify", "and", "--replicates", "2", "--jobs", "2", "--dispatch", "h:1"],
+            ["verify", "and", "--replicates", "2", "--workers", "2", "--dispatch", "h:1"],
         )
         assert code == 2
         assert "mutually exclusive" in capsys.readouterr().err

@@ -230,14 +230,14 @@ class TestReplicateStudyParity:
             n_replicates=3,
             hold_time=100.0,
             rng=77,
-            jobs=1,
+            workers=1,
         )
         parallel = run_replicate_study(
             and_circuit,
             n_replicates=3,
             hold_time=100.0,
             rng=77,
-            jobs=2,
+            workers=2,
         )
         assert serial.fitness_values == parallel.fitness_values
         assert serial.recovery_rate == parallel.recovery_rate

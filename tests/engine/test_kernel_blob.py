@@ -1,7 +1,5 @@
 """Compiled-propensity serialization through the worker blob cache."""
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -58,12 +56,6 @@ class TestBlobEnvelope:
         assert restored.reaction_ids() == model.reaction_ids()
         # Same fingerprint again: the memoized instance comes back.
         assert worker_model_from_blob(fingerprint, blob) is restored
-
-    def test_legacy_raw_pickle_blob_still_accepted(self):
-        model = _fresh_model("blob_legacy")
-        raw = pickle.dumps(model)
-        restored = worker_model_from_blob(model_fingerprint(model), raw)
-        assert restored.sid == model.sid
 
 
 class TestWorkerKernelExec:

@@ -286,7 +286,7 @@ class TestExecutorLifecycle:
             rng=11,
         )
         serial = estimate_propagation_delay(and_circuit.model, **kwargs)
-        pooled = estimate_propagation_delay(and_circuit.model, **kwargs, jobs=2)
+        pooled = estimate_propagation_delay(and_circuit.model, **kwargs, workers=2)
         assert serial.delays == pooled.delays
 
     def test_replicate_study_accepts_shared_executor(self, and_circuit):

@@ -9,12 +9,11 @@ changes the digest.  These tests pin both directions.
 import pickle
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
 
-from repro.engine.spec import STUDY_SPEC_SCHEMA, StudySpec, canonical_workers
+from repro.engine.spec import STUDY_SPEC_SCHEMA, StudySpec
 from repro.errors import EngineError
 from repro.gates.circuits import and_gate_circuit
 
@@ -149,18 +148,3 @@ class TestCacheKeyStability:
         )
         assert result.returncode == 0, result.stderr.decode()
         assert result.stdout.decode().strip() == spec.cache_key()
-
-
-class TestCanonicalWorkers:
-    def test_workers_wins_and_jobs_warns(self):
-        assert canonical_workers(4, None) == 4
-        assert canonical_workers(None, None, default=2) == 2
-        with pytest.warns(DeprecationWarning):
-            assert canonical_workers(None, 3) == 3
-
-    def test_conflicting_values_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(EngineError):
-                canonical_workers(2, 3)
-            assert canonical_workers(3, 3) == 3

@@ -27,6 +27,11 @@ class TestParts:
         with pytest.raises(ModelError):
             InputSignal(name="X", K=0.0)
 
+    def test_duplicate_repressors_rejected(self):
+        part = RepressorPart(name="X", promoter="pX")
+        with pytest.raises(ModelError):
+            PartsLibrary([part, part], [], [])
+
 
 class TestDefaultLibrary:
     def test_contains_cello_and_figure1_repressors(self, library):
@@ -58,14 +63,12 @@ class TestDefaultLibrary:
 
 
 class TestSelection:
-    """select_repressor is the pure core the stateful allocator shims over."""
+    """select_repressor: first fit in insertion order, with no state."""
 
     def test_selection_is_pure(self, library):
         first = library.select_repressor()
         again = library.select_repressor()
         assert first.name == again.name
-        # Selection never records anything: allocation still starts fresh.
-        assert library.allocate_repressor().name == first.name
 
     def test_selection_skips_unavailable(self, library):
         names = list(library.repressors)
@@ -75,72 +78,6 @@ class TestSelection:
     def test_selection_exhaustion_raises(self, library):
         with pytest.raises(ModelError):
             library.select_repressor(unavailable=list(library.repressors))
-
-    def test_allocator_matches_selection_sequence(self):
-        """The legacy allocator is first-fit selection with bookkeeping."""
-        stateful = default_library()
-        pure = default_library()
-        taken = []
-        for _ in range(4):
-            expected = pure.select_repressor(unavailable=taken).name
-            assert stateful.allocate_repressor().name == expected
-            taken.append(expected)
-
-
-class TestAllocation:
-    def test_allocations_are_unique(self):
-        library = default_library()
-        first = library.allocate_repressor()
-        second = library.allocate_repressor()
-        assert first.name != second.name
-
-    def test_exclusions_respected(self):
-        library = default_library()
-        part = library.allocate_repressor(exclude=["PhlF", "SrpR"])
-        assert part.name not in {"PhlF", "SrpR"}
-
-    def test_exhaustion_raises(self):
-        library = default_library()
-        everything = list(library.repressors)
-        with pytest.raises(ModelError):
-            library.allocate_repressor(exclude=everything)
-
-    def test_reset_allocation(self):
-        library = default_library()
-        first = library.allocate_repressor()
-        library.reset_allocation()
-        assert library.allocate_repressor().name == first.name
-
-    def test_copy_resets_allocation(self):
-        library = default_library()
-        library.allocate_repressor()
-        fresh = library.copy()
-        assert fresh.allocate_repressor().name == list(library.repressors)[0]
-
-    def test_copy_never_shares_bookkeeping(self):
-        """Allocating from a copy must not consume the parent's pool (and
-        vice versa) — each instance owns its allocation state."""
-        parent = default_library()
-        child = parent.copy()
-        child.allocate_repressor()
-        child.allocate_repressor()
-        # The parent is untouched: it still hands out the very first part.
-        assert parent.allocate_repressor().name == list(parent.repressors)[0]
-        # And allocations made on the parent afterwards don't leak back.
-        grandchild = child.copy()
-        assert grandchild.allocate_repressor().name == list(child.repressors)[0]
-
-    def test_with_kinetics_starts_with_empty_allocation(self):
-        library = default_library()
-        library.allocate_repressor()
-        library.allocate_repressor()
-        rescaled = library.with_kinetics(K=25.0)
-        assert rescaled.allocate_repressor().name == list(library.repressors)[0]
-
-    def test_duplicate_repressors_rejected(self):
-        part = RepressorPart(name="X", promoter="pX")
-        with pytest.raises(ModelError):
-            PartsLibrary([part, part], [], [])
 
 
 class TestWithKinetics:

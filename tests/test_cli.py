@@ -165,7 +165,7 @@ class TestEnsembleFlags:
                 "7",
                 "--replicates",
                 "2",
-                "--jobs",
+                "--workers",
                 "2",
             ],
         )
@@ -177,7 +177,7 @@ class TestEnsembleFlags:
         )
         assert code == 0
         serial_out = capsys.readouterr().out
-        # Same study line (recovery rate and fitness) regardless of --jobs.
+        # Same study line (recovery rate and fitness) regardless of --workers.
         assert parallel_out.splitlines()[0] == serial_out.splitlines()[0]
 
     def test_simulate_replicates_writes_one_csv_each(self, tmp_path, capsys):
@@ -208,12 +208,12 @@ class TestEnsembleFlags:
         assert _replicate_out_path("a/b.csv", 3) == "a/b-r3.csv"
         assert _replicate_out_path("plain", 1) == "plain-r1"
 
-    def test_jobs_without_replicates_prints_note(self, capsys):
+    def test_workers_without_replicates_prints_note(self, capsys):
         code = main(
-            ["verify", "not", "--hold-time", "80", "--simulator", "ode", "--jobs", "4"],
+            ["verify", "not", "--hold-time", "80", "--simulator", "ode", "--workers", "4"],
         )
         assert code == 0
-        assert "--jobs only parallelises replicate batches" in capsys.readouterr().err
+        assert "--workers only parallelises replicate batches" in capsys.readouterr().err
 
     def test_invalid_replicates_rejected(self, capsys):
         assert main(["verify", "and", "--replicates", "0"]) == 2
@@ -221,18 +221,18 @@ class TestEnsembleFlags:
         assert main(["simulate", "not", "--out", "x.csv", "--replicates", "0"]) == 2
         capsys.readouterr()
 
-    def test_invalid_jobs_rejected(self, capsys):
+    def test_invalid_workers_rejected(self, capsys):
         for argv in (
-            ["verify", "and", "--jobs", "0"],
-            ["simulate", "not", "--out", "x.csv", "--jobs", "-4"],
-            ["runtime", "--sizes", "2000", "--jobs", "0"],
+            ["verify", "and", "--workers", "0"],
+            ["simulate", "not", "--out", "x.csv", "--workers", "-4"],
+            ["runtime", "--sizes", "2000", "--workers", "0"],
         ):
             assert main(argv) == 2
-            assert "--jobs must be at least 1" in capsys.readouterr().err
+            assert "--workers must be at least 1" in capsys.readouterr().err
 
     def test_runtime_flags(self, capsys):
         code = main(
-            ["runtime", "--sizes", "2000", "--inputs", "2", "--replicates", "1", "--jobs", "2"],
+            ["runtime", "--sizes", "2000", "--inputs", "2", "--replicates", "1", "--workers", "2"],
         )
         assert code == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 1

@@ -75,7 +75,7 @@ class TestPublicApi:
 
         for name in ("StudySpec", "run_replicate_study", "serve", "AnalysisService"):
             assert name in repro.__all__
-        for name in ("StudySpec", "STUDY_SPEC_SCHEMA", "canonical_workers"):
+        for name in ("StudySpec", "STUDY_SPEC_SCHEMA"):
             assert name in repro.engine.__all__
 
 
