@@ -2,8 +2,11 @@
 
 Starts the HTTP service over a 2-worker pool on an ephemeral loopback port,
 submits one StudySpec twice, and asserts the repeat is answered from the
-content-addressed cache: bit-identical result, hit visible in ``/v1/stats``,
-and wall time collapsing versus the first run.
+content-addressed cache: bit-identical result and wall time collapsing
+versus the first run.  A third request that differs only in ``batch_size``
+must hit the same entry, under the key this process computes for the spec
+on its own, so the service's key memo never changes a key's value.  Both
+hits are visible in ``/v1/stats``.
 
 Run from the repo root with ``PYTHONPATH=src python scripts/service_smoke.py``.
 """
@@ -14,6 +17,8 @@ import re
 import subprocess
 import sys
 import time
+
+from repro.engine import StudySpec
 
 SPEC = {"circuit": "and", "n_replicates": 4, "seed": 11, "hold_time": 80.0}
 
@@ -54,8 +59,15 @@ def main():
             f"cache hit took {repeat_wall:.3f}s vs first run {first['wall_seconds']:.3f}s"
         )
 
+        status, variant = request(port, "POST", "/v1/studies?wait=1", dict(SPEC, batch_size=2))
+        assert status == 200 and variant["cached"], variant
+        assert variant["cache_key"] == second["cache_key"], variant
+        assert variant["cache_key"] == StudySpec(**SPEC).cache_key(), (
+            "the service's key differs from the one computed in this process"
+        )
+
         status, stats = request(port, "GET", "/v1/stats")
-        assert status == 200 and stats["cache"]["hits"] == 1, stats
+        assert status == 200 and stats["cache"]["hits"] == 2, stats
         print(
             f"service smoke OK: first run {first['wall_seconds']:.3f}s, "
             f"cache hit {repeat_wall:.3f}s, cache {stats['cache']}"

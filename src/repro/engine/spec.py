@@ -41,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
@@ -64,8 +65,8 @@ def frozen_overrides(
     The canonical frozen form shared by every spec that carries parameter
     overrides (:class:`StudySpec` here, :class:`repro.search.SearchSpec`'s
     variant grid): sorted by name, values coerced to float, duplicate names
-    rejected — so two equal override sets always compare, hash and serialize
-    identically.
+    rejected, non-finite values rejected — so two equal override sets always
+    compare, hash and serialize identically.
     """
     if overrides is None:
         return ()
@@ -77,11 +78,10 @@ def frozen_overrides(
     names = [name for name, _ in frozen]
     if len(set(names)) != len(names):
         raise EngineError(f"duplicate parameter override names in {names}")
+    for name, value in frozen:
+        if not math.isfinite(value):
+            raise EngineError(f"parameter override {name!r} must be finite, got {value}")
     return frozen
-
-
-#: Backwards-compatible alias of :func:`frozen_overrides` (pre-public name).
-_frozen_overrides = frozen_overrides
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ class StudySpec:
         if not isinstance(self.circuit, str) or not self.circuit:
             raise EngineError("StudySpec.circuit must be a non-empty circuit name")
         object.__setattr__(self, "simulator", canonical_simulator_name(self.simulator))
-        object.__setattr__(self, "overrides", _frozen_overrides(self.overrides))
+        object.__setattr__(self, "overrides", frozen_overrides(self.overrides))
         if self.seed is not None:
             if isinstance(self.seed, bool) or not isinstance(self.seed, int):
                 try:
@@ -164,8 +164,8 @@ class StudySpec:
         for name in ("threshold", "fov_ud", "hold_time", "sample_interval"):
             value = float(getattr(self, name))
             object.__setattr__(self, name, value)
-            if value <= 0:
-                raise EngineError(f"StudySpec.{name} must be positive")
+            if not math.isfinite(value) or value <= 0:
+                raise EngineError(f"StudySpec.{name} must be positive and finite")
         if not isinstance(self.schema, int) or self.schema < 1:
             raise EngineError("StudySpec.schema must be a positive integer")
         if self.schema > STUDY_SPEC_SCHEMA:

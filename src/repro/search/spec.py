@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -184,8 +185,8 @@ class SearchSpec:
         for name in ("threshold", "fov_ud", "hold_time", "sample_interval"):
             value = float(getattr(self, name))
             object.__setattr__(self, name, value)
-            if value <= 0:
-                raise EngineError(f"SearchSpec.{name} must be positive")
+            if not math.isfinite(value) or value <= 0:
+                raise EngineError(f"SearchSpec.{name} must be positive and finite")
         ci_level = float(self.ci_level)
         object.__setattr__(self, "ci_level", ci_level)
         if not 0.0 < ci_level < 1.0:

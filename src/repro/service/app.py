@@ -11,24 +11,32 @@ and an alternative frontend (a job queue, a gRPC layer) would reuse it
 unchanged.
 
 Life of a request: the decoded JSON body becomes a
-:class:`~repro.engine.StudySpec` (malformed bodies raise
-:class:`~repro.errors.EngineError` → 400); a seeded spec is looked up in the
-cache (hit → answered instantly, no dispatch); a spec identical to one
-already *running* coalesces onto that study instead of dispatching twice;
-otherwise — if admission passes — the study is dispatched to the warm
-executor on a worker thread via :func:`asyncio.to_thread`, exactly the
-pattern :func:`repro.engine.gather_studies` uses, so many studies multiplex
-over the one pool without blocking the event loop.
+:class:`~repro.engine.StudySpec` (malformed bodies, non-finite numbers
+included, raise :class:`~repro.errors.EngineError` → 400).  A seeded spec
+gets its content key from the service's key memo, a bounded LRU map from
+each spec parsed from a body to its :meth:`~repro.engine.StudySpec.cache_key`;
+only a memo miss builds the circuit to compute the key.  The key is looked
+up in the result cache (hit → answered instantly, no circuit build, no
+dispatch); a spec identical to one already *running* coalesces onto that
+study instead of dispatching twice; otherwise — if admission passes — the
+study is dispatched to the warm executor on a worker thread via
+:func:`asyncio.to_thread`, exactly the pattern
+:func:`repro.engine.gather_studies` uses, so many studies multiplex over the
+one pool without blocking the event loop.  The registry keeps every running
+record and the most recent :data:`FINISHED_RECORDS` finished ones; an older
+id answers 404 like an unknown one.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
 import threading
 import time
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Deque, Dict, Mapping, Optional, Union
 
 from ..engine.distributed import WorkerConnectionError
 from ..engine.executors import get_executor
@@ -38,6 +46,17 @@ from ..search.spec import SearchSpec
 from .cache import ResultCache
 
 __all__ = ["AnalysisService", "BackpressureError", "BudgetError", "StudyRecord"]
+
+#: Specs parsed from request bodies whose content keys a service remembers,
+#: least recently used evicted first.  An entry, a circuit-free spec and its
+#: 64-character key, takes 0.5-0.7 KB, so a full memo holds under 1 MB.
+KEY_MEMO_SIZE = 1024
+
+#: Finished records a service's registry keeps, oldest evicted first; running
+#: records are always kept.  Besides its result (usually shared with the
+#: result cache), a cache hit's record retains about 1.4 KB and a miss's
+#: about 60 KB, as its spec pins the resolved circuit: 1.4-60 MB in all.
+FINISHED_RECORDS = 1024
 
 
 class BackpressureError(EngineError):
@@ -166,6 +185,8 @@ class AnalysisService:
             search_runner if search_runner is not None else _default_search_runner
         )
         self._records: Dict[str, StudyRecord] = {}
+        self._finished: Deque[str] = deque()
+        self._keys: OrderedDict[Union[StudySpec, SearchSpec], str] = OrderedDict()
         self._inflight_by_key: Dict[str, StudyRecord] = {}
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
@@ -235,7 +256,7 @@ class AnalysisService:
                 f"spec asks for {spec.n_replicates} replicates; this service "
                 f"accepts at most {self.max_replicates} per request",
             )
-        key = spec.cache_key() if spec.seed is not None else None
+        key = self._content_key(spec, from_body=not isinstance(data, StudySpec))
         return await self._admit(spec, key, kind="study")
 
     async def submit_search(
@@ -260,8 +281,31 @@ class AnalysisService:
                 "per request (cap the space with max_candidates or lower "
                 "budget_replicates)",
             )
-        key = spec.cache_key() if spec.seed is not None else None
+        key = self._content_key(spec, from_body=not isinstance(data, SearchSpec))
         return await self._admit(spec, key, kind="search")
+
+    def _content_key(self, spec: Union[StudySpec, SearchSpec], from_body: bool) -> Optional[str]:
+        """The spec's cache key (``None`` unseeded), memoized for body specs.
+
+        The memo is keyed on spec equality, which compares every field, so an
+        entry only ever answers an identical spec.  A spec object handed in
+        directly may carry a live circuit its name does not describe, so its
+        key is computed every time.
+        """
+        if spec.seed is None:
+            return None
+        if not from_body:
+            return spec.cache_key()
+        key = self._keys.get(spec)
+        if key is not None:
+            self._keys.move_to_end(spec)
+            return key
+        key = spec.cache_key()
+        # ``spec`` now pins its resolved circuit; remember a copy without it.
+        self._keys[dataclasses.replace(spec)] = key
+        if len(self._keys) > KEY_MEMO_SIZE:
+            self._keys.popitem(last=False)
+        return key
 
     async def _admit(
         self,
@@ -276,8 +320,8 @@ class AnalysisService:
                 record = self._new_record(spec, key, kind=kind, status="done", cached=True)
                 record.result = hit
                 record.wall_seconds = 0.0
-                record.done_event.set()
                 self._completed += 1
+                self._finish(record)
                 return record
             with self._lock:
                 running = self._inflight_by_key.get(key)
@@ -327,6 +371,13 @@ class AnalysisService:
         self._submitted += 1
         return record
 
+    def _finish(self, record: StudyRecord) -> None:
+        """Wake the record's waiters and evict the oldest finished records."""
+        record.done_event.set()
+        self._finished.append(record.study_id)
+        while len(self._finished) > FINISHED_RECORDS:
+            del self._records[self._finished.popleft()]
+
     async def _execute(self, record: StudyRecord) -> None:
         started = time.monotonic()
         runner = self._search_runner if record.kind == "search" else self._runner
@@ -357,7 +408,7 @@ class AnalysisService:
             record.wall_seconds = time.monotonic() - started
             with self._lock:
                 self._inflight_by_key.pop(record.cache_key or record.study_id, None)
-            record.done_event.set()
+            self._finish(record)
 
     async def _follow(self, record: StudyRecord, leader: StudyRecord) -> None:
         """Mirror the leader's outcome onto a coalesced record."""
@@ -371,7 +422,7 @@ class AnalysisService:
             self._completed += 1
         else:
             self._failed += 1
-        record.done_event.set()
+        self._finish(record)
 
     # -- queries ---------------------------------------------------------------
     def get(self, study_id: str) -> Optional[StudyRecord]:

@@ -6,6 +6,7 @@ same digest — and (b) sensitive — any field that can change the result
 changes the digest.  These tests pin both directions.
 """
 
+import json
 import pickle
 import subprocess
 import sys
@@ -52,6 +53,21 @@ class TestCanonicalization:
             StudySpec(circuit="and", hold_time=-1.0)
         with pytest.raises(EngineError):
             StudySpec(circuit="and", schema=STUDY_SPEC_SCHEMA + 1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["threshold", "fov_ud", "hold_time", "sample_interval"])
+    def test_non_finite_numbers_rejected(self, field, value):
+        with pytest.raises(EngineError, match=f"{field} must be positive and finite"):
+            StudySpec(circuit="and", seed=1, **{field: value})
+        # Python's JSON parser accepts the NaN and Infinity literals.
+        body = json.dumps({"circuit": "and", "seed": 1, field: value})
+        with pytest.raises(EngineError, match=f"{field} must be positive and finite"):
+            StudySpec.from_json(body)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_overrides_rejected(self, value):
+        with pytest.raises(EngineError, match="kd_GFP"):
+            StudySpec(circuit="and", overrides={"kd_GFP": value})
 
     def test_for_circuit_attaches_the_instance(self):
         circuit = and_gate_circuit()

@@ -67,6 +67,21 @@ class TestValidation:
             with pytest.raises(EngineError):
                 make_spec(**{field: 0.0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["threshold", "fov_ud", "hold_time", "sample_interval"])
+    def test_non_finite_floats_rejected(self, field, value):
+        with pytest.raises(EngineError, match=f"{field} must be positive and finite"):
+            make_spec(**{field: value})
+        # Python's JSON parser accepts the NaN and Infinity literals.
+        body = json.dumps(dict(make_spec().to_dict(), **{field: value}))
+        with pytest.raises(EngineError, match=f"{field} must be positive and finite"):
+            SearchSpec.from_json(body)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_variant_overrides_rejected(self, value):
+        with pytest.raises(EngineError, match="kd_GFP"):
+            make_spec(variants=((("kd_GFP", value),),))
+
     def test_ci_level_bounds(self):
         for level in (0.0, 1.0):
             with pytest.raises(EngineError):

@@ -16,11 +16,14 @@ import threading
 
 import pytest
 
+import repro.gates.circuits
 from repro.analysis import run_replicate_study
 from repro.engine import StudySpec, WorkerConnectionError
 from repro.errors import EngineError
+from repro.gates.cello import cello_circuit
+from repro.gates.parts_library import resolve_library
 from repro.search import SearchSpec, run_design_search
-from repro.service import AnalysisService, ResultCache, ServiceServer
+from repro.service import AnalysisService, ResultCache, ServiceServer, app
 from repro.service.app import BackpressureError, BudgetError
 
 
@@ -380,6 +383,115 @@ class TestSearchSubmission:
         assert service.stats()["limits"]["max_search_replicates"] == 123
 
 
+def _count_resolutions(monkeypatch):
+    """Record every circuit name resolved from here on."""
+    resolved = []
+    real = repro.gates.circuits.resolve_circuit
+
+    def counting(name):
+        resolved.append(name)
+        return real(name)
+
+    monkeypatch.setattr(repro.gates.circuits, "resolve_circuit", counting)
+    return resolved
+
+
+class TestKeyMemo:
+    """Specs parsed from request bodies get their cache key from a memo."""
+
+    def test_repeated_body_resolves_its_circuit_once(self, monkeypatch):
+        resolved = _count_resolutions(monkeypatch)
+        body = _spec().to_dict()
+
+        async def _go():
+            service = AnalysisService(runner=_StubRunner())
+            first = await service.submit(body)
+            await first.done_event.wait()
+            return [first] + [await service.submit(body) for _ in range(5)]
+
+        records = asyncio.run(_go())
+        assert resolved == ["not"]
+        assert all(record.cached for record in records[1:])
+        assert {record.cache_key for record in records} == {records[0].cache_key}
+
+    def test_memoized_keys_equal_fresh_keys(self):
+        study_body = _spec().to_dict()
+        search_body = _search_spec().to_dict()
+
+        async def _go():
+            service = AnalysisService(runner=_StubRunner(), search_runner=_StubSearchRunner())
+            records = []
+            for _ in range(2):
+                records.append(await service.submit(json.dumps(study_body)))
+                records.append(await service.submit_search(json.dumps(search_body)))
+                for record in records:
+                    await record.done_event.wait()
+            return records
+
+        records = asyncio.run(_go())
+        study_key = StudySpec.from_dict(study_body).cache_key()
+        search_key = SearchSpec.from_dict(search_body).cache_key()
+        assert [record.cache_key for record in records] == [study_key, search_key] * 2
+        assert records[2].cached and records[3].cached
+
+    @pytest.mark.parametrize("knob", [{"workers": 2}, {"batch_size": 2}])
+    def test_execution_knob_variant_is_a_hit_with_the_same_key(self, knob):
+        runner = _StubRunner()
+        body = _spec().to_dict()
+
+        async def _go():
+            service = AnalysisService(runner=runner)
+            first = await service.submit(body)
+            await first.done_event.wait()
+            return first, await service.submit(dict(body, **knob))
+
+        first, variant = asyncio.run(_go())
+        assert variant.cached and variant.cache_key == first.cache_key
+        assert runner.calls == 1
+
+    def test_live_circuit_spec_is_keyed_by_its_own_content(self):
+        body = {"circuit": "cello_0x0b", "n_replicates": 2, "seed": 7, "hold_time": 60.0}
+        live = StudySpec.for_circuit(
+            cello_circuit("0x0B", library=resolve_library("diverse")),
+            n_replicates=2,
+            seed=7,
+            hold_time=60.0,
+        )
+        assert live == StudySpec.from_dict(body), "equal fields, different circuit content"
+        runner = _StubRunner()
+
+        async def _go():
+            service = AnalysisService(runner=runner)
+            named = await service.submit(body)
+            await named.done_event.wait()
+            served = await service.submit(live)
+            await served.done_event.wait()
+            return named, served
+
+        named, served = asyncio.run(_go())
+        assert served.cache_key == live.cache_key() != named.cache_key
+        assert not served.cached and runner.specs[-1] is live
+
+    def test_memo_stays_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(app, "KEY_MEMO_SIZE", 3)
+        resolved = _count_resolutions(monkeypatch)
+
+        async def _go():
+            service = AnalysisService(runner=_StubRunner())
+            for seed in range(4):
+                record = await service.submit(_spec(seed=seed).to_dict())
+                await record.done_event.wait()
+            sizes = [len(service._keys)]
+            # The newest body is remembered; the oldest was evicted.
+            for seed in (3, 0):
+                assert (await service.submit(_spec(seed=seed).to_dict())).cached
+            sizes.append(len(service._keys))
+            return sizes
+
+        assert asyncio.run(_go()) == [3, 3]
+        assert len(resolved) == 5
+
+
 def _request(port, method, path, body=None):
     """One HTTP request against the loopback service; returns (status, headers, json)."""
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
@@ -473,6 +585,47 @@ class TestHttpService:
             assert status == 404
 
         self._serve(exercise, runner=_StubRunner(), max_replicates=4)
+
+    def test_non_finite_number_maps_to_400(self):
+        def exercise(port):
+            body = dict(_spec().to_dict(), hold_time=float("nan"))
+            status, _, response = _request(port, "POST", "/v1/studies", body)
+            assert status == 400 and "hold_time" in response["error"]
+
+        self._serve(exercise, runner=_StubRunner())
+
+    def test_registry_keeps_running_records_and_the_newest_finished(self, monkeypatch):
+        monkeypatch.setattr(app, "FINISHED_RECORDS", 3)
+        release = threading.Event()
+
+        def runner(spec, executor):
+            if spec.seed == 0:
+                assert release.wait(timeout=30), "runner was never released"
+            return {"seed": spec.seed}
+
+        service = AnalysisService(runner=runner)
+
+        def exercise(port):
+            try:
+                status, _, running = _request(port, "POST", "/v1/studies", _spec(seed=0).to_dict())
+                assert status == 200 and running["status"] == "running"
+                finished = []
+                for seed in range(1, 6):
+                    status, _, body = _request(
+                        port, "POST", "/v1/studies?wait=1", _spec(seed=seed).to_dict()
+                    )
+                    assert status == 200 and body["status"] == "done"
+                    finished.append(body["id"])
+                kept = [record.status for record in service._records.values()]
+                assert sorted(kept) == ["done"] * 3 + ["running"]
+                assert _request(port, "GET", f"/v1/studies/{finished[0]}")[0] == 404
+                assert _request(port, "GET", f"/v1/studies/{finished[-1]}")[0] == 200
+                status, _, still = _request(port, "GET", f"/v1/studies/{running['id']}")
+                assert status == 200 and still["status"] == "running"
+            finally:
+                release.set()
+
+        self._serve(exercise, service=service)
 
     def test_fabric_loss_maps_to_503_with_retry_after(self):
         """Losing the worker fabric mid-study is a server-side transient."""
