@@ -10,7 +10,7 @@ by the engine contract) with two workers, and the benchmark records
 * the per-job dispatch overhead, measured on near-empty jobs where transport
   cost dominates (``extra_info["dispatch_overhead_*_ms"]``).
 
-A second experiment measures what PR 6's lockstep batching buys on the same
+A second experiment measures what replicate batching buys on the same
 loopback fabric: per-replicate dispatch overhead at ``batch_size`` 1, 8 and
 32 (``extra_info["dispatch_overhead_batch{B}_ms"]``), plus the
 bytes-on-the-wire cost of one batch's results as per-replicate pickles vs
@@ -43,7 +43,7 @@ N_DISPATCH_JOBS = 24
 N_WORKERS = 2
 BASE_SEED = 20170654
 
-#: Lockstep-batching experiment: replicates per dispatch, and how many tiny
+#: Batching experiment: replicates per dispatch, and how many tiny
 #: jobs to push through each configuration (divisible by every batch size).
 BATCH_SIZES = (1, 8, 32)
 N_BATCH_JOBS = 64
@@ -156,8 +156,8 @@ def _tiny_model():
 
 
 def _tiny_jobs(model):
-    # SSA, not ODE: the batches run through the lockstep stepper, the path
-    # this PR actually ships.
+    # SSA, not ODE: each batch runs its replicates through the direct-method
+    # loop, the path replicate batching serves.
     return replicate_jobs(
         SimulationJob(
             model=model,
@@ -189,7 +189,7 @@ def _batched_dispatch_overhead_ms(model, executor, batch_size, compute_ms):
     results, zero transport), and the fabric shards jobs over ``N_WORKERS``,
     so the ideal transport-free wall share per job is
     ``compute_ms / N_WORKERS``.  What remains above that is serialization +
-    queueing + the result trip home — the share a lockstep batch of B
+    queueing + the result trip home — the share a batch of B
     replicates pays once instead of B times.
     """
     wall_ms = _per_job_wall_ms(_tiny_jobs(model), executor, batch_size)
@@ -197,7 +197,7 @@ def _batched_dispatch_overhead_ms(model, executor, batch_size, compute_ms):
 
 
 def test_batch_dispatch_amortization(benchmark):
-    """Experiment E10 — lockstep batching on the loopback fabric.
+    """Experiment E10 — replicate batching on the loopback fabric.
 
     Dispatch overhead per replicate at ``batch_size`` 1, 8, 32 on real TCP
     workers, plus the result-path size comparison that motivated the binary
@@ -209,7 +209,7 @@ def test_batch_dispatch_amortization(benchmark):
 
     # The compute floors: the same tiny jobs at each batch size, in-process,
     # no transport at all (the serial executor runs batches inline through
-    # the same lockstep stepper the workers use).
+    # the same direct-method loop the workers use).
     compute_ms = {
         batch_size: _per_job_wall_ms(_tiny_jobs(tiny_model), None, batch_size)
         for batch_size in BATCH_SIZES
@@ -282,7 +282,7 @@ def test_batch_dispatch_amortization(benchmark):
     # REPRO_BENCH_SOFT=1; the measured ratio always lands in extra_info).
     check_wallclock(
         overhead_ms[BATCH_SIZES[-1]] * 5.0 <= overhead_ms[1],
-        "lockstep batching amortized dispatch by only "
+        "replicate batching amortized dispatch by only "
         f"{overhead_ms[1] / overhead_ms[BATCH_SIZES[-1]]:.1f}x at batch 32 "
         f"({overhead_ms[1]:.2f} ms -> {overhead_ms[BATCH_SIZES[-1]]:.2f} ms per replicate)",
     )

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -297,14 +298,20 @@ def serve(
 ) -> None:
     """Blocking entry point: run the service until interrupted.
 
-    ``ready`` (if given) is called with the bound ``(host, port)`` once the
-    socket is listening — the CLI uses it to print the address, tests use it
-    to learn an ephemeral port.
+    Ctrl-C (SIGINT) and SIGTERM both stop it cleanly: the server stops
+    listening and the service shuts its worker pool down before this
+    returns.  ``ready`` (if given) is called with the bound ``(host, port)``
+    once the socket is listening — the CLI uses it to print the address,
+    tests use it to learn an ephemeral port.
     """
 
     async def _main() -> None:
         server = ServiceServer(service=service, host=host, port=port, **service_kwargs)
         await server.start()
+        # asyncio.run turns Ctrl-C into a cancel of this task; SIGTERM does
+        # the same, so the finally below closes the pool either way.
+        loop = asyncio.get_running_loop()
+        loop.add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
         try:
             if ready is not None:
                 ready(server.address)
@@ -314,5 +321,5 @@ def serve(
 
     try:
         asyncio.run(_main())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         pass

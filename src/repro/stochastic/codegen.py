@@ -41,10 +41,20 @@ trajectories to the per-event numpy loop in :mod:`repro.stochastic.ssa`:
 * ``ssa_segment`` sums the propensities in numpy's own pairwise ``.sum()``
   order (:func:`pairwise_sum_source`), selects the firing reaction with a
   running sum in ``np.cumsum`` order (the first index whose sum exceeds the
-  threshold, falling through to the last reaction), applies the same
-  floating-point state deltas, and draws through ``generator.exponential``
-  and ``generator.random`` in the same order as the numpy loop (verified in
-  ``tests/stochastic/test_kernel_parity.py`` and ``test_codegen.py``).
+  threshold, falling through to the last reaction), and applies the same
+  floating-point state deltas (verified in
+  ``tests/stochastic/test_kernel_parity.py`` and ``test_codegen.py``);
+* ``ssa_segment`` makes no numpy call per event: it reads the PCG64 stream
+  in blocks of raw words and rebuilds ``generator.exponential`` and
+  ``generator.random`` from them bit for bit, in the numpy loop's order,
+  with the statements of :mod:`repro.stochastic.ziggurat`.  On every exit,
+  exceptions included, it hands the generator back where numpy's calls
+  would have left it.  The rebuilt draws are only valid for PCG64
+  generators and only while numpy's ziggurat stays the one the tables were
+  copied from: :class:`~repro.stochastic.ssa.DirectMethodSimulator` runs
+  the kernel only for a PCG64 generator and after
+  :func:`~repro.stochastic.ziggurat.block_draws_verified` has passed in the
+  process.
 
 The generated source is a plain string: it can be shipped across process
 boundaries and ``exec``'d by pool workers (see :mod:`repro.engine.cache`),
@@ -60,6 +70,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ..errors import PropensityError, SimulationError
 from ..sbml.ast import FUNCTIONS, BinOp, Call, Expr, Neg, Num, Sym
+from . import ziggurat
 
 __all__ = [
     "KERNEL_ENV_VAR",
@@ -87,7 +98,7 @@ BACKEND_INTERP = "interp"
 #: Version stamp embedded in every generated module.  A worker handed kernel
 #: source from a different package version refuses to load it (and recompiles
 #: from the model instead of silently running a stale kernel).
-KERNEL_FORMAT = 2
+KERNEL_FORMAT = 3
 
 #: Above this many generated update statements the per-reaction incremental
 #: functions would bloat the module (dense dependency graphs are O(R^2));
@@ -468,7 +479,8 @@ def _emit_ssa_segment(
     :mod:`repro.stochastic.ssa` (see the module docstring for the
     bit-identity argument).  ``recorder.fill_before`` runs only when ``t``
     crosses the next sample time, where it is the same call the numpy loop
-    makes after every event (and a no-op there otherwise).
+    makes after every event (and a no-op there otherwise).  ``generator``
+    must be PCG64-backed (see :func:`~repro.stochastic.ziggurat.block_draws_verified`).
     """
     species = [f"_s{i}" for i in range(n_species)]
     row = f"({', '.join(species)},)" if species else "()"
@@ -478,8 +490,6 @@ def _emit_ssa_segment(
     body = [
         "if t >= t_stop:",
         "    return events",
-        "_exponential = generator.exponential",
-        "_random = generator.random",
     ]
     if species:
         body.append(f"{', '.join(species)}, = state.tolist()")
@@ -496,21 +506,24 @@ def _emit_ssa_segment(
             f"_total = {total}",
             "if _total <= 0.0:",
             "    break",
-            "_tau = _exponential(1.0 / _total)",
+            *ziggurat.draw_exponential("_tau", "(1.0 / _total)"),
             "if t + _tau >= t_stop:",
             "    break",
             "t += _tau",
             "if t > _next:",
             f"    _next = _fill(t, {row})",
-            "_threshold = _random() * _total",
+            *ziggurat.draw_uniform("_threshold", "_total"),
             *_selection(specs, rendered, dependents, incremental),
             "events += 1",
             "if events > max_events:",
             "    _exceeded(max_events)",
         ],
     )
-    body.append("while True:")
-    body.extend(f"    {line}" for line in loop)
+    body.extend(ziggurat.WORDS_OPEN)
+    body += ["try:", "    while True:"]
+    body.extend(f"        {line}" for line in loop)
+    body.append("finally:")
+    body.extend(f"    {line}" for line in ziggurat.WORDS_CLOSE)
     if species:
         body.append(f"state[:] = {row}")
     body.append("return events")
@@ -609,6 +622,7 @@ def kernel_namespace() -> Dict[str, object]:
     namespace: Dict[str, object] = {
         "PropensityError": PropensityError,
         "SimulationError": SimulationError,
+        **ziggurat.statement_namespace(),
     }
     for name, (_, fn) in FUNCTIONS.items():
         namespace[f"_fn_{name}"] = fn

@@ -10,9 +10,13 @@ reference [7]).
 Input species are clamped through an :class:`~repro.stochastic.events.InputSchedule`,
 mirroring how the virtual laboratory applies input combinations during a run.
 Between two clamps the loop runs in the model's generated ``ssa_segment``
-(see :mod:`repro.stochastic.codegen`); with ``REPRO_KERNEL=interp`` it runs
-:func:`_numpy_segment`, the per-event numpy reference loop.  Both produce
-bit-identical trajectories.
+(see :mod:`repro.stochastic.codegen`), which rebuilds the generator's
+exponential and uniform draws from blocks of raw PCG64 words instead of
+calling numpy per event.  :func:`_numpy_segment`, the per-event numpy
+reference loop, runs instead with ``REPRO_KERNEL=interp``, for a generator
+whose bit generator is not PCG64, and when the once-per-process check
+:func:`~repro.stochastic.ziggurat.block_draws_verified` fails.  Both loops
+produce bit-identical trajectories and leave the generator in the same state.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .propensity import compile_model
 from .rng import RandomState, make_rng
 from .sampling import SampleRecorder, make_sample_times
 from .trajectory import Trajectory
+from .ziggurat import block_draws_verified
 
 __all__ = ["simulate_ssa", "DirectMethodSimulator"]
 
@@ -77,9 +82,10 @@ class DirectMethodSimulator:
 
     :meth:`run` clamps the scheduled inputs at each segment boundary and runs
     the loop between boundaries in one call: the kernel's generated
-    ``ssa_segment`` on the codegen backend, :func:`_numpy_segment` on the
-    interp backend.  ``last_event_count`` reports the number of reaction
-    firings of the most recent run.
+    ``ssa_segment`` on the codegen backend with a PCG64 generator,
+    :func:`_numpy_segment` otherwise (see the module docstring).
+    ``last_event_count`` reports the number of reaction firings of the most
+    recent run.
     """
 
     def __init__(self, model, parameter_overrides: Optional[Dict[str, float]] = None):
@@ -142,7 +148,11 @@ class DirectMethodSimulator:
             state = compiled.state_from_dict({**compiled.model.initial_state(), **initial_state})
 
         recorder = SampleRecorder(sample_times, compiled.n_species)
-        if compiled.kernel is not None:
+        if (
+            compiled.kernel is not None
+            and type(generator.bit_generator) is np.random.PCG64
+            and block_draws_verified()
+        ):
             segment = compiled.kernel.ssa_segment
         else:
             segment = partial(_numpy_segment, compiled)

@@ -13,7 +13,7 @@ gets the whole contract for free by adding one fixture param:
   cancels the not-yet-windowed remainder, and leaves the executor usable.
 
 The run-path tests are additionally parametrized over ``batch_size`` ∈ {1, 3}
-— 4 replicates at batch 3 makes the last lockstep batch a partial one — so
+— 4 replicates at batch 3 makes the last batch a partial one — so
 every backend proves the whole contract (bit-identity included) through the
 batched dispatch/transport path too.
 
@@ -131,7 +131,7 @@ def backend(request):
 
 @pytest.fixture(scope="module", params=[1, 3], ids=["batch1", "batch3"])
 def batch_size(request):
-    """Dispatch granularity: 1 = the classic path, 3 = lockstep batches.
+    """Dispatch granularity: 1 = one replicate per dispatch, 3 = batches of 3.
 
     The job list holds 4 replicates, so batch 3 exercises a batch count that
     does not divide the replicate count (one full batch + one partial).

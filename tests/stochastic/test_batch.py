@@ -1,7 +1,7 @@
-"""Lockstep batch SSA: bit-identity against the serial direct method.
+"""Batch SSA: bit-identity against the serial direct method.
 
 The whole value of :func:`repro.stochastic.simulate_ssa_batch` rests on one
-claim — each replicate of a lockstep batch is *bit-identical* to the serial
+claim — each replicate of a batch is *bit-identical* to the serial
 single-replicate run with the same seed — so these tests compare raw arrays
 with :func:`numpy.array_equal`, never with tolerances.
 """
@@ -9,10 +9,13 @@ with :func:`numpy.array_equal`, never with tolerances.
 import numpy as np
 
 from repro.stochastic import (
+    BACKEND_INTERP,
+    CompiledModel,
     InputSchedule,
     fan_out_seeds,
     simulate_ssa,
     simulate_ssa_batch,
+    ziggurat,
 )
 
 
@@ -38,9 +41,9 @@ class TestBitIdentity:
 
         ``from_combinations`` places an event at t=0, so the schedule's first
         segment is the degenerate ``[0, 0)`` one — the serial inner loop never
-        enters it, and a lockstep stepper that does draws one spurious
-        waiting time per replicate and diverges from the very first step.
-        This test is the regression guard for exactly that bug.
+        enters it, and a batch loop that does draws one spurious waiting time
+        per replicate and diverges from the very first step.  This test is
+        the regression guard for exactly that bug.
         """
         _assert_batch_matches_serial(
             and_circuit.model,
@@ -84,7 +87,7 @@ class TestBatchShape:
         assert simulate_ssa_batch(and_circuit.model, 10.0, []) == []
 
     def test_replicates_share_one_sample_grid_object(self, and_circuit):
-        """Lockstep replicates share the grid array itself — the invariant the
+        """Batch replicates share the grid array itself — the invariant the
         binary transport exploits to encode the time block once per batch."""
         batch = simulate_ssa_batch(and_circuit.model, 20.0, fan_out_seeds(1, 3))
         assert batch[1].times is batch[0].times
@@ -92,11 +95,18 @@ class TestBatchShape:
 
     def test_generator_seeds_are_consumed_in_place(self, and_circuit):
         """Live generators are accepted (the serial executor's in-process
-        case) and advanced exactly as their serial counterparts would be."""
+        case) and advanced exactly as their serial counterparts would be:
+        each ends in the state the interp backend's numpy calls leave."""
+        assert ziggurat.block_draws_verified()  # so the block-draw loop runs
         seeds = fan_out_seeds(13, 2)
-        batch = simulate_ssa_batch(
-            and_circuit.model, 30.0, [np.random.default_rng(seed) for seed in seeds]
+        generators = [np.random.default_rng(seed) for seed in seeds]
+        batch = simulate_ssa_batch(and_circuit.model, 30.0, generators)
+        interp_generators = [np.random.default_rng(seed) for seed in seeds]
+        simulate_ssa_batch(
+            CompiledModel(and_circuit.model, backend=BACKEND_INTERP), 30.0, interp_generators
         )
         for seed, trajectory in zip(seeds, batch):
             expected = simulate_ssa(and_circuit.model, 30.0, rng=seed)
             assert np.array_equal(trajectory.data, expected.data)
+        for generator, interp_generator in zip(generators, interp_generators):
+            assert generator.bit_generator.state == interp_generator.bit_generator.state

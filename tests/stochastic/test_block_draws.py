@@ -1,0 +1,134 @@
+"""Block draws: the fused SSA loop's RNG draws rebuilt from raw PCG64 words.
+
+The generated ``ssa_segment`` reads blocks of raw words and rebuilds numpy's
+``Generator.exponential`` and ``Generator.random`` from them
+(:mod:`repro.stochastic.ziggurat`).  These tests hold it to numpy itself —
+draw values, rare ziggurat paths and the generator state handed back —
+and check that every other case (another bit generator, a failed
+self-check) runs the per-event numpy reference loop with identical results.
+"""
+
+import numpy as np
+import pytest
+
+from repro.errors import SimulationError
+from repro.stochastic import BACKEND_CODEGEN, BACKEND_INTERP, CompiledModel, ziggurat
+from repro.stochastic.ssa import DirectMethodSimulator
+
+
+@pytest.fixture()
+def fresh_self_check():
+    """Forget the once-per-process self-check before and after a test."""
+    ziggurat.block_draws_verified.cache_clear()
+    yield
+    ziggurat.block_draws_verified.cache_clear()
+
+
+def _run(model, backend, generator, t_end, **kwargs):
+    """One direct-method run: (data, event count, the generator afterwards)."""
+    if backend == BACKEND_CODEGEN and type(generator.bit_generator) is np.random.PCG64:
+        # Otherwise the run would take the reference loop and prove nothing.
+        assert ziggurat.block_draws_verified()
+    simulator = DirectMethodSimulator(CompiledModel(model, backend=backend))
+    trajectory = simulator.run(t_end, rng=generator, **kwargs)
+    return trajectory.data, simulator.last_event_count, generator
+
+
+class TestRebuiltDraws:
+    def test_a_million_pairs_equal_numpy_bit_for_bit(self, monkeypatch):
+        """Interleaved ``exponential(scale)``/``random()`` pairs over scales
+        spanning 14 decades, in 20 calls that each hand the generator back,
+        against numpy's own calls on a twin generator."""
+        taken = {"tail": 0, "wedge": 0, "rejection": 0}
+        rare = ziggurat.exponential_rare
+
+        def counting_rare(words, i, k, r, raw):
+            x, j = rare(words, i, k, r, raw)
+            # Layer 0 takes the tail; elsewhere one word is the wedge test
+            # and more mean the wedge rejected and the draw started over.
+            taken["tail" if k == 0 else "wedge" if j == i + 1 else "rejection"] += 1
+            return x, j
+
+        monkeypatch.setattr(ziggurat, "exponential_rare", counting_rare)
+        draw_pairs = ziggurat.load_draw_pairs()
+        scales = 10.0 ** np.random.default_rng(20170664).uniform(-7.0, 7.0, 1_000_000)
+        ours, theirs = np.random.default_rng(20170665), np.random.default_rng(20170665)
+        for chunk in np.split(scales, 20):
+            drawn = np.array(draw_pairs(ours, chunk.tolist()))
+            expected = np.empty_like(drawn)
+            for j, scale in enumerate(chunk.tolist()):
+                expected[2 * j] = theirs.exponential(scale)
+                expected[2 * j + 1] = theirs.random()
+            assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+        assert min(taken.values()) > 0, taken
+
+    def test_self_check_passes_on_installed_numpy(self, fresh_self_check):
+        assert ziggurat.block_draws_verified()
+
+
+class TestFallback:
+    def test_corrupt_table_falls_back_to_reference_loop(
+        self, monkeypatch, fresh_self_check, and_circuit
+    ):
+        """A table numpy disagrees with fails the self-check; simulators then
+        run the numpy reference loop and stay bit-identical to interp."""
+        check = np.random.Generator(np.random.PCG64(ziggurat.CHECK_SEED))
+        check.integers(0, 4)  # the self-check's first call
+        layer = (check.bit_generator.random_raw() >> 3) & 255  # its first exponential
+        corrupt = list(ziggurat.WE)
+        corrupt[layer] *= 1.5
+        monkeypatch.setattr(ziggurat, "WE", tuple(corrupt))
+        with pytest.warns(RuntimeWarning, match="falls back to numpy's per-event draws"):
+            assert not ziggurat.block_draws_verified()
+
+        compiled = CompiledModel(and_circuit.model, backend=BACKEND_CODEGEN)
+
+        def refuse(*args):
+            raise AssertionError("the kernel's loop ran after a failed self-check")
+
+        compiled.kernel.ssa_segment = refuse
+        simulator = DirectMethodSimulator(compiled)
+        generator = np.random.default_rng(20170667)
+        data = simulator.run(200.0, rng=generator).data
+        expected = _run(and_circuit.model, BACKEND_INTERP, np.random.default_rng(20170667), 200.0)
+        assert simulator.last_event_count == expected[1] > 500
+        assert np.array_equal(data, expected[0])
+        assert generator.bit_generator.state == expected[2].bit_generator.state
+
+    def test_mt19937_run_equals_interp(self, and_circuit):
+        """Only PCG64 words rebuild numpy's draws; MT19937 keeps numpy's calls."""
+        runs = [
+            _run(and_circuit.model, backend, np.random.Generator(np.random.MT19937(5)), 60.0)
+            for backend in (BACKEND_CODEGEN, BACKEND_INTERP)
+        ]
+        (data, events, generator), (expected, expected_events, twin) = runs
+        assert events == expected_events > 500
+        assert np.array_equal(data, expected)
+        assert generator.random() == twin.random()
+
+
+class TestGeneratorHandBack:
+    """A live generator ends where the numpy-call loop leaves it."""
+
+    def test_buffered_half_word_is_kept(self, and_circuit):
+        states = []
+        for backend in (BACKEND_CODEGEN, BACKEND_INTERP):
+            generator = np.random.default_rng(20170668)
+            generator.integers(0, 4)  # buffers the upper half of one word
+            before = generator.bit_generator.state
+            assert before["has_uint32"] == 1
+            _run(and_circuit.model, backend, generator, 60.0)
+            after = generator.bit_generator.state
+            assert (after["has_uint32"], after["uinteger"]) == (1, before["uinteger"])
+            states.append(after)
+        assert states[0] == states[1]
+
+    def test_raise_mid_segment_leaves_interp_state(self, and_circuit):
+        states = []
+        for backend in (BACKEND_CODEGEN, BACKEND_INTERP):
+            generator = np.random.default_rng(20170669)
+            with pytest.raises(SimulationError, match="exceeded 777 reaction events"):
+                _run(and_circuit.model, backend, generator, 600.0, max_events=777)
+            states.append(generator.bit_generator.state)
+        assert states[0] == states[1]

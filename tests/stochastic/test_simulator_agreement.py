@@ -11,9 +11,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.sbml import Model
 from repro.stochastic import (
+    BACKEND_CODEGEN,
+    BACKEND_INTERP,
+    CompiledModel,
     InputSchedule,
     simulate_next_reaction,
     simulate_ode,
@@ -76,6 +80,48 @@ class TestBirthDeathAgreement:
         ssa_level = _stationary_samples(simulate_ssa, model, 3).mean()
         assert ode_level == pytest.approx(40.0, rel=0.02)
         assert ssa_level == pytest.approx(ode_level, rel=0.12)
+
+
+class TestBirthDeathStationaryLaw:
+    """Chi-square of stationary birth–death samples against the Poisson(40) pmf.
+
+    Parity only shows that the codegen and interp backends agree with each
+    other; this oracle checks the law they sample.  Samples are 50 time
+    units apart after a burn-in of 100: the count's autocorrelation is
+    ``exp(-kd * 50)`` = e⁻⁵ < 0.7%, so the samples are close to independent.
+    Bins are fixed before anything is simulated: single counts from ``low``
+    to ``high`` plus one bin per tail, every expected count at least
+    ``min_expected``.
+    """
+
+    MEAN = 40.0
+    BURN_IN, INTERVAL = 100.0, 50.0
+
+    def _p_value(self, simulate, n_samples, low, high, min_expected, rng):
+        edges = np.arange(low, high + 2)
+        inner = n_samples * stats.poisson.pmf(np.arange(low, high + 1), self.MEAN)
+        left = n_samples * stats.poisson.cdf(low - 1, self.MEAN)
+        right = n_samples * stats.poisson.sf(high, self.MEAN)
+        expected = np.concatenate([[left], inner, [right]])
+        assert expected.min() >= min_expected
+
+        t_end = self.BURN_IN + self.INTERVAL * (n_samples - 1)
+        trajectory = simulate(birth_death_model(), t_end, sample_interval=self.INTERVAL, rng=rng)
+        samples = trajectory.slice_time(self.BURN_IN, t_end)["X"]
+        assert len(samples) == n_samples
+        bins = np.searchsorted(edges, samples, side="right")
+        observed = np.bincount(bins, minlength=len(expected))
+        return stats.chisquare(observed, expected).pvalue
+
+    @pytest.mark.parametrize(("backend", "seed"), [(BACKEND_CODEGEN, 1), (BACKEND_INTERP, 2)])
+    def test_direct_method(self, backend, seed):
+        def simulate(model, t_end, **kwargs):
+            return simulate_ssa(CompiledModel(model, backend=backend), t_end, **kwargs)
+
+        assert self._p_value(simulate, 1000, 28, 52, 10.0, seed) > 1e-3
+
+    def test_next_reaction(self):
+        assert self._p_value(simulate_next_reaction, 300, 30, 50, 5.0, 3) > 1e-3
 
 
 def isomerisation_model(counts, forward: float, backward: float) -> Model:
