@@ -15,8 +15,13 @@ emits **one generated Python module per model** containing three functions:
 * ``ssa_segment(state, t, t_stop, generator, recorder, events, max_events)``
   — the whole direct-method loop (Gillespie 1977) up to the end of one input
   segment, with species counts and propensities held as Python locals.  Each
-  event recomputes only the propensities ``DEPENDENTS`` marks as affected by
-  the reaction that fired.
+  law is split into single-species factors held in locals shared by every
+  law that contains them; an event recomputes the factors of the species
+  the fired reaction changed and the laws that read one of those species
+  (its own law only if it does).  When ``t`` passes a sample time the loop
+  appends the state row to the recorder's list itself
+  (:class:`~repro.stochastic.sampling.SampleRecorder` fields ``times``,
+  ``rows`` and ``cursor``).
 
 Bit-identity contract
 ---------------------
@@ -30,6 +35,11 @@ trajectories to the per-event numpy loop in :mod:`repro.stochastic.ssa`:
 * constant folding only replaces *fully constant* subtrees with the value the
   interpreter would compute at run time (evaluated with the same CPython
   float semantics), never re-associates mixed expressions;
+* a factor is a subtree of a folded law computed on its own and read where
+  it stood, so the law still performs the same operations on the same
+  operands; factors are matched by exact structure, literal bits included,
+  and a factor's value is current whenever a law reads it, because it is
+  recomputed at segment entry and in every branch that changes its species;
 * the kernels read state entries as Python floats (``state.item(i)``),
   which halves arithmetic cost versus ``numpy.float64`` scalars while
   producing identical bits: IEEE ``+ - * /`` agree exactly and CPython pow
@@ -66,7 +76,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import PropensityError, SimulationError
 from ..sbml.ast import FUNCTIONS, BinOp, Call, Expr, Neg, Num, Sym
@@ -98,7 +108,7 @@ BACKEND_INTERP = "interp"
 #: Version stamp embedded in every generated module.  A worker handed kernel
 #: source from a different package version refuses to load it (and recompiles
 #: from the model instead of silently running a stale kernel).
-KERNEL_FORMAT = 3
+KERNEL_FORMAT = 4
 
 #: Above this many generated update statements the per-reaction incremental
 #: functions would bloat the module (dense dependency graphs are O(R^2));
@@ -315,12 +325,19 @@ def _int_tuple(values: Iterable[int]) -> str:
 
 @dataclass
 class _RenderedReaction:
-    """One reaction's scalar snippet, reusable across generated functions."""
+    """One reaction's scalar snippet, reusable across generated functions.
+
+    ``tree`` is the folded law ``expression`` renders; ``integral`` marks a
+    law whose value ``floor``/``ceil`` can leave an ``int`` (the expression
+    converts it to ``float``).
+    """
 
     index: int
     preamble: List[str]
     expression: str
     used_species: Tuple[Tuple[str, int], ...]
+    tree: Expr
+    integral: bool
 
     def assign(self, target: str) -> List[str]:
         """Statements storing the clamped propensity into ``target``."""
@@ -336,19 +353,107 @@ class _RenderedReaction:
         ]
 
 
+def _render_counted(
+    expr: Expr, names: Mapping[str, str], counter: _FunctionBody
+) -> Tuple[List[str], str]:
+    """``(preamble, expression)`` of ``expr``, its temporaries numbered on
+    from ``counter`` so they stay unique module-wide."""
+    body = _FunctionBody()
+    body._counter = counter._counter
+    rendered = _render(expr, names, body)
+    counter._counter = body._counter
+    return body.lines, rendered
+
+
+def _render_law(
+    r: int,
+    tree: Expr,
+    names: Mapping[str, str],
+    used: Tuple[Tuple[str, int], ...],
+    counter: _FunctionBody,
+    integral: Optional[bool] = None,
+) -> _RenderedReaction:
+    """Render law ``r``; ``integral=None`` reads ``floor``/``ceil`` off the rendering."""
+    preamble, rendered = _render_counted(tree, names, counter)
+    if integral is None:
+        integral = "_fn_floor(" in rendered or "_fn_ceil(" in rendered
+    if integral:
+        # math.floor/ceil return ints; convert as a float64 array store does,
+        # so a propensity held in a local sums like the stored one.
+        rendered = f"float({rendered})"
+    return _RenderedReaction(r, preamble, rendered, used, tree, integral)
+
+
 def _scalar_reaction(spec: ReactionKernelSpec, r: int, counter: _FunctionBody) -> _RenderedReaction:
     folded = _fold_constants(spec.expr, spec.constants)
     used = tuple((sid, idx) for sid, idx in spec.species_args if sid in set(folded.symbols()))
     names = {sid: f"_s{idx}" for sid, idx in used}
-    body = _FunctionBody()
-    body._counter = counter._counter
-    rendered = _render(folded, names, body)
-    counter._counter = body._counter  # keep temporaries unique module-wide
-    if "_fn_floor(" in rendered or "_fn_ceil(" in rendered:
-        # math.floor/ceil return ints; convert as a float64 array store does,
-        # so a propensity held in a local sums like the stored one.
-        rendered = f"float({rendered})"
-    return _RenderedReaction(r, body.lines, rendered, used)
+    return _render_law(r, folded, names, used, counter)
+
+
+# ---------------------------------------------------------------------------
+# Single-species factors
+# ---------------------------------------------------------------------------
+
+
+def _map_factors(expr: Expr, replace) -> Expr:
+    """``expr`` with ``replace(subtree)`` in place of each maximal non-atomic
+    subtree that reads exactly one symbol."""
+    if isinstance(expr, _ATOM_TYPES):
+        return expr
+    if len(expr.symbols()) == 1:
+        return replace(expr)
+    if isinstance(expr, Neg):
+        return Neg(_map_factors(expr.operand, replace))
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, _map_factors(expr.left, replace), _map_factors(expr.right, replace))
+    return Call(expr.func, tuple(_map_factors(a, replace) for a in expr.args))
+
+
+@dataclass
+class _Factor:
+    """A single-species subtree held in a local: the statements (re)computing
+    it and the state column it reads."""
+
+    column: int
+    lines: List[str]
+
+
+def _factor_laws(
+    rendered: Sequence[_RenderedReaction],
+    counter: _FunctionBody,
+) -> Tuple[List[_Factor], List[_RenderedReaction]]:
+    """Split every law into single-species factors held in shared locals.
+
+    Each maximal non-atomic subtree of a folded law that reads one species
+    becomes one local, shared by every law containing a subtree of exactly
+    the same structure and literal bits (its ``to_python`` text, whose
+    literals are ``repr``s); the law then reads the local where it held the
+    subtree.  Every law still performs the same operations on the same
+    operands, so each value is bit-identical to the unfactored law's.
+    Returns the factors, in first-use order, and the factored laws.
+    """
+    names = {sid: f"_s{idx}" for law in rendered for sid, idx in law.used_species}
+    columns = {sid: idx for law in rendered for sid, idx in law.used_species}
+    factors: List[_Factor] = []
+    refs: Dict[str, str] = {}
+
+    def share(subtree: Expr) -> Expr:
+        key = subtree.to_python(names)
+        if key not in refs:
+            # A space keeps the reference apart from every species id.
+            refs[key] = ref = f"factor {len(factors)}"
+            names[ref] = local = f"_f{len(factors)}"
+            preamble, expression = _render_counted(subtree, names, counter)
+            (sid,) = subtree.symbols()
+            factors.append(_Factor(columns[sid], [*preamble, f"{local} = {expression}"]))
+        return Sym(refs[key])
+
+    laws = []
+    for law in rendered:
+        tree = _map_factors(law.tree, share)
+        laws.append(_render_law(law.index, tree, names, law.used_species, counter, law.integral))
+    return factors, laws
 
 
 def _emit_function(
@@ -421,7 +526,8 @@ def pairwise_sum_source(terms: Sequence[str]) -> str:
 
 def _selection(
     specs: Sequence[ReactionKernelSpec],
-    rendered: Sequence[_RenderedReaction],
+    factors: Sequence[_Factor],
+    laws: Sequence[_RenderedReaction],
     dependents: Sequence[Sequence[int]],
     incremental: bool,
 ) -> List[str]:
@@ -432,16 +538,26 @@ def _selection(
     unconditional fall-through (the numpy loop's overshoot clamp).  Chains
     are at most :data:`_SELECT_BLOCK` branches long: a miss sets ``_b`` to
     the next block, whose chain continues the same running sum.  A branch
-    applies its reaction's state deltas, then recomputes the propensities
-    that depend on them (all of them, at the loop top, for dense models).
+    applies its reaction's state deltas, then recomputes the factors of the
+    species it changed and the laws in ``dependents`` that read one of them
+    (all of them, at the loop top, for dense models).  A law that reads none
+    of them keeps its value, the reaction's own law included.
     """
     last = len(specs) - 1
+    by_column: Dict[int, List[_Factor]] = {}
+    for factor in factors:
+        by_column.setdefault(factor.column, []).append(factor)
 
     def fire(r: int) -> List[str]:
         statements = [f"_s{idx} += {_literal(delta)}" for idx, delta in specs[r].changes]
         if incremental:
+            changed = sorted({idx for idx, _ in specs[r].changes})
+            for idx in changed:
+                for factor in by_column.get(idx, ()):
+                    statements.extend(factor.lines)
             for j in dependents[r]:
-                statements.extend(rendered[j].assign(f"_p{j}"))
+                if any(idx in changed for _, idx in laws[j].used_species):
+                    statements.extend(laws[j].assign(f"_p{j}"))
         return statements or ["pass"]
 
     starts = range(0, len(specs), _SELECT_BLOCK)
@@ -465,6 +581,16 @@ def _selection(
     return lines
 
 
+def _record_rows(row: str) -> List[str]:
+    """Statements appending ``row`` for every sample time before ``t``."""
+    return [
+        "while _next < t:",
+        f"    _rows += {row}",
+        "    _cursor += 1",
+        "    _next = _times[_cursor]",
+    ]
+
+
 def _emit_ssa_segment(
     lines: List[str],
     specs: Sequence[ReactionKernelSpec],
@@ -472,58 +598,65 @@ def _emit_ssa_segment(
     dependents: Sequence[Sequence[int]],
     n_species: int,
     incremental: bool,
+    counter: _FunctionBody,
 ) -> None:
     """Emit ``ssa_segment``: the direct-method loop to the end of one segment.
 
     The statement-for-statement counterpart of the numpy loop in
     :mod:`repro.stochastic.ssa` (see the module docstring for the
-    bit-identity argument).  ``recorder.fill_before`` runs only when ``t``
-    crosses the next sample time, where it is the same call the numpy loop
-    makes after every event (and a no-op there otherwise).  ``generator``
-    must be PCG64-backed (see :func:`~repro.stochastic.ziggurat.block_draws_verified`).
+    bit-identity argument).  Where that loop calls ``recorder.fill_before``
+    after every event, this one appends the row to ``recorder.rows`` itself
+    when ``t`` passes the next sample time, and stores the row cursor back
+    on exit.  Propensities are held in locals built from single-species
+    factors (:func:`_factor_laws`).  ``generator`` must be PCG64-backed (see
+    :func:`~repro.stochastic.ziggurat.block_draws_verified`).
     """
     species = [f"_s{i}" for i in range(n_species)]
     row = f"({', '.join(species)},)" if species else "()"
-    compute_all = [line for block in rendered for line in block.assign(f"_p{block.index}")]
+    factors, laws = _factor_laws(rendered, counter)
+    compute_all = [line for factor in factors for line in factor.lines]
+    compute_all += [line for law in laws for line in law.assign(f"_p{law.index}")]
     total = pairwise_sum_source([f"_p{r}" for r in range(len(specs))])
 
-    body = [
-        "if t >= t_stop:",
-        "    return events",
+    # Samples before the entry time take the entry state.
+    prologue = _record_rows(row)
+    loop = [
+        f"_total = {total}",
+        "if _total <= 0.0:",
+        "    break",
+        *ziggurat.draw_exponential("_tau", "(1.0 / _total)"),
+        "if t + _tau >= t_stop:",
+        "    break",
+        "t += _tau",
+        *_record_rows(row),
+        *ziggurat.draw_uniform("_threshold", "_total"),
+        *_selection(specs, factors, laws, dependents, incremental),
+        "events += 1",
+        "if events > max_events:",
+        "    _exceeded(max_events)",
     ]
+    if incremental:
+        prologue += compute_all
+    else:
+        loop = compute_all + loop
+
+    body = ["if t >= t_stop:", "    return events"]
     if species:
         body.append(f"{', '.join(species)}, = state.tolist()")
-    # Samples before t are already filled: this call only reads the next
-    # sample time, past which the loop calls the recorder again.
-    body += ["_fill = recorder.fill_before", f"_next = _fill(t, {row})"]
-    loop = []
-    if incremental:
-        body.extend(compute_all)
-    else:
-        loop.extend(compute_all)
-    loop.extend(
-        [
-            f"_total = {total}",
-            "if _total <= 0.0:",
-            "    break",
-            *ziggurat.draw_exponential("_tau", "(1.0 / _total)"),
-            "if t + _tau >= t_stop:",
-            "    break",
-            "t += _tau",
-            "if t > _next:",
-            f"    _next = _fill(t, {row})",
-            *ziggurat.draw_uniform("_threshold", "_total"),
-            *_selection(specs, rendered, dependents, incremental),
-            "events += 1",
-            "if events > max_events:",
-            "    _exceeded(max_events)",
-        ],
-    )
-    body.extend(ziggurat.WORDS_OPEN)
-    body += ["try:", "    while True:"]
-    body.extend(f"        {line}" for line in loop)
-    body.append("finally:")
-    body.extend(f"    {line}" for line in ziggurat.WORDS_CLOSE)
+    body += [
+        "_times = recorder.times",
+        "_rows = recorder.rows",
+        "_cursor = recorder.cursor",
+        "_next = _times[_cursor]",
+        *ziggurat.WORDS_OPEN,
+        "try:",
+        *(f"    {line}" for line in prologue),
+        "    while True:",
+        *(f"        {line}" for line in loop),
+        "finally:",
+        "    recorder.cursor = _cursor",
+        *(f"    {line}" for line in ziggurat.WORDS_CLOSE),
+    ]
     if species:
         body.append(f"state[:] = {row}")
     body.append("return events")
@@ -608,7 +741,7 @@ def generate_kernel_source(
             ],
         )
     lines.append("")
-    _emit_ssa_segment(lines, specs, rendered, dependents, n_species, incremental)
+    _emit_ssa_segment(lines, specs, rendered, dependents, n_species, incremental, counter)
     return "\n".join(lines)
 
 

@@ -177,7 +177,9 @@ class TestHandshakeFaults:
         worker.join()
 
     @pytest.mark.parametrize("offset", [45, 69])
-    def test_keyed_handshake_dropped_at_digest_and_verdict_stages(self, offset, no_unpickling):
+    def test_keyed_handshake_dropped_at_digest_and_verdict_stages(
+        self, offset, no_unpickling, monkeypatch
+    ):
         """On an authenticated fabric, cutting mid-digest (offset 45) or
         before the verdict byte (offset 69) rejects cleanly too."""
         worker = _WorkerThread(key=b"chaos-secret")
@@ -192,7 +194,13 @@ class TestHandshakeFaults:
             finally:
                 executor.close()
         assert no_unpickling == []
+        # The failed handshake left the worker's one session unspent, so it is
+        # still listening: spend it (results unpickle again) and it exits.
+        monkeypatch.undo()
+        with DistributedEnsembleExecutor(connect=[worker.address], key="chaos-secret") as executor:
+            assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
         worker.join()
+        assert not worker.thread.is_alive()
 
 
 class TestDataPathFaults:

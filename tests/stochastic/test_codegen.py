@@ -1,6 +1,8 @@
 """Unit tests for whole-model propensity kernel code generation."""
 
+import ast
 import pickle
+import re
 import struct
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from repro.errors import PropensityError, SimulationError
 from repro.sbml import Model
 from repro.stochastic import CompiledModel, compile_model, kernel_source_for
-from repro.stochastic import codegen
+from repro.stochastic import codegen, ziggurat
 from repro.stochastic.codegen import (
     BACKEND_CODEGEN,
     BACKEND_INTERP,
@@ -263,6 +265,21 @@ class TestDependencyGraph:
         for r in range(codegen_model.n_reactions):
             assert codegen_model.dependents(r) == interp_model.dependents(r)
 
+    def test_fired_reaction_keeps_a_law_that_reads_nothing_it_changes(self, toy_model):
+        """Production of Y reads only the input A: its ``ssa_segment`` branch
+        leaves its own propensity alone, while ``DEPENDENTS`` and
+        ``propensities_after`` keep the self entry the next-reaction clock needs."""
+        compiled = CompiledModel(toy_model, backend=BACKEND_CODEGEN)
+        source = compiled.kernel.source
+        assert compiled.kernel.dependents[0] == [0, 1]
+        assert "DEPENDENTS = ((0, 1,), (1,),)" in source
+        after = source[source.index("def _after_0(") : source.index("def _after_1(")]
+        assert "out[0] = _v" in after and "out[1] = _v" in after
+        loop = source[source.index("if (_c := _p0) > _threshold:") :]
+        branch = loop[: loop.index("else:")]
+        assert "_nan(1)" in branch
+        assert "_nan(0)" not in branch
+
 
 class TestCompileModelEarlyOut:
     def test_matching_overrides_are_a_noop(self, toy_model):
@@ -373,6 +390,28 @@ def _dense_model(n_genes: int) -> Model:
 
 class TestFusedLoopContracts:
     """Numeric contracts of the generated ``ssa_segment`` loop."""
+
+    def test_recorder_and_factor_locals_avoid_the_draw_statements_names(self, cello_0x0b):
+        """A sample-row or factor local named like a draw statement's local
+        (``_k``, ``_r``, ``_i``, ``_n``, ``_w``, ...) would be clobbered per event."""
+        draws = [
+            *ziggurat.WORDS_OPEN,
+            *ziggurat.draw_exponential("_tau", "1.0"),
+            *ziggurat.draw_uniform("_threshold", None),
+            *ziggurat.WORDS_CLOSE,
+        ]
+        drawn = {n.id for n in ast.walk(ast.parse("\n".join(draws))) if isinstance(n, ast.Name)}
+        source = CompiledModel(cello_0x0b.model, backend=BACKEND_CODEGEN).kernel.source
+        segment = ast.parse(source[source.index("def ssa_segment(") :])
+        assigned = {
+            n.id
+            for n in ast.walk(segment)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
+        recorder_locals = {"_times", "_rows", "_cursor", "_next"}
+        factor_locals = {name for name in assigned if re.fullmatch(r"_f\d+", name)}
+        assert factor_locals and recorder_locals <= assigned
+        assert not (recorder_locals | factor_locals) & drawn
 
     def test_total_matches_numpy_sum_bit_for_bit(self):
         """The emitted total reproduces numpy's pairwise ``.sum()`` order.

@@ -9,6 +9,9 @@ tolerance), including boundary-species clamping mid-run and local-parameter
 shadowing.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from repro.stochastic import (
     BACKEND_CODEGEN,
     BACKEND_INTERP,
     KERNEL_ENV_VAR,
+    CompiledModel,
     InputSchedule,
     resolve_simulator,
 )
@@ -30,6 +34,10 @@ MODEL_NAMES = [
     "cello_0x0B",
     "mixed_functions",
     "local_shadowing",
+    "shared_factor",
+    "literal_bits",
+    "floor_factor",
+    "hill_nonatomic",
 ]
 
 #: Shorter horizons for the bigger circuits keep the SSA runs quick; the
@@ -41,6 +49,10 @@ T_END = {
     "cello_0x0B": 25.0,
     "mixed_functions": 60.0,
     "local_shadowing": 60.0,
+    "shared_factor": 60.0,
+    "literal_bits": 60.0,
+    "floor_factor": 60.0,
+    "hill_nonatomic": 60.0,
 }
 
 
@@ -130,6 +142,7 @@ def example_models(toy_model, and_circuit, not_circuit, cello_0x0b):
         "cello_0x0B": cello_0x0b.model,
         "mixed_functions": _mixed_functions_model(),
         "local_shadowing": _local_shadowing_model(),
+        **{name: build() for name, build in FACTORED_MODELS.items()},
     }
 
 
@@ -207,3 +220,146 @@ class TestBackendParity:
                 codegen_model.propensities(state),
                 interp_model.propensities(state),
             )
+
+
+# ---------------------------------------------------------------------------
+# Single-species factors in the fused loop
+# ---------------------------------------------------------------------------
+
+
+def _input_model(sid: str, *species) -> Model:
+    """A model with boundary input ``I`` and the given (id, amount) species,
+    each degrading at 0.1 per molecule."""
+    model = Model(sid)
+    model.add_species("I", boundary_condition=True, initial_amount=5.0)
+    for name, amount in species:
+        model.add_species(name, initial_amount=amount)
+    for name, _ in species:
+        model.add_reaction(f"decay_{name}", reactants=[(name, 1.0)], kinetic_law=f"0.1 * {name}")
+    return model
+
+
+def _shared_factor_model() -> Model:
+    """``4 * hill_rep(Y, 7, 2)`` is one factor of two laws that read other species."""
+    model = _input_model("shared_factor", ("X", 2.0), ("Y", 3.0), ("Z", 1.0))
+    model.add_reaction(
+        "make_x",
+        products=[("X", 1.0)],
+        kinetic_law="4.0 * hill_rep(Y, 7.0, 2.0) * hill_act(I, 5.0, 2.0)",
+    )
+    model.add_reaction(
+        "make_z",
+        products=[("Z", 1.0)],
+        kinetic_law="4.0 * hill_rep(Y, 7.0, 2.0) * (1 + 0.05 * X)",
+    )
+    model.add_reaction("make_y", products=[("Y", 1.0)], kinetic_law="0.5 + 0.1 * Z")
+    return model
+
+
+#: The next float above the Hill constant 7.0.
+K_UP = math.nextafter(7.0, math.inf)
+
+
+def _literal_bits_model() -> Model:
+    """Pairs of subtrees that differ only in one literal's bits: ``0.0`` vs
+    ``-0.0`` (equal under ``==`` and in infix text) and ``K`` vs ``K_UP``."""
+    model = _input_model("literal_bits", ("X", 4.0), ("Y", 6.0))
+    laws = {
+        "plus_zero": "(0.0 + hill_rep(Y, 7.0, 2.0)) * (1 + I)",
+        "plus_minus_zero": "(-0.0 + hill_rep(Y, 7.0, 2.0)) * (2 + I)",
+        "hill_k": "hill_rep(X, 7.0, 2.0) * (1 + I)",
+        "hill_k_up": f"hill_rep(X, {K_UP!r}, 2.0) * (2 + I)",
+    }
+    for rid, law in laws.items():
+        model.add_reaction(rid, products=[("X" if "zero" in rid else "Y", 1.0)], kinetic_law=law)
+    return model
+
+
+def _floor_factor_model() -> Model:
+    """``floor(X / 3)`` is a factor of two laws and the whole of one of them;
+    ``ceil`` sits in a factor of a third."""
+    model = _input_model("floor_factor", ("X", 20.0), ("Y", 5.0))
+    model.add_reaction("make_x", products=[("X", 1.0)], kinetic_law="2.0 + 0.1 * I")
+    model.add_reaction("floor_alone", products=[("Y", 1.0)], kinetic_law="floor(X / 3)")
+    model.add_reaction("floor_times", products=[("Y", 1.0)], kinetic_law="floor(X / 3) * I * 0.01")
+    model.add_reaction(
+        "ceil_mixed", reactants=[("Y", 1.0)], kinetic_law="ceil(Y / 4) * (X + 1) * 0.01"
+    )
+    return model
+
+
+def _hill_nonatomic_model() -> Model:
+    """Hill terms over non-atomic arguments: temporaries and walrus names
+    inside factors, and a factor inside a Hill argument that reads two species."""
+    model = _input_model("hill_nonatomic", ("X", 3.0), ("Y", 2.0))
+    model.add_reaction(
+        "rep_shifted",
+        products=[("X", 1.0)],
+        kinetic_law="3.0 * hill_rep(Y + 1, 6.0, 2.0) * (1 + I)",
+    )
+    model.add_reaction(
+        "act_scaled",
+        products=[("Y", 1.0)],
+        kinetic_law="hill_act(2 * X, 15.0, 2.0) * hill_rep(Y + 1, 6.0, 2.0)",
+    )
+    model.add_reaction(
+        "act_mixed",
+        products=[("Y", 1.0)],
+        kinetic_law="0.5 * hill_act((X + 1) * Y, 30.0, 2.0)",
+    )
+    return model
+
+
+FACTORED_MODELS = {
+    "shared_factor": _shared_factor_model,
+    "literal_bits": _literal_bits_model,
+    "floor_factor": _floor_factor_model,
+    "hill_nonatomic": _hill_nonatomic_model,
+}
+
+
+def _segment_entry(model) -> str:
+    """The source of ``ssa_segment`` up to its event loop."""
+    source = CompiledModel(model, backend=BACKEND_CODEGEN).kernel.source
+    segment = source[source.index("def ssa_segment(") :]
+    return segment[: segment.index("while True:")]
+
+
+def _segment_factors(model) -> list:
+    """The expressions of the factor locals ``ssa_segment`` computes at entry,
+    one per local, in order."""
+    return re.findall(r"^ +_f\d+ = (.*)$", _segment_entry(model), re.M)
+
+
+class TestFactoredLoopSource:
+    """Where the fused loop keeps single-species factors (the models also run
+    in :class:`TestBackendParity`)."""
+
+    def test_shared_subtree_is_one_local(self):
+        factors = _segment_factors(_shared_factor_model())
+        assert sum(expr.startswith("(4.0 * (1.0 if") for expr in factors) == 1
+        assert len(set(factors)) == len(factors)
+
+    def test_literal_bits_keep_subtrees_apart(self):
+        factors = _segment_factors(_literal_bits_model())
+        starts = ("(0.0 + ", "(-0.0 + ", "(1.0 if _s1 <= 0.0 else (49.0 /")
+        for start in starts:
+            assert sum(expr.startswith(start) for expr in factors) == 1, start
+        k_up = repr(K_UP**2.0)
+        assert sum(f"({k_up} /" in expr for expr in factors) == 1
+        assert len(set(factors)) == len(factors)
+
+    def test_integral_factor_still_sums_as_a_float(self):
+        model = _floor_factor_model()
+        entry = _segment_entry(model)
+        (floor_local,) = re.findall(r"^ +(_f\d+) = _fn_floor\(\(_s1 / 3\.0\)\)$", entry, re.M)
+        # The law that is nothing but the shared floor still holds a float.
+        assert f"_v = float({floor_local})\n" in entry
+        assert "_fn_ceil((_s2 / 4.0))" in _segment_factors(model)
+
+    def test_hill_temporaries_inside_factors(self):
+        model = _hill_nonatomic_model()
+        assert any(":=" in expr for expr in _segment_factors(model))
+        # hill_act((X + 1) * Y, ...) reads two species: its argument's
+        # temporary multiplies the factor (X + 1) by Y.
+        assert re.search(r"^ +_t\d+ = \(_f\d+ \* _s2\)$", _segment_entry(model), re.M)

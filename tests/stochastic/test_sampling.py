@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.stochastic import SampleRecorder, make_sample_times
@@ -41,11 +43,6 @@ class TestSampleRecorder:
         recorder.fill_before(2.0, np.array([7.0]))
         assert list(recorder.data[:, 0]) == [7.0, 7.0, 0.0, 0.0, 0.0]
 
-    def test_fill_through_is_inclusive(self):
-        recorder = SampleRecorder(np.arange(5.0), 1)
-        recorder.fill_through(2.0, np.array([7.0]))
-        assert list(recorder.data[:, 0]) == [7.0, 7.0, 7.0, 0.0, 0.0]
-
     def test_sequential_fills_use_distinct_states(self):
         recorder = SampleRecorder(np.arange(6.0), 1)
         recorder.fill_before(2.5, np.array([1.0]))
@@ -65,3 +62,81 @@ class TestSampleRecorder:
         recorder.finish(np.array([1.0, 2.0]))
         assert recorder.complete
         assert recorder.data.shape == (3, 2)
+
+
+class _MatrixRecorder:
+    """The recorder as it was before rows went into a list: the oracle.
+
+    Writes each fill straight into a preallocated float64 matrix.
+    """
+
+    def __init__(self, sample_times, n_species):
+        self.sample_times = np.asarray(sample_times, dtype=float)
+        self.data = np.zeros((len(self.sample_times), n_species), dtype=float)
+        self._cursor = 0
+
+    def fill_before(self, t_limit, state):
+        end = int(np.searchsorted(self.sample_times, t_limit, side="left"))
+        if end > self._cursor:
+            self.data[self._cursor:end] = state
+            self._cursor = end
+        if self._cursor < len(self.sample_times):
+            return self.sample_times.item(self._cursor)
+        return float("inf")
+
+    def finish(self, state):
+        if self._cursor < len(self.sample_times):
+            self.data[self._cursor:] = state
+            self._cursor = len(self.sample_times)
+
+
+_amounts = st.floats(allow_nan=False, width=64)
+_limits = st.one_of(
+    st.floats(min_value=-150.0, max_value=150.0),
+    st.sampled_from([float("inf"), float("-inf"), 0.0, -0.0]),
+)
+
+
+@st.composite
+def _recordings(draw):
+    """A sorted sample grid (duplicates allowed), a width, and fills on it."""
+    width = draw(st.integers(min_value=0, max_value=4))
+    grid = sorted(
+        draw(
+            st.lists(
+                st.one_of(st.floats(min_value=-100.0, max_value=100.0), st.integers(-5, 20)),
+                min_size=1,
+                max_size=12,
+            ),
+        ),
+    )
+    row = st.lists(_amounts, min_size=width, max_size=width)
+    fills = draw(st.lists(st.tuples(_limits, row, st.booleans()), max_size=10))
+    return np.array(grid, dtype=float), width, fills, draw(row)
+
+
+class TestRecorderMatchesMatrixRecorder:
+    @settings(max_examples=300, deadline=None)
+    @given(_recordings())
+    def test_data_bit_identical(self, recording):
+        grid, width, fills, final = recording
+        recorder, oracle = SampleRecorder(grid, width), _MatrixRecorder(grid, width)
+
+        def assert_same():
+            data = recorder.data
+            assert data.dtype == np.float64 and data.flags.c_contiguous
+            assert data.shape == oracle.data.shape
+            assert data.tobytes() == oracle.data.tobytes()
+            assert not data[recorder.cursor:].any()
+            assert recorder.complete == (oracle._cursor == len(grid))
+
+        for limit, values, as_array in fills:
+            state = np.array(values, dtype=float) if as_array else tuple(values)
+            assert recorder.fill_before(limit, state) == oracle.fill_before(limit, state)
+            if as_array:
+                state[:] = 12345.0  # a fill keeps the values it was given
+            assert_same()
+        recorder.finish(np.array(final, dtype=float))
+        oracle.finish(np.array(final, dtype=float))
+        assert_same()
+        assert recorder.complete
