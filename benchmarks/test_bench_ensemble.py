@@ -26,7 +26,7 @@ from conftest import HOLD_TIME, check_wallclock
 from repro.analysis import run_replicate_study
 from repro.engine import (
     ProcessPoolEnsembleExecutor,
-    gather_studies,
+    StudySpec,
     iter_ensemble,
     replicate_jobs,
     run_ensemble,
@@ -194,8 +194,8 @@ def test_streaming_bounds_peak_trajectory_memory(benchmark, memory_template_job)
 
 #: Concurrent-studies comparison: how many replicate studies, of how many
 #: replicates each, share the pool.  Small per-study batches under-utilize a
-#: pool when run one study at a time — which is exactly what gather_studies
-#: fixes by multiplexing.
+#: pool when run one study at a time — which awaiting the studies together,
+#: each on its own thread, fixes by multiplexing.
 N_STUDIES = 3
 N_STUDY_REPLICATES = 2
 GATHER_WORKERS = 4
@@ -204,24 +204,28 @@ GATHER_WORKERS = 4
 def test_gather_studies_vs_sequential_on_one_pool(benchmark):
     """Wall-clock of N independent replicate studies on ONE warm pool:
     sequential (each study's small batch leaves workers idle) vs
-    gather_studies (studies interleave and fill the pool).  Both walls and
-    their ratio land in ``extra_info``; correctness (bit-identical per-study
-    results and warm caches for every study after the first) is asserted
-    unconditionally, the speedup only when real cores are available.
+    ``asyncio.gather`` over ``asyncio.to_thread`` studies (they interleave
+    and fill the pool).  Both walls and their ratio land in ``extra_info``;
+    correctness (bit-identical per-study results and warm caches for every
+    study after the first) is asserted unconditionally, the speedup only when
+    real cores are available.
     """
     circuit = and_gate_circuit()
 
-    def _study(seed):
-        def _run(executor):
-            return run_replicate_study(
-                circuit,
-                n_replicates=N_STUDY_REPLICATES,
-                hold_time=HOLD_TIME / 2.0,
-                rng=BASE_SEED + seed,
-                executor=executor,
-            )
+    specs = [
+        StudySpec.for_circuit(
+            circuit,
+            n_replicates=N_STUDY_REPLICATES,
+            hold_time=HOLD_TIME / 2.0,
+            seed=BASE_SEED + seed,
+        )
+        for seed in range(N_STUDIES)
+    ]
 
-        return _run
+    async def _gather(executor):
+        return await asyncio.gather(
+            *(asyncio.to_thread(run_replicate_study, spec, executor=executor) for spec in specs)
+        )
 
     def _measure():
         with ProcessPoolEnsembleExecutor(GATHER_WORKERS) as executor:
@@ -234,13 +238,11 @@ def test_gather_studies_vs_sequential_on_one_pool(benchmark):
             )
 
             started = time.perf_counter()
-            sequential = [_study(seed)(executor) for seed in range(N_STUDIES)]
+            sequential = [run_replicate_study(spec, executor=executor) for spec in specs]
             sequential_wall = time.perf_counter() - started
 
             started = time.perf_counter()
-            gathered = asyncio.run(
-                gather_studies([_study(seed) for seed in range(N_STUDIES)], executor=executor)
-            )
+            gathered = asyncio.run(_gather(executor))
             gather_wall = time.perf_counter() - started
         return sequential, gathered, sequential_wall, gather_wall
 

@@ -1,14 +1,16 @@
 """CI smoke for ``genlogic serve``: repeat request must be a cache hit.
 
-Starts the HTTP service over a 2-worker pool on an ephemeral loopback port,
-submits one StudySpec twice, and asserts the repeat is answered from the
-content-addressed cache: bit-identical result and wall time collapsing
-versus the first run.  A third request that differs only in ``batch_size``
-must hit the same entry, under the key this process computes for the spec
-on its own, so the service's key memo never changes a key's value.  Both
-hits are visible in ``/v1/stats``.  Finally the server is stopped with
-SIGTERM, and every child process it had (the pool workers) must exit within
-``CHILD_EXIT_SECONDS``; survivors are killed and fail the smoke.
+Starts the HTTP service over a 2-worker pool on an ephemeral loopback port.
+Two malformed bodies (a non-number ``threshold``, a body that is not UTF-8)
+must answer 400 and leave the server serving.  It then submits one StudySpec
+twice, and asserts the repeat is answered from the content-addressed cache:
+bit-identical result and wall time collapsing versus the first run.  A third
+request that differs only in ``batch_size`` must hit the same entry, under
+the key this process computes for the spec on its own, so the service's key
+memo never changes a key's value.  Both hits are visible in ``/v1/stats``.
+Finally the server is stopped with SIGTERM, and every child process it had
+(the pool workers) must exit within ``CHILD_EXIT_SECONDS``; survivors are
+killed and fail the smoke.
 
 Run from the repo root with ``PYTHONPATH=src python scripts/service_smoke.py``.
 """
@@ -27,6 +29,10 @@ from repro.engine import StudySpec
 
 SPEC = {"circuit": "and", "n_replicates": 4, "seed": 11, "hold_time": 80.0}
 
+#: Request bodies the service must answer with 400, each with a word its
+#: error names.
+BAD_BODIES = [(dict(SPEC, threshold="abc"), "threshold"), (b"\xff\xfe{", "JSON")]
+
 #: How long the server's children may take to exit after it stopped.
 CHILD_EXIT_SECONDS = 10.0
 
@@ -34,7 +40,8 @@ CHILD_EXIT_SECONDS = 10.0
 def request(port, method, path, body=None):
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=300)
     try:
-        connection.request(method, path, body=None if body is None else json.dumps(body))
+        payload = body if body is None or isinstance(body, bytes) else json.dumps(body)
+        connection.request(method, path, body=payload)
         response = connection.getresponse()
         return response.status, json.loads(response.read())
     finally:
@@ -72,6 +79,10 @@ def main():
         match = re.search(r"http://127\.0\.0\.1:(\d+)", line)
         assert match, f"expected a listening line, got {line!r}"
         port = int(match.group(1))
+
+        for body, word in BAD_BODIES:
+            status, answer = request(port, "POST", "/v1/studies?wait=1", body)
+            assert status == 400 and word in answer["error"], (status, answer)
 
         status, first = request(port, "POST", "/v1/studies?wait=1", SPEC)
         assert status == 200 and first["status"] == "done", first

@@ -39,7 +39,6 @@ from .core import (
     percentage_fitness,
 )
 from .engine import (
-    AsyncEnsembleExecutor,
     CompiledModelCache,
     DistributedEnsembleExecutor,
     EnsembleResult,
@@ -49,12 +48,8 @@ from .engine import (
     SerialExecutor,
     SimulationJob,
     StudySpec,
-    aiter_ensemble,
-    arun_ensemble,
-    gather_studies,
     get_executor,
     iter_ensemble,
-    map_over_parameters,
     replicate_jobs,
     run_ensemble,
     run_job,
@@ -179,17 +174,12 @@ __all__ = [
     "SerialExecutor",
     "ProcessPoolEnsembleExecutor",
     "DistributedEnsembleExecutor",
-    "AsyncEnsembleExecutor",
     "CompiledModelCache",
     "get_executor",
     "run_job",
     "run_ensemble",
     "iter_ensemble",
-    "arun_ensemble",
-    "aiter_ensemble",
-    "gather_studies",
     "replicate_jobs",
-    "map_over_parameters",
     # higher-level studies
     "threshold_sweep",
     "ThresholdSweepEntry",

@@ -581,7 +581,7 @@ def _warn_if_workers_unused(args: argparse.Namespace) -> None:
 
 def _load_spec_file(path: str) -> StudySpec:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:  # the decoder reports bad UTF-8
             return StudySpec.from_json(handle.read())
     except OSError as error:
         raise ReproError(f"cannot read spec file {path!r}: {error}") from None
@@ -632,48 +632,44 @@ def _command_verify(args: argparse.Namespace) -> int:
             knobs["batch_size"] = args.batch
         if knobs:
             spec = spec.replace(**knobs)
-        with _dispatch_executor(args) as executor:
-            study = run_replicate_study(spec, executor=executor, progress=_progress_hook(args))
-        return _print_replicate_study(study, args)
-    if args.circuit is None:
-        raise ReproError("verify needs a circuit name or --spec FILE.json")
-    circuit = resolve_circuit(args.circuit)
-    replicates = args.replicates if args.replicates is not None else 1
-    threshold = args.threshold if args.threshold is not None else 15.0
-    fov = args.fov if args.fov is not None else 0.25
-    hold_time = args.hold_time if args.hold_time is not None else 250.0
-    repeats = args.repeats if args.repeats is not None else 1
-    simulator = args.simulator if args.simulator is not None else "ssa"
-    if replicates < 1:
-        raise ReproError("--replicates must be at least 1")
-    if replicates == 1:
-        _warn_if_workers_unused(args)
-    if replicates > 1:
-        with _dispatch_executor(args) as executor:
-            study = run_replicate_study(
-                circuit,
-                n_replicates=replicates,
-                threshold=threshold,
-                fov_ud=fov,
-                hold_time=hold_time,
-                repeats=repeats,
-                simulator=simulator,
-                rng=args.seed,
-                workers=args.workers,
-                executor=executor,
-                progress=_progress_hook(args),
-                batch_size=getattr(args, "batch", 1),
-            )
-        return _print_replicate_study(study, args)
-    experiment = LogicExperiment.for_circuit(circuit, simulator=simulator)
-    log = experiment.run(hold_time=hold_time, repeats=repeats, rng=args.seed)
-    analyzer = LogicAnalyzer(threshold=threshold, fov_ud=fov)
-    result = analyzer.analyze(log, expected=circuit.expected_table)
-    print(format_analysis_report(result))
-    if args.json:
-        save_result_json(result, args.json)
-        print(f"result JSON written to {args.json}")
-    return 0 if result.comparison and result.comparison.matches else 1
+    else:
+        if args.circuit is None:
+            raise ReproError("verify needs a circuit name or --spec FILE.json")
+        circuit = resolve_circuit(args.circuit)
+        replicates = args.replicates if args.replicates is not None else 1
+        threshold = args.threshold if args.threshold is not None else 15.0
+        fov = args.fov if args.fov is not None else 0.25
+        hold_time = args.hold_time if args.hold_time is not None else 250.0
+        repeats = args.repeats if args.repeats is not None else 1
+        simulator = args.simulator if args.simulator is not None else "ssa"
+        if replicates < 1:
+            raise ReproError("--replicates must be at least 1")
+        if replicates == 1:
+            _warn_if_workers_unused(args)
+            experiment = LogicExperiment.for_circuit(circuit, simulator=simulator)
+            log = experiment.run(hold_time=hold_time, repeats=repeats, rng=args.seed)
+            analyzer = LogicAnalyzer(threshold=threshold, fov_ud=fov)
+            result = analyzer.analyze(log, expected=circuit.expected_table)
+            print(format_analysis_report(result))
+            if args.json:
+                save_result_json(result, args.json)
+                print(f"result JSON written to {args.json}")
+            return 0 if result.comparison and result.comparison.matches else 1
+        spec = StudySpec.for_circuit(
+            circuit,
+            n_replicates=replicates,
+            threshold=threshold,
+            fov_ud=fov,
+            hold_time=hold_time,
+            repeats=repeats,
+            simulator=simulator,
+            seed=args.seed,
+            workers=args.workers,
+            batch_size=getattr(args, "batch", 1),
+        )
+    with _dispatch_executor(args) as executor:
+        study = run_replicate_study(spec, executor=executor, progress=_progress_hook(args))
+    return _print_replicate_study(study, args)
 
 
 def _parse_variant(text: str):
@@ -697,7 +693,7 @@ def _parse_variant(text: str):
 
 def _load_search_spec_file(path: str) -> SearchSpec:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:  # the decoder reports bad UTF-8
             return SearchSpec.from_json(handle.read())
     except OSError as error:
         raise ReproError(f"cannot read spec file {path!r}: {error}") from None

@@ -22,23 +22,21 @@ simulations cheaply; this subsystem is where they all execute:
 * :class:`CompiledModelCache` — compile each ``(model, overrides)`` pair
   once per study instead of once per run (worker-side caches stay warm
   across the batches of a persistent pool);
-* :func:`run_ensemble` / :func:`iter_ensemble` / :func:`map_over_parameters`
-  — batch submission with progress and throughput/cache statistics, either
-  materialized or streamed one result at a time (``iter_ensemble`` /
-  ``reduce=``) with peak memory bounded by the in-flight window; all accept
-  ``batch_size=B`` to pack consecutive same-configuration replicates into
-  batches (one dispatch, one compile and one compact binary result frame per
-  B replicates — bit-identical to ``batch_size=1``);
-* :func:`arun_ensemble` / :func:`aiter_ensemble` / :func:`gather_studies` /
-  :class:`AsyncEnsembleExecutor` — the asyncio layer: the same batches (and
-  bit-identical trajectories) driven from inside an event loop without
-  blocking it, including N independent studies multiplexed concurrently over
-  one shared warm pool;
+* :func:`run_ensemble` / :func:`iter_ensemble` — batch submission with
+  progress and throughput/cache statistics, either materialized or streamed
+  one result at a time (``iter_ensemble`` / ``reduce=``) with peak memory
+  bounded by the in-flight window; both accept ``batch_size=B`` to pack
+  consecutive same-configuration replicates into batches (one dispatch, one
+  compile and one compact binary result frame per B replicates —
+  bit-identical to ``batch_size=1``);
 * :class:`StudySpec` — the canonical, frozen, JSON-round-trippable request
   object naming one replicate study, consumed identically by the Python API,
   the CLI (``genlogic verify --spec``) and the HTTP service
   (:mod:`repro.service`); its content-addressed :meth:`StudySpec.cache_key`
-  is the identity under which the service caches results.
+  is the identity under which the service caches results.  An event loop
+  runs a study with ``await asyncio.to_thread(run_replicate_study, spec,
+  executor=ex)``; several such studies share one executor, each counting its
+  own cache statistics.
 
 See ``analysis/replicates.py``, ``analysis/sweep.py``,
 ``analysis/robustness.py`` and ``vlab/propagation.py`` for the studies built
@@ -46,16 +44,9 @@ on top, and the CLI's ``--workers`` / ``--replicates`` flags for the
 user-facing entry points.
 """
 
-from .aio import (
-    AsyncEnsembleExecutor,
-    aiter_ensemble,
-    arun_ensemble,
-    gather_studies,
-)
 from .api import (
     EnsembleStream,
     iter_ensemble,
-    map_over_parameters,
     replicate_jobs,
     run_ensemble,
     run_job,
@@ -103,7 +94,6 @@ __all__ = [
     "Backoff",
     "BackoffPolicy",
     "WorkerSupervisor",
-    "AsyncEnsembleExecutor",
     "get_executor",
     "CompiledModelCache",
     "default_cache",
@@ -111,11 +101,7 @@ __all__ = [
     "run_job",
     "run_ensemble",
     "iter_ensemble",
-    "aiter_ensemble",
-    "arun_ensemble",
-    "gather_studies",
     "EnsembleStream",
     "replicate_jobs",
-    "map_over_parameters",
     "batch_job_groups",
 ]

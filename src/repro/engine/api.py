@@ -5,8 +5,7 @@ robustness maps, propagation-delay scans, the CLI's ``--replicates`` modes)
 routes its simulations through :func:`run_ensemble` or :func:`iter_ensemble`:
 
 1. the caller builds a list of declarative :class:`SimulationJob` objects —
-   typically via :func:`replicate_jobs` (same job, independent seeds) or
-   :func:`map_over_parameters` (one job per parameter-override set);
+   typically via :func:`replicate_jobs` (same job, independent seeds);
 2. seeds are fanned out deterministically from one root seed *before*
    dispatch, so neither the choice of executor nor the delivery mode can
    change the results;
@@ -38,7 +37,6 @@ import time
 from typing import (
     Any,
     Callable,
-    Dict,
     Generic,
     Iterator,
     List,
@@ -51,7 +49,7 @@ from typing import (
 from ..errors import EngineError
 from ..stochastic.rng import RandomState, fan_out_seeds
 from ..stochastic.trajectory import Trajectory
-from .cache import CompiledModelCache, default_cache
+from .cache import CompiledModelCache
 from .core import BatchCacheStats, ProgressHook
 from .executors import SerialExecutor, get_executor
 from .jobs import EnsembleResult, EnsembleStats, SimulationJob
@@ -63,7 +61,6 @@ __all__ = [
     "iter_ensemble",
     "EnsembleStream",
     "replicate_jobs",
-    "map_over_parameters",
     "StudySpec",
 ]
 
@@ -185,60 +182,29 @@ def run_job(
     return SerialExecutor().run_jobs([job], cache=cache)[0]
 
 
-def _batch_stats(
-    chosen,
-    n_jobs: int,
-    wall: float,
-    cache: CompiledModelCache,
-    hits_before: int,
-    misses_before: int,
-    counter: Optional[BatchCacheStats] = None,
-) -> EnsembleStats:
+def _batch_stats(chosen, n_jobs: int, wall: float, counter: BatchCacheStats) -> EnsembleStats:
     """Assemble the statistics of one executed batch.
 
-    The engine's own executors count each batch's cache hits/misses into a
-    per-batch ``counter``, so concurrent batches on one shared executor (the
-    :func:`repro.engine.gather_studies` pattern) report their own numbers.
-    Third-party executors fall back to the legacy executor-global snapshot
-    (``last_cache_hits``) or, failing that, the in-process cache delta.
+    Each batch counts its cache hits/misses into its own ``counter``, so
+    concurrent batches on one shared executor (several studies run on
+    threads, as the HTTP service does) report their own numbers.
     """
-    if counter is not None:
-        cache_hits = counter.hits
-        cache_misses = counter.misses
-    elif hasattr(chosen, "last_cache_hits"):
-        cache_hits = chosen.last_cache_hits
-        cache_misses = chosen.last_cache_misses
-    else:
-        cache_hits = cache.hits - hits_before
-        cache_misses = cache.misses - misses_before
     return EnsembleStats(
         n_jobs=n_jobs,
-        executor=getattr(chosen, "name", type(chosen).__name__),
-        workers=getattr(chosen, "workers", 1),
+        executor=chosen.name,
+        workers=chosen.workers,
         wall_seconds=wall,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
+        cache_hits=counter.hits,
+        cache_misses=counter.misses,
     )
 
 
-def _batching_kwargs(chosen, batch_size: Optional[int]) -> Dict[str, int]:
-    """``{"batch_size": B}`` when batching is requested and supported.
-
-    ``batch_size=1`` (the default) adds nothing, so third-party executors
-    without the keyword keep working; asking for ``B > 1`` on an executor
-    that cannot batch is an error rather than a silent slowdown.
-    """
+def _batch_size(batch_size: Optional[int]) -> int:
+    """``batch_size`` checked up front (``None`` means 1)."""
     size = 1 if batch_size is None else int(batch_size)
     if size < 1:
         raise EngineError("batch_size must be a positive integer")
-    if size == 1:
-        return {}
-    if not getattr(chosen, "supports_job_batching", False):
-        raise EngineError(
-            f"executor {getattr(chosen, 'name', type(chosen).__name__)!r} does not "
-            "support batch_size > 1",
-        )
-    return {"batch_size": size}
+    return size
 
 
 def iter_ensemble(
@@ -273,28 +239,17 @@ def iter_ensemble(
     jobs = list(jobs)
     if not jobs:
         raise EngineError("iter_ensemble needs at least one job")
+    size = _batch_size(batch_size)
     owns_executor = executor is None
     chosen = executor if executor is not None else get_executor(workers)
-    cache = cache if cache is not None else default_cache()
     stream: EnsembleStream[EnsembleItem] = EnsembleStream(jobs)
-    counter = BatchCacheStats() if getattr(chosen, "supports_batch_stats", False) else None
-    iter_kwargs: Dict[str, Any] = {} if counter is None else {"batch_stats": counter}
-    iter_kwargs.update(_batching_kwargs(chosen, batch_size))
-    hits_before, misses_before = cache.hits, cache.misses
+    counter = BatchCacheStats()
     opened = time.perf_counter()
 
     def _finalize():
         if stream._stats is None:
             wall = time.perf_counter() - opened
-            stream._stats = _batch_stats(
-                chosen,
-                len(jobs),
-                wall,
-                cache,
-                hits_before,
-                misses_before,
-                counter=counter,
-            )
+            stream._stats = _batch_stats(chosen, len(jobs), wall, counter)
         if owns_executor:
             chosen.close()
 
@@ -305,7 +260,8 @@ def iter_ensemble(
                 cache=cache,
                 progress=progress,
                 ordered=ordered,
-                **iter_kwargs,
+                batch_stats=counter,
+                batch_size=size,
             ):
                 yield index, jobs[index], trajectory
         finally:
@@ -385,29 +341,23 @@ def run_ensemble(
             stats=stream.stats,
             reduced=reduced,
         )
+    size = _batch_size(batch_size)
     owns_executor = executor is None
     chosen = executor if executor is not None else get_executor(workers)
-    cache = cache if cache is not None else default_cache()
-    counter = BatchCacheStats() if getattr(chosen, "supports_batch_stats", False) else None
-    run_kwargs: Dict[str, Any] = {} if counter is None else {"batch_stats": counter}
-    run_kwargs.update(_batching_kwargs(chosen, batch_size))
-    hits_before, misses_before = cache.hits, cache.misses
+    counter = BatchCacheStats()
     started = time.perf_counter()
     try:
-        trajectories = chosen.run_jobs(jobs, cache=cache, progress=progress, **run_kwargs)
+        trajectories = chosen.run_jobs(
+            jobs,
+            cache=cache,
+            progress=progress,
+            batch_stats=counter,
+            batch_size=size,
+        )
     finally:
         if owns_executor:
             chosen.close()
-    wall = time.perf_counter() - started
-    stats = _batch_stats(
-        chosen,
-        len(jobs),
-        wall,
-        cache,
-        hits_before,
-        misses_before,
-        counter=counter,
-    )
+    stats = _batch_stats(chosen, len(jobs), time.perf_counter() - started, counter)
     return EnsembleResult(jobs=jobs, trajectories=trajectories, stats=stats)
 
 
@@ -450,61 +400,3 @@ def replicate_jobs(
         )
     return clones
 
-
-def map_over_parameters(
-    job: SimulationJob,
-    parameter_grid: Sequence[Dict[str, float]],
-    *,
-    seed: RandomState = None,
-    workers: int = 1,
-    executor=None,
-    cache: Optional[CompiledModelCache] = None,
-    progress: Optional[ProgressHook] = None,
-    reduce: Optional[EnsembleReducer] = None,
-    batch_size: int = 1,
-) -> EnsembleResult:
-    """Run ``job`` once per parameter-override set in ``parameter_grid``.
-
-    Each entry of the grid is merged over the template job's own overrides and
-    becomes that run's compiled-model cache key, so sweeping a parameter
-    compiles each distinct override set once.  Every run gets an independent
-    seed fanned out from ``seed``; each job is tagged with its grid entry.
-    ``executor`` and ``reduce`` behave exactly as in :func:`run_ensemble`:
-    an opened executor keeps its (warm) worker pool across sweeps, and a
-    reducer streams the sweep, keeping per-run summaries instead of
-    trajectories.  ``batch_size`` is forwarded too, though a sweep rarely
-    benefits: grid entries differ in overrides, and only *consecutive
-    same-configuration* jobs pack into one batch.
-    """
-    grid = [dict(entry) for entry in parameter_grid]
-    if not grid:
-        raise EngineError("map_over_parameters needs a non-empty parameter grid")
-    seeds = fan_out_seeds(seed, len(grid))
-    jobs: List[SimulationJob] = []
-    for entry, child in zip(grid, seeds):
-        overrides = dict(job.parameter_overrides or {})
-        overrides.update(entry)
-        jobs.append(
-            SimulationJob(
-                model=job.model,
-                t_end=job.t_end,
-                simulator=job.simulator,
-                schedule=job.schedule,
-                sample_interval=job.sample_interval,
-                parameter_overrides=overrides or None,
-                initial_state=job.initial_state,
-                record_species=job.record_species,
-                seed=child,
-                tag=entry,
-                meta=job.meta,
-            ),
-        )
-    return run_ensemble(
-        jobs,
-        workers=workers,
-        executor=executor,
-        cache=cache,
-        progress=progress,
-        reduce=reduce,
-        batch_size=batch_size,
-    )

@@ -171,9 +171,9 @@ class CompiledModelCache:
     """An LRU cache of :class:`CompiledModel` objects with hit/miss counters.
 
     Lookups are serialized by an internal lock: the shared process-wide cache
-    is reachable from several threads at once (``gather_studies`` runs
-    synchronous serial studies on worker threads), and the
-    lookup/move-to-end/insert/evict sequence is not atomic without it.
+    is reachable from several threads at once (concurrent serial studies run
+    through ``asyncio.to_thread``), and the lookup/move-to-end/insert/evict
+    sequence is not atomic without it.
     """
 
     def __init__(self, max_entries: int = 64):
@@ -284,9 +284,8 @@ _WORKER_MODELS_MAX = 64
 _WORKER_KERNELS_MAX = 256
 
 #: Guards _WORKER_MODELS / _WORKER_KERNELS: pool worker processes are
-#: single-threaded, but the blob memo also runs in the *parent* (serial
-#: analysis fan-out), where gather_studies may drive it from several threads
-#: at once.
+#: single-threaded, but a process that calls the payload functions itself may
+#: do so from several threads at once.
 _WORKER_MODELS_LOCK = threading.Lock()
 
 

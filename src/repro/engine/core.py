@@ -90,11 +90,11 @@ class BatchCacheStats:
     """Compiled-model cache counters of ONE batch iteration.
 
     Each ``iter_jobs`` / ``run_jobs`` call accumulates into its own instance,
-    so concurrent batches on a shared executor (e.g. several studies
-    multiplexed over one pool by :func:`repro.engine.gather_studies`) cannot
-    clobber each other's statistics.  The executor-global
-    ``last_cache_hits`` / ``last_cache_misses`` attributes survive only as a
-    snapshot of the most recently *finished* batch.
+    so concurrent batches on a shared executor (e.g. several studies run on
+    threads over one pool, as the HTTP service does) cannot clobber each
+    other's statistics.  The executor-global ``last_cache_hits`` /
+    ``last_cache_misses`` attributes survive only as a snapshot of the most
+    recently *finished* batch.
     """
 
     hits: int = 0
@@ -460,11 +460,6 @@ class BaseEnsembleExecutor:
     name = "backend"
     #: Parallelism reported in :class:`EnsembleStats` (subclasses override).
     workers = 1
-    #: This executor's ``iter_jobs`` / ``run_jobs`` accept a per-batch
-    #: :class:`BatchCacheStats` sink (see that class for why).
-    supports_batch_stats = True
-    #: This executor's ``iter_jobs`` / ``run_jobs`` accept ``batch_size``.
-    supports_job_batching = True
 
     # -- transport protocol (ExecutorBackend) — subclasses implement ---------------
     @property

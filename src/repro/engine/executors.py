@@ -164,11 +164,12 @@ class ProcessPoolEnsembleExecutor(BaseEnsembleExecutor):
     bit-identical-results contract, so it is rejected up front.
 
     One executor may serve several concurrent batches (e.g. independent
-    studies multiplexed over one pool by :func:`repro.engine.gather_studies`):
-    submission is thread-safe and each batch counts its own cache statistics
-    into the :class:`BatchCacheStats` it was given.  ``last_cache_hits`` /
-    ``last_cache_misses`` are kept as a snapshot of the most recently
-    *finished* batch (the parent cache is never involved in pool execution).
+    studies run on threads through ``asyncio.to_thread``, as the HTTP service
+    does): submission is thread-safe and each batch counts its own cache
+    statistics into the :class:`BatchCacheStats` it was given.
+    ``last_cache_hits`` / ``last_cache_misses`` are kept as a snapshot of the
+    most recently *finished* batch (the parent cache is never involved in
+    pool execution).
     """
 
     name = "process-pool"

@@ -69,9 +69,8 @@ class SimulationJob:
     meta:
         Metadata attached by the layer that *built* the job (e.g. the
         experiment driver's ``hold_time``).  Unlike ``tag`` it is always
-        preserved by :func:`repro.engine.replicate_jobs` and
-        :func:`repro.engine.map_over_parameters`, so downstream helpers such
-        as :meth:`LogicExperiment.datalog_from` can rely on it.
+        preserved by :func:`repro.engine.replicate_jobs`, so downstream
+        helpers such as :meth:`LogicExperiment.datalog_from` can rely on it.
     """
 
     model: Any

@@ -1,13 +1,8 @@
 """The canonical study request object: :class:`StudySpec`.
 
-Before this module existed, the parameters of a replicate study were
-scattered across divergent keyword forms — ``workers=`` / ``executor=`` /
-``batch_size=`` / ``analysis_jobs=`` threaded ad hoc through
-:mod:`repro.analysis.replicates` and :mod:`repro.vlab.experiment` — which
-meant there was no single serializable object that *names a study*.  A web
-tier needs exactly that object twice over: once as the request schema
-(``POST /v1/studies`` bodies are StudySpec JSON) and once as the identity
-under content-addressed result caching.
+A web tier needs one serializable object that *names a study* twice over:
+once as the request schema (``POST /v1/studies`` bodies are StudySpec JSON)
+and once as the identity under content-addressed result caching.
 
 :class:`StudySpec` is that object.  It is
 
@@ -24,16 +19,18 @@ under content-addressed result caching.
   parameter overrides, the seed, the stimulus protocol (hold time, repeats,
   input clamp levels, schedule), the sampling interval, the simulator, the
   replicate count and the analyzer configuration.  Execution knobs
-  (``workers``, ``batch_size``, ``analysis_jobs``) are deliberately
-  *excluded*: the engine guarantees bit-identical results across executors
-  and batch sizes, so they cannot change the answer — only how fast it
-  arrives.  The digest is deterministic across processes and machines
-  (verified by the worker-process tests), which is what lets a service
-  parent and a fabric worker agree on a key without talking to each other.
+  (``workers``, ``batch_size``) are deliberately *excluded*: the engine
+  guarantees bit-identical results across executors and batch sizes, so they
+  cannot change the answer — only how fast it arrives.  The digest is
+  deterministic across processes and machines (verified by the
+  worker-process tests), which is what lets a service parent and a fabric
+  worker agree on a key without talking to each other.
 
 The same spec is consumed identically by the Python API
-(:func:`repro.analysis.run_replicate_study`), the CLI (``genlogic verify
---spec study.json``) and the HTTP service (:mod:`repro.service`).
+(:func:`repro.analysis.run_replicate_study`, which takes nothing else), the
+CLI (``genlogic verify``) and the HTTP service (:mod:`repro.service`).
+Every malformed field raises :class:`~repro.errors.EngineError` naming it,
+which the service answers with 400.
 """
 
 from __future__ import annotations
@@ -46,15 +43,24 @@ import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
-from ..errors import EngineError
+from ..errors import EngineError, ReproError, SimulationError
 from ..stochastic import canonical_simulator_name
 
-__all__ = ["STUDY_SPEC_SCHEMA", "StudySpec", "frozen_overrides"]
+__all__ = ["STUDY_SPEC_SCHEMA", "StudySpec", "as_float", "frozen_overrides"]
 
 #: Version of the StudySpec wire schema.  Bump when a field is added,
 #: removed or changes meaning; :meth:`StudySpec.from_dict` rejects specs from
 #: a *newer* schema instead of silently dropping fields it does not know.
-STUDY_SPEC_SCHEMA = 1
+#: Schema 2 dropped the analysis fan-out knob of schema 1.
+STUDY_SPEC_SCHEMA = 2
+
+
+def as_float(label: str, value: Any) -> float:
+    """``float(value)``, or :class:`EngineError` naming ``label`` for a non-number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise EngineError(f"{label} must be a number") from None
 
 
 def frozen_overrides(
@@ -70,11 +76,14 @@ def frozen_overrides(
     """
     if overrides is None:
         return ()
-    if isinstance(overrides, Mapping):
-        items = overrides.items()
-    else:
-        items = list(overrides)
-    frozen = tuple(sorted((str(name), float(value)) for name, value in items))
+    try:
+        items = overrides.items() if isinstance(overrides, Mapping) else overrides
+        pairs = [(str(name), value) for name, value in items]
+    except (TypeError, ValueError):
+        raise EngineError("parameter overrides must be (name, value) pairs") from None
+    frozen = tuple(
+        sorted((name, as_float(f"parameter override {name!r}", value)) for name, value in pairs)
+    )
     names = [name for name, _ in frozen]
     if len(set(names)) != len(names):
         raise EngineError(f"duplicate parameter override names in {names}")
@@ -115,11 +124,11 @@ class StudySpec:
     overrides:
         Parameter overrides applied at model-compile time (part of the
         compiled-model cache key and of :meth:`cache_key`).
-    workers / batch_size / analysis_jobs:
-        Execution knobs: worker processes, replicates per dispatch,
-        analysis fan-out.  They tune *how* the study runs, never what it
-        computes — results are bit-identical by the engine's contract — so
-        they are excluded from :meth:`cache_key`.
+    workers / batch_size:
+        Execution knobs: worker processes and replicates per dispatch.  They
+        tune *how* the study runs, never what it computes — results are
+        bit-identical by the engine's contract — so they are excluded from
+        :meth:`cache_key`.
     schema:
         Wire-schema version (see :data:`STUDY_SPEC_SCHEMA`).
     """
@@ -136,33 +145,33 @@ class StudySpec:
     overrides: Tuple[Tuple[str, float], ...] = ()
     workers: int = 1
     batch_size: int = 1
-    analysis_jobs: int = 1
     schema: int = STUDY_SPEC_SCHEMA
 
     def __post_init__(self) -> None:
         if not isinstance(self.circuit, str) or not self.circuit:
             raise EngineError("StudySpec.circuit must be a non-empty circuit name")
-        object.__setattr__(self, "simulator", canonical_simulator_name(self.simulator))
+        try:
+            object.__setattr__(self, "simulator", canonical_simulator_name(self.simulator))
+        except SimulationError as error:
+            raise EngineError(f"StudySpec.simulator: {error}") from None
         object.__setattr__(self, "overrides", frozen_overrides(self.overrides))
         if self.seed is not None:
             if isinstance(self.seed, bool) or not isinstance(self.seed, int):
                 try:
                     coerced = int(self.seed)  # numpy integers
-                except (TypeError, ValueError):
-                    raise EngineError(
-                        "StudySpec.seed must be an integer or None (live "
-                        "generators cannot be serialized; pass them through "
-                        "the legacy rng= form instead)",
-                    ) from None
+                except (TypeError, ValueError, OverflowError):
+                    raise EngineError("StudySpec.seed must be an integer or None") from None
                 if isinstance(self.seed, float) and self.seed != coerced:
                     raise EngineError("StudySpec.seed must be an integer or None")
                 object.__setattr__(self, "seed", coerced)
-        for name in ("n_replicates", "repeats", "workers", "batch_size", "analysis_jobs"):
+            if self.seed < 0:
+                raise EngineError("StudySpec.seed must be non-negative")
+        for name in ("n_replicates", "repeats", "workers", "batch_size"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise EngineError(f"StudySpec.{name} must be a positive integer")
         for name in ("threshold", "fov_ud", "hold_time", "sample_interval"):
-            value = float(getattr(self, name))
+            value = as_float(f"StudySpec.{name}", getattr(self, name))
             object.__setattr__(self, name, value)
             if not math.isfinite(value) or value <= 0:
                 raise EngineError(f"StudySpec.{name} must be positive and finite")
@@ -208,13 +217,19 @@ class StudySpec:
 
     # -- resolution ------------------------------------------------------------
     def resolve_circuit(self):
-        """The :class:`~repro.gates.GeneticCircuit` this spec names (memoized)."""
+        """The :class:`~repro.gates.GeneticCircuit` this spec names (memoized).
+
+        A name that builds no circuit raises :class:`~repro.errors.EngineError`.
+        """
         attached = self.__dict__.get("_circuit")
         if attached is not None:
             return attached
         from ..gates.circuits import resolve_circuit
 
-        circuit = resolve_circuit(self.circuit)
+        try:
+            circuit = resolve_circuit(self.circuit)
+        except ReproError as error:
+            raise EngineError(f"StudySpec.circuit: {error}") from None
         object.__setattr__(self, "_circuit", circuit)
         return circuit
 
@@ -328,7 +343,7 @@ class StudySpec:
     def from_json(cls, text: Union[str, bytes]) -> "StudySpec":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:  # bad JSON or UTF-8, huge ints, deep nesting
             raise EngineError(f"StudySpec JSON is malformed: {error}") from None
         return cls.from_dict(data)
 

@@ -29,10 +29,10 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from ..engine.spec import frozen_overrides
-from ..errors import EngineError
+from ..engine.spec import as_float, frozen_overrides
+from ..errors import EngineError, SimulationError
 from ..gates.assignment import PartAssignment, count_assignments, enumerate_assignments
 from ..gates.parts_library import LIBRARY_NAMES, PartsLibrary, resolve_library
 from ..gates.synthesis import synthesize_from_hex
@@ -138,7 +138,10 @@ class SearchSpec:
             raise EngineError(
                 f"SearchSpec.function {self.function!r} is not a valid hexadecimal name",
             ) from None
-        inputs = tuple(str(name) for name in self.inputs)
+        try:
+            inputs = tuple(str(name) for name in self.inputs)
+        except TypeError:
+            raise EngineError("SearchSpec.inputs must be a list of species names") from None
         if not inputs or len(set(inputs)) != len(inputs):
             raise EngineError("SearchSpec.inputs must be distinct, non-empty names")
         object.__setattr__(self, "inputs", inputs)
@@ -149,6 +152,8 @@ class SearchSpec:
                 f"SearchSpec.library {self.library!r} is unknown; available: {LIBRARY_NAMES}",
             )
         object.__setattr__(self, "library", str(self.library).lower())
+        if isinstance(self.variants, (str, bytes)) or not isinstance(self.variants, Iterable):
+            raise EngineError("SearchSpec.variants must be a list of override sets")
         variants = tuple(frozen_overrides(variant) for variant in self.variants)
         if not variants:
             raise EngineError("SearchSpec.variants needs at least one override set")
@@ -157,7 +162,10 @@ class SearchSpec:
             raise EngineError(
                 f"SearchSpec.allocator must be one of {_ALLOCATORS}, got {self.allocator!r}",
             )
-        object.__setattr__(self, "simulator", canonical_simulator_name(self.simulator))
+        try:
+            object.__setattr__(self, "simulator", canonical_simulator_name(self.simulator))
+        except SimulationError as error:
+            raise EngineError(f"SearchSpec.simulator: {error}") from None
         for name in ("n0", "refine_step", "fixed_replicates", "top_k", "repeats",
                      "workers", "batch_size"):
             value = getattr(self, name)
@@ -179,15 +187,17 @@ class SearchSpec:
             if isinstance(self.seed, bool) or not isinstance(self.seed, int):
                 try:
                     coerced = int(self.seed)
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     raise EngineError("SearchSpec.seed must be an integer or None") from None
                 object.__setattr__(self, "seed", coerced)
+            if self.seed < 0:
+                raise EngineError("SearchSpec.seed must be non-negative")
         for name in ("threshold", "fov_ud", "hold_time", "sample_interval"):
-            value = float(getattr(self, name))
+            value = as_float(f"SearchSpec.{name}", getattr(self, name))
             object.__setattr__(self, name, value)
             if not math.isfinite(value) or value <= 0:
                 raise EngineError(f"SearchSpec.{name} must be positive and finite")
-        ci_level = float(self.ci_level)
+        ci_level = as_float("SearchSpec.ci_level", self.ci_level)
         object.__setattr__(self, "ci_level", ci_level)
         if not 0.0 < ci_level < 1.0:
             raise EngineError("SearchSpec.ci_level must be in (0, 1)")
@@ -339,23 +349,12 @@ class SearchSpec:
             )
         if "function" not in data:
             raise EngineError("a SearchSpec needs a 'function' field")
-        fields = dict(data)
-        if "inputs" in fields:
-            fields["inputs"] = tuple(fields["inputs"])
-        if "variants" in fields:
-            variants = fields["variants"]
-            if not isinstance(variants, Sequence) or isinstance(variants, (str, bytes)):
-                raise EngineError("SearchSpec.variants must be a list of override sets")
-            fields["variants"] = tuple(
-                tuple((str(name), float(value)) for name, value in variant)
-                for variant in variants
-            )
-        return cls(**fields)
+        return cls(**dict(data))
 
     @classmethod
     def from_json(cls, text: Union[str, bytes]) -> "SearchSpec":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:  # bad JSON or UTF-8, huge ints, deep nesting
             raise EngineError(f"SearchSpec JSON is malformed: {error}") from None
         return cls.from_dict(data)

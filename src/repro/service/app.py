@@ -11,18 +11,19 @@ and an alternative frontend (a job queue, a gRPC layer) would reuse it
 unchanged.
 
 Life of a request: the decoded JSON body becomes a
-:class:`~repro.engine.StudySpec` (malformed bodies, non-finite numbers
-included, raise :class:`~repro.errors.EngineError` → 400).  A seeded spec
-gets its content key from the service's key memo, a bounded LRU map from
-each spec parsed from a body to its :meth:`~repro.engine.StudySpec.cache_key`;
-only a memo miss builds the circuit to compute the key.  The key is looked
-up in the result cache (hit → answered instantly, no circuit build, no
-dispatch); a spec identical to one already *running* coalesces onto that
-study instead of dispatching twice; otherwise — if admission passes — the
-study is dispatched to the warm executor on a worker thread via
-:func:`asyncio.to_thread`, exactly the pattern
-:func:`repro.engine.gather_studies` uses, so many studies multiplex over the
-one pool without blocking the event loop.  The registry keeps every running
+:class:`~repro.engine.StudySpec`; a malformed body (bad JSON or UTF-8, a
+non-number or non-finite number, an unknown simulator) raises
+:class:`~repro.errors.EngineError` → 400.  A seeded spec gets its content
+key from the service's key memo, a bounded LRU map from each spec parsed
+from a body to its :meth:`~repro.engine.StudySpec.cache_key`; only a memo
+miss builds the circuit to compute the key, and a circuit name that builds
+nothing is a 400 too.  The key is looked up in the result cache (hit →
+answered instantly, no circuit build, no dispatch); a spec identical to one
+already *running* coalesces onto that study instead of dispatching twice;
+otherwise — if admission passes — the study is dispatched to the warm
+executor on a worker thread via ``asyncio.to_thread(run_replicate_study,
+spec, executor=...)``, so many studies multiplex over the one pool without
+blocking the event loop.  The registry keeps every running
 record and the most recent :data:`FINISHED_RECORDS` finished ones; an older
 id answers 404 like an unknown one.
 """

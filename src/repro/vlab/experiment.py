@@ -125,9 +125,8 @@ class LogicExperiment:
         The canonical-spec twin of :meth:`for_circuit`: the circuit is
         resolved through the spec (name registry or attached instance), the
         simulator and sampling interval come from the spec's fields, and the
-        clamp levels fall back to the circuit's library levels exactly as the
-        legacy keyword path does — so a spec-built experiment runs the same
-        jobs, bit for bit, as the keyword form it replaced.
+        clamp levels fall back to the circuit's library levels exactly as
+        :meth:`for_circuit` does.
         """
         return cls.for_circuit(
             spec.resolve_circuit(),

@@ -3,17 +3,15 @@
 import pytest
 
 from repro.analysis import ReplicateStudy, run_replicate_study
-from repro.errors import AnalysisError
+from repro.engine import StudySpec
+from repro.errors import AnalysisError, EngineError
 from repro.gates import not_gate_circuit
 
 
 @pytest.fixture(scope="module")
 def study():
     return run_replicate_study(
-        not_gate_circuit(),
-        n_replicates=4,
-        hold_time=120.0,
-        rng=99,
+        StudySpec.for_circuit(not_gate_circuit(), n_replicates=4, hold_time=120.0, seed=99)
     )
 
 
@@ -39,8 +37,21 @@ class TestRunReplicateStudy:
         assert "recovery rate" in text
 
     def test_invalid_replicate_count(self):
-        with pytest.raises(AnalysisError):
-            run_replicate_study(not_gate_circuit(), n_replicates=0)
+        with pytest.raises(EngineError):
+            StudySpec.for_circuit(not_gate_circuit(), n_replicates=0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: run_replicate_study(not_gate_circuit(), n_replicates=2),
+            lambda: run_replicate_study("not"),
+            lambda: run_replicate_study(StudySpec(circuit="not"), workers=2),
+        ],
+        ids=["circuit-and-keywords", "circuit-name", "spec-and-keywords"],
+    )
+    def test_only_a_study_spec_is_accepted(self, call):
+        with pytest.raises(EngineError, match="StudySpec.for_circuit"):
+            call()
 
     def test_empty_results_rejected(self, study):
         with pytest.raises(AnalysisError):

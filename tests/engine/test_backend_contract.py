@@ -1,8 +1,11 @@
 """Backend conformance suite: the executor contract, asserted across every transport.
 
 One parametrized module proves that serial, process-pool, distributed-loopback
-and the asyncio facade all honour the engine contract — so a future backend
-gets the whole contract for free by adding one fixture param:
+and distributed-supervised all honour the engine contract — so a future
+backend gets the whole contract for free by adding one fixture param.  The
+``pool-on-thread`` param drives a process pool the way the HTTP service does:
+every call runs on an ``asyncio.to_thread`` worker thread, not on the thread
+that opened the executor.  The contract:
 
 * **bit-identity** — the same job list (seeds fanned out before dispatch)
   produces byte-for-byte identical trajectories on every backend;
@@ -32,12 +35,10 @@ from repro.engine import (
     ProcessPoolEnsembleExecutor,
     SerialExecutor,
     WorkerSupervisor,
-    arun_ensemble,
     iter_ensemble,
     replicate_jobs,
     run_ensemble,
 )
-from repro.engine.aio import aiter_ensemble
 from repro.engine.jobs import SimulationJob
 from repro.stochastic.events import InputSchedule
 
@@ -46,47 +47,40 @@ BACKENDS = [
     "process-pool",
     "distributed-loopback",
     "distributed-supervised",
-    "async-facade",
+    "pool-on-thread",
 ]
 
 
 class _Backend:
-    """Uniform driver over one executor kind (sync APIs or the async facade)."""
+    """Uniform driver over one executor kind."""
 
-    def __init__(self, name, executor=None):
+    def __init__(self, name, executor=None, on_thread=False):
         self.name = name
         self.executor = executor
-        self.is_async = name == "async-facade"
-        #: The async layer has no generic ``map`` surface.
-        self.supports_map = not self.is_async
+        #: Make every call from an event loop through ``asyncio.to_thread``.
+        self.on_thread = on_thread
+
+    def _call(self, fn, *args, **kwargs):
+        if self.on_thread:
+            return asyncio.run(asyncio.to_thread(fn, *args, **kwargs))
+        return fn(*args, **kwargs)
 
     def materialize(self, jobs, batch_size=1):
-        if self.is_async:
-            return asyncio.run(
-                arun_ensemble(jobs, executor=self.executor, batch_size=batch_size)
-            )
-        return run_ensemble(jobs, executor=self.executor, batch_size=batch_size)
+        return self._call(run_ensemble, jobs, executor=self.executor, batch_size=batch_size)
 
     def stream(self, jobs, ordered=True, batch_size=1):
         """``[(index, trajectory), ...]`` in delivery order."""
-        if self.is_async:
 
-            async def _collect():
-                collected = []
-                async for index, _, trajectory in aiter_ensemble(
-                    jobs, executor=self.executor, ordered=ordered, batch_size=batch_size
-                ):
-                    collected.append((index, trajectory))
-                return collected
+        def _collect():
+            stream = iter_ensemble(
+                jobs, executor=self.executor, ordered=ordered, batch_size=batch_size
+            )
+            return [(index, trajectory) for index, _, trajectory in stream]
 
-            return asyncio.run(_collect())
-        stream = iter_ensemble(
-            jobs, executor=self.executor, ordered=ordered, batch_size=batch_size
-        )
-        return [(index, trajectory) for index, _, trajectory in stream]
+        return self._call(_collect)
 
     def map(self, fn, payloads):
-        return self.executor.map(fn, payloads)
+        return self._call(self.executor.map, fn, payloads)
 
 
 @pytest.fixture(scope="module", params=BACKENDS)
@@ -100,7 +94,10 @@ def backend(request):
     elif request.param == "distributed-loopback":
         with DistributedEnsembleExecutor.loopback(2) as executor:
             yield _Backend("distributed-loopback", executor)
-    elif request.param == "distributed-supervised":
+    elif request.param == "pool-on-thread":
+        with ProcessPoolEnsembleExecutor(2) as executor:
+            yield _Backend("pool-on-thread", executor, on_thread=True)
+    else:
         # The hardened deployment shape: an authenticated listening fabric
         # whose workers are owned by the auto-restarting supervisor.  The
         # whole contract must hold on it unchanged.
@@ -124,9 +121,6 @@ def backend(request):
         finally:
             supervisor.stop()  # before the executor: a teardown must not race a restart
             executor.close()
-    else:
-        with ProcessPoolEnsembleExecutor(2) as executor:
-            yield _Backend("async-facade", executor)
 
 
 @pytest.fixture(scope="module", params=[1, 3], ids=["batch1", "batch3"])
@@ -222,16 +216,12 @@ def _double(payload):
 
 class TestMapContract:
     def test_map_preserves_payload_order(self, backend):
-        if not backend.supports_map:
-            pytest.skip("the async facade exposes no generic map")
         assert backend.map(_double, list(range(12))) == [n * 2 for n in range(12)]
 
     def test_failing_payload_propagates_and_cancels_the_tail(self, backend, tmp_path):
         """The cancel-on-failure contract: the raising payload's exception
         reaches the caller, payloads beyond the in-flight window never run,
         and the executor stays usable for the next batch."""
-        if not backend.supports_map:
-            pytest.skip("the async facade exposes no generic map")
         marker = tmp_path / "ran.txt"
         payloads = [("fail", str(marker))] + [("log", str(marker))] * 12
         with pytest.raises(ValueError, match="payload exploded"):

@@ -21,6 +21,7 @@ from repro.analysis import run_replicate_study
 from repro.engine import (
     DistributedEnsembleExecutor,
     RemoteWorkerError,
+    StudySpec,
     WorkerConnectionError,
     replicate_jobs,
     run_ensemble,
@@ -152,10 +153,9 @@ class TestFabricExecution:
     def test_study_runs_end_to_end_with_no_study_code_changes(self, fabric, and_circuit):
         """The acceptance criterion: run_replicate_study on a ≥2-worker TCP
         fabric via executor=, bit-identical to the serial study."""
-        serial = run_replicate_study(and_circuit, n_replicates=4, hold_time=80.0, rng=21)
-        distributed = run_replicate_study(
-            and_circuit, n_replicates=4, hold_time=80.0, rng=21, executor=fabric
-        )
+        spec = StudySpec.for_circuit(and_circuit, n_replicates=4, hold_time=80.0, seed=21)
+        serial = run_replicate_study(spec)
+        distributed = run_replicate_study(spec, executor=fabric)
         assert distributed.fitness_values == serial.fitness_values
         assert distributed.recovery_rate == serial.recovery_rate
         assert distributed.stats.executor == "distributed"

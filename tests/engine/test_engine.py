@@ -11,7 +11,6 @@ from repro.engine import (
     SimulationJob,
     default_cache,
     get_executor,
-    map_over_parameters,
     replicate_jobs,
     run_ensemble,
     run_job,
@@ -224,21 +223,11 @@ class TestExecutorParity:
 class TestReplicateStudyParity:
     def test_identical_statistics_serial_vs_parallel(self, and_circuit):
         from repro.analysis import run_replicate_study
+        from repro.engine import StudySpec
 
-        serial = run_replicate_study(
-            and_circuit,
-            n_replicates=3,
-            hold_time=100.0,
-            rng=77,
-            workers=1,
-        )
-        parallel = run_replicate_study(
-            and_circuit,
-            n_replicates=3,
-            hold_time=100.0,
-            rng=77,
-            workers=2,
-        )
+        spec = StudySpec.for_circuit(and_circuit, n_replicates=3, hold_time=100.0, seed=77)
+        serial = run_replicate_study(spec)
+        parallel = run_replicate_study(spec.replace(workers=2))
         assert serial.fitness_values == parallel.fitness_values
         assert serial.recovery_rate == parallel.recovery_rate
         assert serial.combination_agreement() == parallel.combination_agreement()
@@ -354,15 +343,21 @@ class TestBatchApis:
         with pytest.raises(EngineError):
             replicate_jobs(and_job, 2, tags=["only-one"])
 
-    def test_map_over_parameters_tags_and_caches(self, toy_model):
-        template = SimulationJob(model=toy_model, t_end=20.0, simulator="ode")
+    def test_override_sweep_compiles_each_override_set_once(self, toy_model):
+        """A parameter sweep is one job per override set: each set keys the
+        compile cache, and each run simulates under its own."""
         cache = CompiledModelCache()
-        result = map_over_parameters(
-            template,
-            [{"kd": 0.1}, {"kd": 0.5}, {"kd": 0.1}],
-            seed=3,
-            cache=cache,
-        )
+        jobs = [
+            SimulationJob(
+                model=toy_model,
+                t_end=20.0,
+                simulator="ode",
+                parameter_overrides={"kd": kd},
+                tag={"kd": kd},
+            )
+            for kd in (0.1, 0.5, 0.1)
+        ]
+        result = run_ensemble(jobs, cache=cache)
         assert result.tags() == [{"kd": 0.1}, {"kd": 0.5}, {"kd": 0.1}]
         # Two distinct override sets -> two compiles, third run hits the cache.
         assert result.stats.cache_misses == 2
@@ -370,11 +365,6 @@ class TestBatchApis:
         # A stronger kd decays the output harder.
         weak, strong = result.trajectory(0), result.trajectory(1)
         assert strong["Y"][-1] < weak["Y"][-1]
-
-    def test_map_over_parameters_empty_grid_rejected(self, toy_model):
-        template = SimulationJob(model=toy_model, t_end=5.0, simulator="ode")
-        with pytest.raises(EngineError):
-            map_over_parameters(template, [])
 
     def test_ensemble_result_shape_mismatch_rejected(self, and_job):
         stats = EnsembleStats(n_jobs=1, executor="serial", workers=1, wall_seconds=0.1)

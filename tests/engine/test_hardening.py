@@ -1,20 +1,23 @@
 """Regression tests for the engine bugfix sweep.
 
 Covers: windowed + cancel-on-failure ``map``, LRU (not FIFO) worker-model
-eviction, per-iteration batch cache statistics, the ``transform`` stream's
-yielded shape, the cache module's ``__all__``, and parallel analysis fan-out
-in replicate studies.
+eviction, per-iteration batch cache statistics (concurrent replicate studies
+on one shared executor included), the ``transform`` stream's yielded shape
+and the cache module's ``__all__``.
 """
 
+import asyncio
 import time
 
 import pytest
 
 import repro.engine.cache as cache_module
+from repro.analysis import run_replicate_study
 from repro.engine import (
     CompiledModelCache,
     ProcessPoolEnsembleExecutor,
     SerialExecutor,
+    StudySpec,
     iter_ensemble,
     replicate_jobs,
 )
@@ -110,7 +113,7 @@ class TestWorkerModelLRU:
 class TestPerIterationBatchStats:
     def test_interleaved_pool_streams_keep_their_own_stats(self, ode_job):
         """Opening a second stream on a shared executor must not clobber the
-        first stream's counters (exactly the gather_studies pattern)."""
+        first stream's counters (the pattern of concurrent studies)."""
         with ProcessPoolEnsembleExecutor(1) as executor:
             first = iter_ensemble(replicate_jobs(ode_job, 3, seed=1), executor=executor)
             next(first)  # first stream is mid-flight...
@@ -148,6 +151,41 @@ class TestPerIterationBatchStats:
             assert executor.last_cache_hits == 3
             assert executor.last_cache_misses == 0
 
+    def test_concurrent_replicate_studies_inside_one_loop(self, and_circuit):
+        """The web-service shape: several studies awaited together through
+        ``asyncio.to_thread`` on one shared executor, each reporting its own
+        statistics and the same bits as a study run alone."""
+        n = 3
+        spec = StudySpec.for_circuit(and_circuit, n_replicates=n, hold_time=80.0, seed=21)
+
+        async def _together(executor):
+            return await asyncio.gather(
+                *(
+                    asyncio.to_thread(run_replicate_study, spec, executor=executor)
+                    for _ in range(3)
+                )
+            )
+
+        # A warm one-worker pool: every concurrent study is all hits.
+        with ProcessPoolEnsembleExecutor(1) as executor:
+            warmup = run_replicate_study(spec, executor=executor)
+            studies = asyncio.run(_together(executor))
+        assert warmup.stats.cache_misses == 1
+        for study in studies:
+            assert study.stats.cache_misses == 0
+            assert study.stats.cache_hits == n
+            assert study.fitness_values == warmup.fitness_values
+
+        # One serial executor shared by threads (and the process-wide cache):
+        # every study equals the pool's, field for field.
+        def _result(study):
+            return {k: v for k, v in study.to_payload().items() if k != "engine"}
+
+        studies = asyncio.run(_together(SerialExecutor()))
+        assert [_result(study) for study in studies] == [_result(warmup)] * 3
+        for study in studies:
+            assert study.stats.cache_hits + study.stats.cache_misses == n
+
 
 class TestTransformShape:
     def test_transform_yields_bare_mapped_values(self, ode_job):
@@ -176,34 +214,3 @@ class TestCacheModuleExports:
         for name in cache_module.__all__:
             assert hasattr(cache_module, name)
 
-
-class TestAnalysisFanOut:
-    def test_analysis_jobs_matches_streamed_path(self, and_circuit):
-        """run_replicate_study(analysis_jobs=N) routes the analysis through the
-        engine's generic map path; recovered results must be identical."""
-        from repro.analysis import run_replicate_study
-
-        streamed = run_replicate_study(and_circuit, n_replicates=3, hold_time=80.0, rng=13)
-        fanned = run_replicate_study(
-            and_circuit, n_replicates=3, hold_time=80.0, rng=13, analysis_jobs=2
-        )
-        assert fanned.fitness_values == streamed.fitness_values
-        assert fanned.recovery_rate == streamed.recovery_rate
-        assert [r.truth_table.outputs for r in fanned.results] == [
-            r.truth_table.outputs for r in streamed.results
-        ]
-
-    def test_analysis_fan_out_reuses_shared_executor(self, and_circuit):
-        from repro.analysis import run_replicate_study
-
-        with ProcessPoolEnsembleExecutor(2) as executor:
-            study = run_replicate_study(
-                and_circuit,
-                n_replicates=3,
-                hold_time=80.0,
-                rng=13,
-                executor=executor,
-                analysis_jobs=2,
-            )
-            assert executor.is_open  # lifecycle stays with the caller
-        assert study.n_replicates == 3

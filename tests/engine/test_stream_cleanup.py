@@ -1,18 +1,15 @@
 """Regression tests: abandoned streams must close engine-created executors.
 
-When a caller abandons ``iter_ensemble`` / ``aiter_ensemble`` mid-iteration,
-the ephemeral executor the engine built from ``workers=N`` must be closed by
-the stream's ``close()`` / the generator's ``aclose()`` — deterministically,
-not whenever garbage collection happens to run.  Exhaustion already
-guaranteed cleanup; these tests pin the abandonment paths.
+When a caller abandons ``iter_ensemble`` mid-iteration, the ephemeral
+executor the engine built from ``workers=N`` must be closed by the stream's
+``close()`` — deterministically, not whenever garbage collection happens to
+run.  Exhaustion already guaranteed cleanup; these tests pin the abandonment
+paths.
 """
-
-import asyncio
 
 import pytest
 
 from repro.engine import iter_ensemble, replicate_jobs
-from repro.engine.aio import aiter_ensemble
 from repro.engine.jobs import SimulationJob
 from repro.stochastic.events import InputSchedule
 
@@ -28,7 +25,6 @@ def ode_job(and_circuit):
 @pytest.fixture()
 def tracked_executors(monkeypatch):
     """Every executor the engine creates from workers=N, for leak assertions."""
-    import repro.engine.aio as aio
     import repro.engine.api as api
     from repro.engine.executors import get_executor as original
 
@@ -40,7 +36,6 @@ def tracked_executors(monkeypatch):
         return executor
 
     monkeypatch.setattr(api, "get_executor", tracking)
-    monkeypatch.setattr(aio, "get_executor", tracking)
     return created
 
 
@@ -80,37 +75,3 @@ class TestSyncStreamAbandonment:
             stream.close()
             assert executor.is_open  # lifecycle stays with the caller
 
-
-class TestAsyncStreamAbandonment:
-    def test_aclose_mid_iteration_closes_ephemeral_pool(self, ode_job, tracked_executors):
-        async def _go():
-            stream = aiter_ensemble(replicate_jobs(ode_job, 6, seed=1), workers=2)
-            await anext(stream)
-            await stream.aclose()
-
-        asyncio.run(_go())
-        assert len(tracked_executors) == 1
-        assert not tracked_executors[0].is_open
-
-    def test_never_started_generator_creates_nothing(self, ode_job, tracked_executors):
-        async def _go():
-            stream = aiter_ensemble(replicate_jobs(ode_job, 4, seed=1), workers=2)
-            await stream.aclose()
-
-        asyncio.run(_go())
-        # The executor is built lazily on the first pull, so an unstarted
-        # generator has nothing to leak.
-        assert tracked_executors == []
-
-    def test_aclosing_break_closes_ephemeral_pool(self, ode_job, tracked_executors):
-        from contextlib import aclosing
-
-        async def _go():
-            async with aclosing(
-                aiter_ensemble(replicate_jobs(ode_job, 6, seed=1), workers=2)
-            ) as stream:
-                async for _item in stream:
-                    break
-
-        asyncio.run(_go())
-        assert not tracked_executors[0].is_open

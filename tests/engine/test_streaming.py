@@ -155,15 +155,16 @@ class TestReducedResults:
         )
         assert reduced.reduced == [float(t.data.sum()) for t in materialized.trajectories]
 
-    def test_map_over_parameters_supports_executor_and_reduce(self, toy_model):
-        from repro.engine import map_over_parameters
-
-        template = SimulationJob(model=toy_model, t_end=20.0, simulator="ode")
+    def test_override_sweep_reduces_on_a_shared_executor(self, toy_model):
+        jobs = [
+            SimulationJob(
+                model=toy_model, t_end=20.0, simulator="ode", parameter_overrides={"kd": kd}
+            )
+            for kd in (0.1, 0.5)
+        ]
         with ProcessPoolEnsembleExecutor(2) as executor:
-            result = map_over_parameters(
-                template,
-                [{"kd": 0.1}, {"kd": 0.5}],
-                seed=3,
+            result = run_ensemble(
+                jobs,
                 executor=executor,
                 reduce=lambda index, job, trajectory: float(trajectory["Y"][-1]),
             )
@@ -291,16 +292,14 @@ class TestExecutorLifecycle:
 
     def test_replicate_study_accepts_shared_executor(self, and_circuit):
         from repro.analysis import run_replicate_study
+        from repro.engine import StudySpec
 
+        spec = StudySpec.for_circuit(and_circuit, n_replicates=3, hold_time=100.0, seed=77)
         with ProcessPoolEnsembleExecutor(2) as executor:
-            first = run_replicate_study(
-                and_circuit, n_replicates=3, hold_time=100.0, rng=77, executor=executor
-            )
-            second = run_replicate_study(
-                and_circuit, n_replicates=3, hold_time=100.0, rng=77, executor=executor
-            )
+            first = run_replicate_study(spec, executor=executor)
+            second = run_replicate_study(spec, executor=executor)
         assert first.fitness_values == second.fitness_values
-        baseline = run_replicate_study(and_circuit, n_replicates=3, hold_time=100.0, rng=77)
+        baseline = run_replicate_study(spec)
         assert baseline.fitness_values == first.fitness_values
 
 

@@ -13,10 +13,33 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.engine.spec import STUDY_SPEC_SCHEMA, StudySpec
 from repro.errors import EngineError
 from repro.gates.circuits import and_gate_circuit
+
+#: Any value a JSON body can carry (Python's parser also yields NaN and ±inf).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+#: Request dicts: each known field absent, valid or any JSON value, plus junk keys.
+SPEC_DICTS = st.builds(
+    lambda known, junk: {**junk, **known},
+    st.fixed_dictionaries(
+        {},
+        optional={
+            name: st.just(value) | JSON_VALUES
+            for name, value in StudySpec(circuit="and", seed=1).to_dict().items()
+        },
+    ),
+    st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=2),
+)
 
 
 @pytest.fixture
@@ -90,11 +113,46 @@ class TestSerialization:
         with pytest.raises(EngineError, match="malformed"):
             StudySpec.from_json("{not json")
 
+    def test_schema_2_has_no_analysis_jobs(self, spec):
+        assert STUDY_SPEC_SCHEMA == 2 and spec.to_dict()["schema"] == 2
+        assert "analysis_jobs" not in spec.to_dict()
+        with pytest.raises(EngineError, match="analysis_jobs"):
+            StudySpec.from_dict(dict(spec.to_dict(), analysis_jobs=2))
+
     def test_pickle_round_trip_drops_memoized_state(self, spec):
         spec.resolve_circuit()
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert "_circuit" not in clone.__dict__
+
+
+class TestParserFuzz:
+    """Whatever a request body holds, parsing yields a spec or an EngineError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=SPEC_DICTS)
+    @example(data={"circuit": "and", "threshold": "abc"})
+    @example(data={"circuit": "and", "overrides": 5})
+    @example(data={"circuit": "and", "simulator": 5})
+    @example(data={"circuit": "and", "seed": -1})
+    @example(data={"circuit": "and", "hold_time": 10**400})
+    def test_from_dict(self, data):
+        try:
+            spec = StudySpec.from_dict(data)
+        except EngineError:
+            return
+        assert StudySpec.from_json(spec.to_json()) == spec
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.binary(max_size=64) | SPEC_DICTS.map(lambda data: json.dumps(data).encode()))
+    @example(body=b"\xff\xfe{")
+    @example(body=b"[" * 100_000)
+    @example(body=b"9" * 5000)
+    def test_from_json(self, body):
+        try:
+            StudySpec.from_json(body)
+        except EngineError:
+            pass
 
 
 class TestCacheKeyStability:
@@ -128,7 +186,7 @@ class TestCacheKeyStability:
 
     @pytest.mark.parametrize(
         "change",
-        [{"workers": 8}, {"batch_size": 16}, {"analysis_jobs": 4}],
+        [{"workers": 8}, {"batch_size": 16}, {"workers": 8, "batch_size": 16}],
     )
     def test_execution_knobs_do_not_change_the_key(self, spec, change):
         assert spec.replace(**change).cache_key() == spec.cache_key()

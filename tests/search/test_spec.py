@@ -3,9 +3,32 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import EngineError, ReproError
 from repro.search import SEARCH_SPEC_SCHEMA, SearchSpec
+
+#: Any value a JSON body can carry (Python's parser also yields NaN and ±inf).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+#: Request dicts: each known field absent, valid or any JSON value, plus junk keys.
+SPEC_DICTS = st.builds(
+    lambda known, junk: {**junk, **known},
+    st.fixed_dictionaries(
+        {},
+        optional={
+            name: st.just(value) | JSON_VALUES
+            for name, value in SearchSpec(function="0x8", seed=1).to_dict().items()
+        },
+    ),
+    st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=2),
+)
 
 
 def make_spec(**overrides):
@@ -171,3 +194,33 @@ class TestSerialization:
     def test_malformed_json_rejected(self):
         with pytest.raises(EngineError):
             SearchSpec.from_json("{not json")
+
+
+class TestParserFuzz:
+    """Whatever a request body holds, parsing yields a spec or an EngineError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=SPEC_DICTS)
+    @example(data={"function": "0x8", "threshold": "abc"})
+    @example(data={"function": "0x8", "inputs": 5})
+    @example(data={"function": "0x8", "variants": 5})
+    @example(data={"function": "0x8", "variants": [5]})
+    @example(data={"function": "0x8", "simulator": 5})
+    @example(data={"function": "0x8", "seed": float("inf")})
+    def test_from_dict(self, data):
+        try:
+            spec = SearchSpec.from_dict(data)
+        except EngineError:
+            return
+        assert SearchSpec.from_json(spec.to_json()) == spec
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.binary(max_size=64) | SPEC_DICTS.map(lambda data: json.dumps(data).encode()))
+    @example(body=b"\xff\xfe{")
+    @example(body=b"[" * 100_000)
+    @example(body=b"9" * 5000)
+    def test_from_json(self, body):
+        try:
+            SearchSpec.from_json(body)
+        except EngineError:
+            pass

@@ -496,7 +496,7 @@ def _request(port, method, path, body=None):
     """One HTTP request against the loopback service; returns (status, headers, json)."""
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
     try:
-        payload = None if body is None else json.dumps(body)
+        payload = body if body is None or isinstance(body, bytes) else json.dumps(body)
         connection.request(method, path, body=payload)
         response = connection.getresponse()
         return response.status, dict(response.getheaders()), json.loads(response.read())
@@ -593,6 +593,38 @@ class TestHttpService:
             assert status == 400 and "hold_time" in response["error"]
 
         self._serve(exercise, runner=_StubRunner())
+
+    @pytest.mark.parametrize(
+        "path, body, field",
+        [
+            ("/v1/studies", dict(_spec().to_dict(), threshold="abc"), "threshold"),
+            ("/v1/studies", dict(_spec().to_dict(), overrides=5), "overrides"),
+            ("/v1/studies", dict(_spec().to_dict(), simulator=5), "simulator"),
+            ("/v1/studies", dict(_spec().to_dict(), seed=-1), "seed"),
+            ("/v1/studies", {"circuit": "mystery", "seed": 1}, "circuit"),
+            ("/v1/studies", b"\xff\xfe{", "JSON"),
+            ("/v1/studies", dict(_spec().to_dict(), analysis_jobs=2), "analysis_jobs"),
+            ("/v1/search", dict(_search_spec().to_dict(), threshold="abc"), "threshold"),
+            ("/v1/search", b"\xff\xfe{", "JSON"),
+        ],
+        ids=[
+            "non-number",
+            "overrides-not-pairs",
+            "simulator-not-a-name",
+            "negative-seed",
+            "unknown-circuit",
+            "not-utf8",
+            "schema-1-field",
+            "search-non-number",
+            "search-not-utf8",
+        ],
+    )
+    def test_malformed_body_maps_to_400(self, path, body, field):
+        def exercise(port):
+            status, _, response = _request(port, "POST", path, body)
+            assert status == 400 and field in response["error"], response
+
+        self._serve(exercise, runner=_StubRunner(), search_runner=_StubSearchRunner())
 
     def test_registry_keeps_running_records_and_the_newest_finished(self, monkeypatch):
         monkeypatch.setattr(app, "FINISHED_RECORDS", 3)

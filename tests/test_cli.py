@@ -238,6 +238,58 @@ class TestEnsembleFlags:
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
 
 
+class TestVerifySpec:
+    """``verify --spec FILE.json``: the canonical study request on the CLI."""
+
+    @staticmethod
+    def _write(tmp_path, body):
+        path = tmp_path / "spec.json"
+        path.write_bytes(body if isinstance(body, bytes) else json.dumps(body).encode())
+        return str(path)
+
+    def test_spec_file_matches_the_keyword_form(self, tmp_path, capsys):
+        path = self._write(
+            tmp_path, {"circuit": "and", "n_replicates": 2, "hold_time": 100.0, "seed": 7}
+        )
+        assert main(["verify", "--spec", path, "--no-progress"]) == 0
+        from_spec = capsys.readouterr().out.splitlines()
+        flags = ["--replicates", "2", "--hold-time", "100", "--seed", "7", "--no-progress"]
+        assert main(["verify", "and", *flags]) == 0
+        from_flags = capsys.readouterr().out.splitlines()
+        # The study line and the worst-combination line (the engine line has timings).
+        assert from_spec[:2] == from_flags[:2]
+
+    def test_spec_excludes_circuit_and_study_flags(self, tmp_path, capsys):
+        path = self._write(tmp_path, {"circuit": "and", "seed": 7})
+        for extra in (["and"], ["--seed", "3"], ["--replicates", "2"]):
+            assert main(["verify", *extra, "--spec", path]) == 2
+            assert "--spec may not be combined" in capsys.readouterr().err
+
+    def test_schema_1_analysis_jobs_field_rejected(self, tmp_path, capsys):
+        path = self._write(tmp_path, {"circuit": "and", "seed": 7, "analysis_jobs": 2})
+        assert main(["verify", "--spec", path]) == 2
+        assert "analysis_jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body, named",
+        [
+            ({"circuit": "and", "seed": 7, "threshold": "abc"}, "threshold"),
+            ({"circuit": "and", "seed": 7, "overrides": 5}, "overrides"),
+            ({"circuit": "and", "seed": 7, "simulator": 5}, "simulator"),
+            (b"\xff\xfe{", "malformed"),
+        ],
+        ids=["non-number", "overrides-not-pairs", "simulator-not-a-name", "not-utf8"],
+    )
+    def test_malformed_spec_file_errors_cleanly(self, tmp_path, capsys, body, named):
+        assert main(["verify", "--spec", self._write(tmp_path, body)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
+    def test_missing_spec_file_errors_cleanly(self, capsys):
+        assert main(["verify", "--spec", "/no/such/file.json"]) == 2
+        assert "cannot read spec file" in capsys.readouterr().err
+
+
 class TestProgressLine:
     def test_off_by_default_without_a_tty(self, capsys):
         """CI logs stay clean: no carriage returns unless stderr is a TTY."""
@@ -413,3 +465,9 @@ class TestSearch:
     def test_missing_spec_file_errors_cleanly(self, capsys):
         assert main(["search", "--spec", "/no/such/file.json"]) == 2
         assert "cannot read spec file" in capsys.readouterr().err
+
+    def test_non_utf8_spec_file_errors_cleanly(self, capsys, tmp_path):
+        path = tmp_path / "search.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["search", "--spec", str(path)]) == 2
+        assert "SearchSpec JSON is malformed" in capsys.readouterr().err
