@@ -25,10 +25,11 @@ simulations cheaply; this subsystem is where they all execute:
 * :func:`run_ensemble` / :func:`iter_ensemble` — batch submission with
   progress and throughput/cache statistics, either materialized or streamed
   one result at a time (``iter_ensemble`` / ``reduce=``) with peak memory
-  bounded by the in-flight window; both accept ``batch_size=B`` to pack
-  consecutive same-configuration replicates into batches (one dispatch, one
-  compile and one compact binary result frame per B replicates —
-  bit-identical to ``batch_size=1``);
+  bounded by the in-flight window; both run every job list as groups of up
+  to ``batch_size=B`` consecutive same-configuration replicates (one
+  dispatch, one compile and one compact binary result frame per group;
+  ``batch_size=1`` means groups of one, and results are bit-identical at
+  any size);
 * :class:`StudySpec` — the canonical, frozen, JSON-round-trippable request
   object naming one replicate study, consumed identically by the Python API,
   the CLI (``genlogic verify --spec``) and the HTTP service

@@ -50,7 +50,7 @@ from ..errors import EngineError
 from ..stochastic.rng import RandomState, fan_out_seeds
 from ..stochastic.trajectory import Trajectory
 from .cache import CompiledModelCache
-from .core import BatchCacheStats, ProgressHook
+from .core import BatchCacheStats, ProgressHook, batch_job_groups
 from .executors import SerialExecutor, get_executor
 from .jobs import EnsembleResult, EnsembleStats, SimulationJob
 from .spec import StudySpec
@@ -179,32 +179,8 @@ def run_job(
     Single runs still go through the compiled-model cache, so e.g. repeated
     :meth:`LogicExperiment.run` calls on the same model compile it once.
     """
-    return SerialExecutor().run_jobs([job], cache=cache)[0]
-
-
-def _batch_stats(chosen, n_jobs: int, wall: float, counter: BatchCacheStats) -> EnsembleStats:
-    """Assemble the statistics of one executed batch.
-
-    Each batch counts its cache hits/misses into its own ``counter``, so
-    concurrent batches on one shared executor (several studies run on
-    threads, as the HTTP service does) report their own numbers.
-    """
-    return EnsembleStats(
-        n_jobs=n_jobs,
-        executor=chosen.name,
-        workers=chosen.workers,
-        wall_seconds=wall,
-        cache_hits=counter.hits,
-        cache_misses=counter.misses,
-    )
-
-
-def _batch_size(batch_size: Optional[int]) -> int:
-    """``batch_size`` checked up front (``None`` means 1)."""
-    size = 1 if batch_size is None else int(batch_size)
-    if size < 1:
-        raise EngineError("batch_size must be a positive integer")
-    return size
+    [(_, trajectory)] = SerialExecutor().iter_jobs([job], cache=cache)
+    return trajectory
 
 
 def iter_ensemble(
@@ -232,24 +208,33 @@ def iter_ensemble(
     ``workers=N`` is closed when the stream ends.
 
     ``batch_size=B`` packs consecutive same-configuration jobs (a replicate
-    fan-out) into batches of up to B replicates per dispatch —
-    results, order and bits are unchanged, only dispatch and result-transport
-    overhead is amortized ~B×.
+    fan-out) into groups of up to B replicates per dispatch — results, order
+    and bits are unchanged, only dispatch and result-transport overhead is
+    amortized ~B×.
     """
     jobs = list(jobs)
     if not jobs:
         raise EngineError("iter_ensemble needs at least one job")
-    size = _batch_size(batch_size)
+    batch_job_groups(jobs[:1], batch_size)  # a bad batch_size fails before any executor exists
     owns_executor = executor is None
     chosen = executor if executor is not None else get_executor(workers)
     stream: EnsembleStream[EnsembleItem] = EnsembleStream(jobs)
+    # This batch's own cache counters: concurrent batches on one shared
+    # executor (studies on threads, as the HTTP service runs them) each
+    # report their own numbers.
     counter = BatchCacheStats()
     opened = time.perf_counter()
 
     def _finalize():
         if stream._stats is None:
-            wall = time.perf_counter() - opened
-            stream._stats = _batch_stats(chosen, len(jobs), wall, counter)
+            stream._stats = EnsembleStats(
+                n_jobs=len(jobs),
+                executor=chosen.name,
+                workers=chosen.workers,
+                wall_seconds=time.perf_counter() - opened,
+                cache_hits=counter.hits,
+                cache_misses=counter.misses,
+            )
         if owns_executor:
             chosen.close()
 
@@ -261,7 +246,7 @@ def iter_ensemble(
                 progress=progress,
                 ordered=ordered,
                 batch_stats=counter,
-                batch_size=size,
+                batch_size=batch_size,
             ):
                 yield index, jobs[index], trajectory
         finally:
@@ -294,11 +279,11 @@ def run_ensemble(
         Parallelism: ``1`` selects the serial executor, ``N > 1`` a pool of
         ``N`` worker processes.  Ignored when ``executor`` is given.
     executor:
-        An explicit executor instance (anything with ``run_jobs`` /
-        ``iter_jobs``).  Its lifecycle belongs to the caller: the worker pool
-        stays open after this batch, so the next batch on the same executor
-        hits warm worker caches.  Without it, an ephemeral executor is built
-        from ``workers`` and closed before returning.
+        An explicit executor instance (anything with ``iter_jobs``).  Its
+        lifecycle belongs to the caller: the worker pool stays open after
+        this batch, so the next batch on the same executor hits warm worker
+        caches.  Without it, an ephemeral executor is built from ``workers``
+        and closed before returning.
     cache:
         Compiled-model cache for in-process execution (defaults to the shared
         process-wide cache).
@@ -306,59 +291,40 @@ def run_ensemble(
         Hook called after each completed run with ``(done, total, job)``.
     reduce:
         Per-run reducer ``fn(index, job, trajectory) -> summary``.  When
-        given, execution streams: each trajectory is reduced as it completes
-        and dropped, and the returned result is *reduced* — ``.reduced[i]``
-        holds job ``i``'s summary, ``.trajectories`` is ``None`` — keeping
-        peak memory O(executor window) instead of O(n_jobs).  The reported
+        given, each trajectory is reduced as it completes and dropped, and
+        the returned result is *reduced* — ``.reduced[i]`` holds job ``i``'s
+        summary, ``.trajectories`` is ``None`` — keeping peak memory
+        O(executor window) instead of O(n_jobs).  The reported
         ``wall_seconds`` then covers execution *and* the interleaved reducer
         calls (see :attr:`EnsembleStream.stats`).
     batch_size:
-        Pack consecutive same-configuration jobs into batches of up to
-        this many replicates per dispatch (default 1: one job per
-        dispatch).  Purely a dispatch/transport amortization — results stay
+        Pack consecutive same-configuration jobs into groups of up to this
+        many replicates per dispatch (default 1: one job per dispatch).
+        Purely a dispatch/transport amortization — results stay
         bit-identical and in the same order.
+
+    Both forms collect from the one :func:`iter_ensemble` stream, in
+    completion order, into submission-order slots.
     """
     jobs = list(jobs)
     if not jobs:
         raise EngineError("run_ensemble needs at least one job")
-    if reduce is not None:
-        stream = iter_ensemble(
-            jobs,
-            workers=workers,
-            executor=executor,
-            cache=cache,
-            progress=progress,
-            ordered=False,
-            batch_size=batch_size,
-        )
-        reduced: List[Any] = [None] * len(jobs)
-        with stream:
-            for index, job, trajectory in stream:
-                reduced[index] = reduce(index, job, trajectory)
-        return EnsembleResult(
-            jobs=jobs,
-            trajectories=None,
-            stats=stream.stats,
-            reduced=reduced,
-        )
-    size = _batch_size(batch_size)
-    owns_executor = executor is None
-    chosen = executor if executor is not None else get_executor(workers)
-    counter = BatchCacheStats()
-    started = time.perf_counter()
-    try:
-        trajectories = chosen.run_jobs(
-            jobs,
-            cache=cache,
-            progress=progress,
-            batch_stats=counter,
-            batch_size=size,
-        )
-    finally:
-        if owns_executor:
-            chosen.close()
-    stats = _batch_stats(chosen, len(jobs), time.perf_counter() - started, counter)
-    return EnsembleResult(jobs=jobs, trajectories=trajectories, stats=stats)
+    stream = iter_ensemble(
+        jobs,
+        workers=workers,
+        executor=executor,
+        cache=cache,
+        progress=progress,
+        ordered=False,
+        batch_size=batch_size,
+    )
+    results: List[Any] = [None] * len(jobs)
+    with stream:
+        for index, job, trajectory in stream:
+            results[index] = trajectory if reduce is None else reduce(index, job, trajectory)
+    if reduce is None:
+        return EnsembleResult(jobs=jobs, trajectories=results, stats=stream.stats)
+    return EnsembleResult(jobs=jobs, trajectories=None, stats=stream.stats, reduced=results)
 
 
 def replicate_jobs(

@@ -15,17 +15,17 @@ pair instead:
   parent, so each worker compiles each distinct model once, not once per job.
 
 Compiled-propensity serialization: alongside the pickled-model blob, each
-worker payload carries the **generated propensity kernel** (source plus
-marshalled bytecode) for its own ``(model, overrides)`` pair — attached per
-payload rather than per blob so sweep IPC stays linear in the number of
-jobs (see :mod:`repro.stochastic.codegen`).  A worker's first compile of a
-model then ``exec``'s one shipped module instead of re-parsing and
-re-compiling every kinetic-law AST — the parent generates and byte-compiles
-each kernel once (:func:`kernel_artifact_for_blob`, content-memoized) and
-every worker reuses it, which is what makes ``jobs=N`` cold starts cheap on
-big Cello circuits.  The blob envelope can also carry kernels directly
-(:func:`model_blob`'s ``kernels`` argument) for callers that ship models
-without per-payload metadata.
+worker payload carries the **generated propensity kernel** (a
+:class:`KernelArtifact`: source plus marshalled bytecode) for its own
+``(model, overrides)`` pair — attached per payload rather than per blob so
+sweep IPC stays linear in the number of jobs (see
+:mod:`repro.stochastic.codegen`).  A worker's first compile of a model then
+``exec``'s one shipped module instead of re-parsing and re-compiling every
+kinetic-law AST — the parent generates and byte-compiles each kernel once
+(:func:`kernel_artifact_for_blob`, content-memoized) and every worker reuses
+it, which is what makes ``workers=N`` cold starts cheap on big Cello
+circuits.  The blob itself is the model's own pickle, so its content
+fingerprint is every worker-side cache key.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import marshal
 import pickle
 import threading
 from collections import OrderedDict
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..stochastic.codegen import compile_kernel
 from ..stochastic.propensity import CompiledModel, kernel_source_for
@@ -59,44 +59,16 @@ def model_fingerprint(model) -> str:
     return hashlib.sha1(pickle.dumps(model)).hexdigest()
 
 
-class _ModelBlob:
-    """Worker-bound envelope: pickled model + generated kernel sources.
+def model_blob(model) -> Tuple[bytes, str]:
+    """``(pickled model, content fingerprint)``, serialized once.
 
-    ``kernels`` maps frozen parameter-override tuples to the generated
-    propensity kernel for ``(model, overrides)`` — a :class:`KernelArtifact`
-    or a bare source string.  The model stays a nested pickle so the content
-    fingerprint — and with it every worker-side cache key — is computed over
-    the *model alone*, unchanged by whichever kernels happen to ride along.
-    """
-
-    __slots__ = ("model_pickle", "kernels")
-
-    def __init__(self, model_pickle: bytes, kernels: Dict[Tuple, str]):
-        self.model_pickle = model_pickle
-        self.kernels = kernels
-
-    def __getstate__(self):
-        return (self.model_pickle, self.kernels)
-
-    def __setstate__(self, state):
-        self.model_pickle, self.kernels = state
-
-
-def model_blob(model, kernels: Optional[Mapping[Tuple, object]] = None) -> Tuple[bytes, str]:
-    """``(pickled envelope, content fingerprint)`` of a model, serialized once.
-
-    The pool executor ships the blob (not the live object) inside each
-    payload: the parent pays one ``pickle.dumps`` per distinct model and
-    per-job transfer reduces to a bytes copy, while workers deserialize a
-    given fingerprint once and ignore the model bytes afterwards.
-    ``kernels`` (frozen overrides -> generated kernel source or
-    :class:`KernelArtifact`) rides along in the envelope and is registered
-    worker-side on arrival.
+    Executors ship the blob (not the live object) inside each payload: the
+    parent pays one ``pickle.dumps`` per distinct model and per-payload
+    transfer reduces to a bytes copy, while workers deserialize a given
+    fingerprint once and ignore the model bytes afterwards.
     """
     data = pickle.dumps(model)
-    fingerprint = hashlib.sha1(data).hexdigest()
-    envelope = _ModelBlob(data, dict(kernels) if kernels else {})
-    return pickle.dumps(envelope), fingerprint
+    return data, hashlib.sha1(data).hexdigest()
 
 
 class KernelArtifact(NamedTuple):
@@ -214,7 +186,7 @@ class CompiledModelCache:
         """``(compiled, cache_hit)`` — like :meth:`get`, but reporting the hit.
 
         The flag belongs to *this* lookup, so callers keeping per-batch
-        statistics (:class:`~repro.engine.executors.BatchCacheStats`) stay
+        statistics (:class:`~repro.engine.core.BatchCacheStats`) stay
         accurate even when other threads hit the same cache concurrently —
         a delta on the global counters could not tell the batches apart.
         """
@@ -263,21 +235,11 @@ _WORKER_CACHE: Dict[Tuple, CompiledModel] = {}
 #: instance for every later payload and batch.
 _WORKER_MODELS: Dict[str, object] = {}
 
-#: Kernel artifacts (or bare sources) received inside blob envelopes, keyed
-#: on ``(fingerprint, frozen overrides)``.  Consulted by
-#: :func:`worker_compiled` so a worker's first compile of a model exec's the
-#: generated module instead of re-compiling the kinetic-law ASTs.
-_WORKER_KERNELS: Dict[Tuple[str, Tuple], object] = {}
-
-#: Blobs this worker has fully processed, as ``(fingerprint, len(blob))``
-#: pairs.  A repeat of the same blob skips deserialization entirely (the old
-#: known-fingerprint fast path); a *different* blob for a known fingerprint —
-#: e.g. a later sweep batch adding kernels for new override sets — has a
-#: different length in practice and is processed again.  A length collision
-#: only costs the worker a fallback AST compile for the unseen overrides; it
-#: can never produce wrong results.
-_WORKER_BLOBS_SEEN: Dict[Tuple[str, int], bool] = {}
-_WORKER_BLOBS_SEEN_MAX = 256
+#: Kernel artifacts received with payloads, keyed on ``(fingerprint, frozen
+#: overrides)``.  Consulted by :func:`worker_compiled` so a worker's first
+#: compile of a model exec's the generated module instead of re-compiling the
+#: kinetic-law ASTs.
+_WORKER_KERNELS: Dict[Tuple[str, Tuple], KernelArtifact] = {}
 
 _WORKER_CACHE_MAX = 64
 _WORKER_MODELS_MAX = 64
@@ -293,50 +255,29 @@ def worker_model_from_blob(fingerprint: str, blob: bytes):
     """The canonical model instance for ``fingerprint``, deserializing once.
 
     Worker-side entry point: the first payload to arrive with a given
-    fingerprint pays the inner-model ``pickle.loads``; later payloads (and
-    batches) only decode the cheap envelope, so a fingerprint unpickles and
-    compiles at most once per worker process.  Kernel sources in the envelope
-    are always registered first — a later batch may bring kernels for
-    override sets this worker has not seen, even when the model itself is
-    already known.
+    fingerprint pays the ``pickle.loads``; later payloads (and batches) reuse
+    that instance, so a fingerprint unpickles and compiles at most once per
+    worker process.
     """
-    seen_key = (fingerprint, len(blob))
     with _WORKER_MODELS_LOCK:
-        known = _WORKER_MODELS.get(fingerprint)
-        if known is not None and seen_key in _WORKER_BLOBS_SEEN:
-            # Exact repeat of an already-processed blob (the common case: one
-            # blob shared by every payload of a batch): skip deserialization
-            # entirely, as the pre-envelope fast path did.  Refresh recency
-            # (as worker_compiled does for _WORKER_CACHE): a hot fingerprint
-            # reused every batch must outlive stale ones at eviction.
-            _WORKER_MODELS.pop(fingerprint)
-            _WORKER_MODELS[fingerprint] = known
-            return known
-    envelope: _ModelBlob = pickle.loads(blob)
-    if envelope.kernels:
-        with _WORKER_MODELS_LOCK:
-            for overrides, source in envelope.kernels.items():
-                _WORKER_KERNELS.setdefault((fingerprint, overrides), source)
-            while len(_WORKER_KERNELS) > _WORKER_KERNELS_MAX:
-                _WORKER_KERNELS.pop(next(iter(_WORKER_KERNELS)))
-    with _WORKER_MODELS_LOCK:
-        _WORKER_BLOBS_SEEN[seen_key] = True
-        while len(_WORKER_BLOBS_SEEN) > _WORKER_BLOBS_SEEN_MAX:
-            _WORKER_BLOBS_SEEN.pop(next(iter(_WORKER_BLOBS_SEEN)))
-        known = _WORKER_MODELS.get(fingerprint)
+        known = _WORKER_MODELS.pop(fingerprint, None)
         if known is not None:
-            _WORKER_MODELS.pop(fingerprint)
+            # Refresh recency (as worker_compiled does for _WORKER_CACHE): a
+            # hot fingerprint reused every batch must outlive stale ones.
             _WORKER_MODELS[fingerprint] = known
             return known
-    model = pickle.loads(envelope.model_pickle)
+    model = pickle.loads(blob)
     with _WORKER_MODELS_LOCK:
         while len(_WORKER_MODELS) >= _WORKER_MODELS_MAX:
             _WORKER_MODELS.pop(next(iter(_WORKER_MODELS)))
-        _WORKER_MODELS[fingerprint] = model
-    return model
+        return _WORKER_MODELS.setdefault(fingerprint, model)
 
 
-def register_worker_kernel(fingerprint: Optional[str], overrides: Tuple, kernel) -> None:
+def register_worker_kernel(
+    fingerprint: str,
+    overrides: Tuple,
+    kernel: Optional[KernelArtifact],
+) -> None:
     """Register one job's shipped kernel for :func:`worker_compiled` (worker side).
 
     The executor attaches each payload's own ``(model, overrides)`` kernel to
@@ -344,7 +285,7 @@ def register_worker_kernel(fingerprint: Optional[str], overrides: Tuple, kernel)
     would make sweep IPC quadratic); this records it under the worker's
     ``(fingerprint, overrides)`` key.  ``None`` kernels are a no-op.
     """
-    if kernel is None or fingerprint is None:
+    if kernel is None:
         return
     key = (fingerprint, overrides)
     with _WORKER_MODELS_LOCK:
@@ -356,19 +297,18 @@ def register_worker_kernel(fingerprint: Optional[str], overrides: Tuple, kernel)
 
 def worker_compiled(
     model,
-    fingerprint: Optional[str],
+    fingerprint: str,
     overrides: Tuple[Tuple[str, float], ...] = (),
 ) -> Tuple[CompiledModel, bool]:
     """Worker-side compile with memoization on the parent-computed fingerprint.
 
     Returns ``(compiled, cache_hit)`` so the hit can be reported back to the
     parent and aggregated into the ensemble's statistics.  When the parent
-    shipped generated kernel source for this ``(fingerprint, overrides)``
-    pair, the compile exec's that source instead of re-deriving it from the
+    shipped a :class:`KernelArtifact` for this ``(fingerprint, overrides)``
+    pair, the compile exec's its bytecode (its source under another
+    interpreter's bytecode magic) instead of re-deriving the kernel from the
     model's kinetic-law ASTs — the cheap cold-start path.
     """
-    if fingerprint is None:
-        return CompiledModel(model, dict(overrides) if overrides else None), False
     key = (fingerprint, overrides)
     compiled = _WORKER_CACHE.get(key)
     if compiled is not None:
@@ -386,20 +326,17 @@ def worker_compiled(
             _WORKER_KERNELS[key] = entry
     compiled = None
     if entry is not None:
-        source = entry
         code = None
-        if isinstance(entry, tuple):  # a KernelArtifact (possibly re-pickled)
-            source = entry[0]
-            if bytes(entry[1]) == bytes(importlib.util.MAGIC_NUMBER):
-                try:
-                    code = marshal.loads(entry[2])
-                except Exception:
-                    code = None
+        if bytes(entry.magic) == bytes(importlib.util.MAGIC_NUMBER):
+            try:
+                code = marshal.loads(entry.bytecode)
+            except Exception:
+                code = None
         try:
             compiled = CompiledModel(
                 model,
                 dict(overrides) if overrides else None,
-                kernel_source=source,
+                kernel_source=entry.source,
                 kernel_code=code,
             )
         except Exception:

@@ -1,12 +1,11 @@
 """Transport-agnostic submission core of the ensemble engine.
 
-Every executor in the engine — serial, process pool, socket-distributed, and
-the asyncio facade over any of them — used to carry its own copy of the same
-orchestration logic: windowed submission (at most ``2 * capacity`` undelivered
-results in flight), ordered-vs-completion-order delivery, cancel-on-failure,
-per-batch :class:`BatchCacheStats`, and the model-blob + kernel-artifact
-payload envelope with its repeat-blob fast path.  This module is where all of
-that now lives, exactly once:
+Every executor in the engine — serial, process pool and socket-distributed —
+shares one orchestration logic: windowed submission (at most ``2 * capacity``
+undelivered results in flight), ordered-vs-completion-order delivery,
+cancel-on-failure, per-batch :class:`BatchCacheStats`, and the payload
+envelope that ships a group of jobs to a worker.  This module is where all of
+that lives, exactly once:
 
 * :class:`ExecutorBackend` — the narrow transport protocol a backend has to
   implement: ``submit(fn, payload) -> Future``, ``wait_any``, a ``capacity``,
@@ -14,19 +13,23 @@ that now lives, exactly once:
 * :func:`iter_windowed` — THE windowed submission loop.  Each backend brings
   only its transport; the window accounting, delivery buffering, progress
   hooks and cancel-on-exit semantics are identical for every transport.
-* :func:`job_payloads` / :func:`simulate_payload` — the declarative worker
-  envelope (pickled model blob keyed on a content fingerprint, plus the
-  generated propensity-kernel artifact per ``(model, overrides)`` pair) and
-  its remote entry point, shared verbatim by pool workers and socket workers
-  so both populate the same worker-side fingerprint seen-set.
+* :func:`batch_job_groups` / :func:`batch_job_payloads` /
+  :func:`simulate_batch_payload` — the one dispatch path.  Every job list
+  runs as groups of consecutive same-configuration jobs (``batch_size=1``
+  means groups of one); each group ships as one declarative payload (the
+  pickled model keyed on a content fingerprint, the generated
+  propensity-kernel artifact of its ``(model, overrides)`` pair, and the
+  group's seeds) to one remote entry point that pool workers and socket
+  workers share verbatim, and comes home as one binary trajectory frame.
+  The serial executor runs the same groups in-process instead.
 * :class:`BaseEnsembleExecutor` — the public executor surface (``iter_jobs``
-  / ``run_jobs`` / ``map`` / context-managed lifecycle) expressed once over
-  the protocol; concrete executors subclass it and implement transport only.
+  / ``map`` / context-managed lifecycle) expressed once over the protocol;
+  concrete executors subclass it and implement transport only.
 
 Determinism contract: the core never *creates* randomness.  Every job arrives
 with its seed already fanned out from the root seed, so any two backends —
-and the streamed, materialized, sync and async delivery modes — produce
-bit-identical trajectories for the same job list.
+and the streamed and materialized delivery modes — produce bit-identical
+trajectories for the same job list, at any group size.
 """
 
 from __future__ import annotations
@@ -72,16 +75,15 @@ __all__ = [
     "BaseEnsembleExecutor",
     "iter_windowed",
     "submission_window",
-    "job_payloads",
-    "simulate_payload",
     "batch_job_groups",
     "batch_job_payloads",
     "simulate_batch_payload",
 ]
 
-#: Called after each completed run.  ``executor.map`` hooks receive
-#: ``(done_count, total, payload_index)``; ``run_jobs`` / ``iter_jobs`` hooks
-#: receive ``(done_count, total, job)``.
+#: Called as work completes.  ``executor.map`` hooks receive
+#: ``(done_count, total, payload_index)`` per payload; ``iter_jobs`` hooks
+#: receive ``(done_runs, total_runs, job)`` per completed group, ``job`` being
+#: the group's last.
 ProgressHook = Callable[[int, int, Any], None]
 
 
@@ -89,12 +91,10 @@ ProgressHook = Callable[[int, int, Any], None]
 class BatchCacheStats:
     """Compiled-model cache counters of ONE batch iteration.
 
-    Each ``iter_jobs`` / ``run_jobs`` call accumulates into its own instance,
-    so concurrent batches on a shared executor (e.g. several studies run on
-    threads over one pool, as the HTTP service does) cannot clobber each
-    other's statistics.  The executor-global ``last_cache_hits`` /
-    ``last_cache_misses`` attributes survive only as a snapshot of the most
-    recently *finished* batch.
+    Each ``iter_jobs`` call accumulates into its own instance, so concurrent
+    batches on a shared executor (e.g. several studies run on threads over
+    one pool, as the HTTP service does) cannot clobber each other's
+    statistics.
     """
 
     hits: int = 0
@@ -246,104 +246,13 @@ def iter_windowed(
             future.cancel()
 
 
-def job_payloads(jobs: Sequence[SimulationJob]) -> List[Dict[str, Any]]:
-    """Declarative worker payloads, with one pickled blob per distinct model.
-
-    The blob is serialized once per distinct model and shared by every
-    payload referencing it, so per-job submission pays a bytes copy rather
-    than re-pickling the model object graph.  With the codegen backend
-    active, each payload also carries the generated propensity-kernel
-    artifact for *its own* ``(model, overrides)`` pair (not the whole batch's
-    override grid — that would make sweep IPC quadratic): the worker
-    ``exec``'s the shipped module instead of re-compiling kinetic-law ASTs on
-    its first job.  Pool workers and socket workers receive exactly this
-    envelope, so both share the fingerprint seen-set fast path.
-    """
-    ship_kernels = default_backend() == BACKEND_CODEGEN
-    blobs: Dict[int, Tuple[bytes, str]] = {}
-    kernels: Dict[Tuple[int, Tuple], Any] = {}
-    payloads = []
-    for job in jobs:
-        if isinstance(job.seed, np.random.Generator):
-            raise EngineError(
-                "jobs dispatched to worker processes need picklable seeds "
-                "(None, int or SeedSequence), not a live Generator; fan the "
-                "root seed out with repro.stochastic.fan_out_seeds first",
-            )
-        key = id(job.model)
-        if key not in blobs:
-            blobs[key] = model_blob(job.model)
-        blob, fingerprint = blobs[key]
-        frozen = job.frozen_overrides()
-        kernel = None
-        if ship_kernels:
-            kernel_key = (key, frozen)
-            if kernel_key not in kernels:
-                try:
-                    kernels[kernel_key] = kernel_artifact_for_blob(
-                        job.model,
-                        fingerprint,
-                        frozen,
-                    )
-                except Exception:
-                    # Codegen failures are not fatal at dispatch time: the
-                    # worker falls back to an AST compile, which surfaces any
-                    # real model error where it always did.
-                    kernels[kernel_key] = None
-            kernel = kernels[kernel_key]
-        payloads.append(
-            {
-                "fingerprint": fingerprint,
-                "model_blob": blob,
-                "overrides": frozen,
-                "simulator": job.simulator,
-                "t_end": job.t_end,
-                "seed": job.seed,
-                "kwargs": job.simulate_kwargs(),
-                "kernel": kernel,
-            },
-        )
-    return payloads
-
-
-def simulate_payload(payload: Dict[str, Any]) -> Tuple[Trajectory, bool]:
-    """Execute one declarative simulation payload (remote-side entry point).
-
-    The payload is a plain dict (not a :class:`SimulationJob`) so the worker
-    does not re-validate the job.  It carries the pickled model together with
-    a parent-computed content fingerprint; the worker deserializes each
-    fingerprint once, so each distinct model unpickles and compiles once per
-    worker process regardless of how many jobs or batches reference it.
-    Returns ``(trajectory, cache_hit)``; the hit flag lets the parent
-    aggregate worker-side cache statistics.  Pool workers call this through
-    pickled-by-reference function dispatch and socket workers through the
-    wire protocol — one entry point, one seen-set, one cache discipline.
-    """
-    fingerprint = payload["fingerprint"]
-    model = worker_model_from_blob(fingerprint, payload["model_blob"])
-    overrides = payload.get("overrides", ())
-    register_worker_kernel(fingerprint, overrides, payload.get("kernel"))
-    compiled, cache_hit = worker_compiled(model, fingerprint, overrides)
-    simulate = resolve_simulator(payload["simulator"])
-    trajectory = simulate(
-        compiled,
-        payload["t_end"],
-        rng=payload["seed"],
-        **payload["kwargs"],
-    )
-    return trajectory, cache_hit
-
-
-# -- batch payloads --------------------------------------------------------------
+# -- job groups ------------------------------------------------------------------
 #
-# With ``batch_size > 1`` the engine packs consecutive jobs that share one
-# simulation configuration (same model, overrides, simulator, schedule and
-# sampling) into one *batch payload*: the worker runs the B replicates one by
-# one on one compiled model and one sample grid (``repro.stochastic.batch``)
-# and returns one compact binary frame instead of B pickled trajectories.
-# Dispatch overhead and result framing are paid once per batch, which is the
-# whole point; per-replicate seeds are still fanned out by the parent, so
-# every replicate stays bit-identical to its serial ``batch_size=1`` run.
+# A group is one dispatch: the worker runs its replicates one by one on one
+# compiled model and one sample grid (``repro.stochastic.batch``) and returns
+# one compact binary frame, so dispatch overhead and result framing are paid
+# once per group.  Seeds are fanned out by the parent, so every replicate is
+# bit-identical at any group size.
 
 
 def _batch_config_key(job: SimulationJob) -> Tuple:
@@ -365,14 +274,15 @@ def _batch_config_key(job: SimulationJob) -> Tuple:
 
 
 def batch_job_groups(jobs: Sequence[SimulationJob], batch_size: int) -> List[List[int]]:
-    """Pack job indices into batches of at most ``batch_size``.
+    """Pack job indices into groups of at most ``batch_size``.
 
     Only *consecutive* jobs sharing one configuration (same model, overrides,
-    simulator, ``t_end``, schedule object, sampling and recording) batch
+    simulator, ``t_end``, schedule object, sampling and recording) group
     together — submission order, and therefore ordered delivery, is
     preserved.  A replicate fan-out becomes ``ceil(n / batch_size)`` groups
     (the remainder group is simply smaller); a parameter sweep degenerates to
-    singleton groups, which run exactly like ``batch_size=1``.
+    groups of one, as does every job list at ``batch_size=1``.  This is the
+    one place ``batch_size`` is validated.
     """
     batch_size = int(batch_size)
     if batch_size < 1:
@@ -396,22 +306,59 @@ def batch_job_payloads(
     jobs: Sequence[SimulationJob],
     groups: Sequence[Sequence[int]],
 ) -> List[Dict[str, Any]]:
-    """One declarative batch payload per group (model blob + seed list).
+    """One declarative worker payload per group: model blob, kernel and seeds.
 
-    The payload is the single-job envelope of :func:`job_payloads` with the
-    scalar ``seed`` replaced by the group's ``seeds`` list.
+    The blob is serialized once per distinct model and shared by every
+    payload referencing it, so a payload costs a bytes copy rather than a
+    re-pickle of the model object graph.  With the codegen backend active,
+    each payload also carries the generated propensity-kernel artifact for
+    *its own* ``(model, overrides)`` pair (not the whole job list's override
+    grid — that would make sweep IPC quadratic): the worker ``exec``'s the
+    shipped module instead of re-compiling kinetic-law ASTs on its first
+    group.
     """
-    for job in jobs:
-        if isinstance(job.seed, np.random.Generator):
+    ship_kernels = default_backend() == BACKEND_CODEGEN
+    blobs: Dict[int, Tuple[bytes, str]] = {}
+    kernels: Dict[Tuple[int, Tuple], Any] = {}
+    payloads = []
+    for group in groups:
+        seeds = [jobs[index].seed for index in group]
+        if any(isinstance(seed, np.random.Generator) for seed in seeds):
             raise EngineError(
                 "jobs dispatched to worker processes need picklable seeds "
                 "(None, int or SeedSequence), not a live Generator; fan the "
                 "root seed out with repro.stochastic.fan_out_seeds first",
             )
-    payloads = job_payloads([jobs[group[0]] for group in groups])
-    for payload, group in zip(payloads, groups):
-        del payload["seed"]
-        payload["seeds"] = [jobs[index].seed for index in group]
+        job = jobs[group[0]]
+        key = id(job.model)
+        if key not in blobs:
+            blobs[key] = model_blob(job.model)
+        blob, fingerprint = blobs[key]
+        frozen = job.frozen_overrides()
+        kernel = None
+        if ship_kernels:
+            kernel_key = (key, frozen)
+            if kernel_key not in kernels:
+                try:
+                    kernels[kernel_key] = kernel_artifact_for_blob(job.model, fingerprint, frozen)
+                except Exception:
+                    # Codegen failures are not fatal at dispatch time: the
+                    # worker falls back to an AST compile, which surfaces any
+                    # real model error where it always did.
+                    kernels[kernel_key] = None
+            kernel = kernels[kernel_key]
+        payloads.append(
+            {
+                "fingerprint": fingerprint,
+                "model_blob": blob,
+                "overrides": frozen,
+                "simulator": job.simulator,
+                "t_end": job.t_end,
+                "kwargs": job.simulate_kwargs(),
+                "kernel": kernel,
+                "seeds": seeds,
+            },
+        )
     return payloads
 
 
@@ -448,11 +395,10 @@ class BaseEnsembleExecutor:
     """Shared orchestration surface of every executor; transport left abstract.
 
     Subclasses implement the :class:`ExecutorBackend` protocol (``submit`` /
-    ``wait_any`` / ``capacity`` / ``open`` / ``close``) plus one hook —
-    :meth:`_job_submissions`, choosing between in-process execution and the
-    shipped payload envelope — and inherit ``iter_jobs`` / ``run_jobs`` /
-    ``map``, the context-manager lifecycle, and the per-batch statistics
-    discipline from here.  That inheritance is the refactor's point: the
+    ``wait_any`` / ``capacity`` / ``open`` / ``close``) and inherit
+    ``iter_jobs`` / ``map``, the context-manager lifecycle, and the per-batch
+    statistics discipline from here; an in-process transport also overrides
+    :meth:`_submissions`.  That inheritance is the refactor's point: the
     windowed loop exists once, in :func:`iter_windowed`, and a new transport
     cannot accidentally fork its semantics.
     """
@@ -494,40 +440,23 @@ class BaseEnsembleExecutor:
         self.close()
 
     # -- shared orchestration -------------------------------------------------------
-    def _job_submissions(
+    def _submissions(
         self,
         jobs: Sequence[SimulationJob],
+        groups: Sequence[Sequence[int]],
         cache: Optional[CompiledModelCache],
-    ) -> Tuple[Callable[[Any], Tuple[Trajectory, bool]], Sequence[Any]]:
-        """``(fn, payloads)`` executing this batch's jobs on this transport.
-
-        Remote transports ship :func:`simulate_payload` over declarative
-        :func:`job_payloads` envelopes (the default).  The serial executor
-        overrides this to run jobs in-process against the shared
-        compiled-model ``cache``.  Either way ``fn(payload)`` returns
-        ``(trajectory, cache_hit)``.
-        """
-        return simulate_payload, job_payloads(jobs)
-
-    def _batch_submissions(
-        self,
-        jobs: Sequence[SimulationJob],
-        cache: Optional[CompiledModelCache],
-        batch_size: int,
-    ) -> Tuple[Callable[[Any], Tuple[Any, bool]], Sequence[Any], List[List[int]]]:
-        """``(fn, payloads, groups)`` for a batched submission.
+    ) -> Tuple[Callable[[Any], Tuple[Any, bool]], Sequence[Any]]:
+        """``(fn, payloads)`` running one payload per group on this transport.
 
         ``fn(payload)`` returns ``(result, cache_hit)`` where the result holds
-        one trajectory per job index in the matching group.  The default ships
-        :func:`simulate_batch_payload` envelopes, whose result is one binary
-        frame; the serial executor overrides to run batches in-process against
-        the shared ``cache`` and returns the trajectory list itself.
+        one trajectory per job index of the matching group.  Remote
+        transports ship :func:`simulate_batch_payload` over
+        :func:`batch_job_payloads` envelopes (the default), whose result is one
+        binary frame; the serial executor overrides this to run each group
+        in-process against the shared compiled-model ``cache`` and returns the
+        trajectory list itself.
         """
-        groups = batch_job_groups(jobs, batch_size)
-        return simulate_batch_payload, batch_job_payloads(jobs, groups), groups
-
-    def _record_last_stats(self, stats: BatchCacheStats) -> None:
-        """Snapshot hook for the legacy ``last_cache_hits/misses`` attributes."""
+        return simulate_batch_payload, batch_job_payloads(jobs, groups)
 
     def map(
         self,
@@ -573,70 +502,34 @@ class BaseEnsembleExecutor:
         dispatched as earlier results are yielded, so the parent's peak
         trajectory memory is bounded by the window, not by ``len(jobs)``.
 
-        ``batch_size=B`` packs consecutive same-configuration jobs into
-        batch payloads of up to B replicates (see
+        Jobs run as groups of up to ``batch_size`` consecutive
+        same-configuration jobs, one dispatch per group (see
         :func:`batch_job_groups`); yielded pairs, delivery order and
-        bit-identity are unchanged — batching is purely a dispatch/transport
-        amortization, and the window counts replicates, not payloads.
+        bit-identity do not depend on the group size, and the window counts
+        runs, not dispatches.
 
         Cache hits/misses accumulate into ``batch_stats`` (this batch's own
         counter, so concurrent batches on one shared executor never clobber
-        each other); when the batch finishes — or is abandoned via generator
-        ``close()`` — its totals are snapshotted through
-        :meth:`_record_last_stats`.  ``cache`` is used only by in-process
-        transports (remote workers keep their own caches).
+        each other).  A worker reports one compile-cache flag per group (its
+        first run); the group's other runs reuse that compiled model by
+        construction and count as hits, so ``hits + misses == len(jobs)``.
+        ``cache`` is used only by in-process transports (remote workers keep
+        their own caches).
         """
         jobs = list(jobs)
         stats = batch_stats if batch_stats is not None else BatchCacheStats()
-        if not jobs:
-            return
-        size = 1 if batch_size is None else int(batch_size)
-        if size < 1:
-            raise EngineError("batch_size must be a positive integer")
-        if size > 1:
-            inner = self._iter_jobs_batched(jobs, cache, progress, ordered, stats, size)
-        else:
-            inner = self._iter_jobs_single(jobs, cache, progress, ordered, stats)
-        try:
-            yield from inner
-        finally:
-            # Legacy snapshot of the batch that finished (or was abandoned)
-            # last; concurrent batches should read their own ``batch_stats``.
-            self._record_last_stats(stats)
-
-    def _iter_jobs_single(self, jobs, cache, progress, ordered, stats):
-        """The one-payload-per-job path (``batch_size=1``; today's behaviour)."""
-        fn, payloads = self._job_submissions(jobs, cache)
-        for index, (trajectory, cache_hit) in iter_windowed(
-            self,
-            fn,
-            payloads,
-            ordered=ordered,
-            progress=progress,
-            items=jobs,
-        ):
-            stats.record(cache_hit)
-            yield index, trajectory
-
-    def _iter_jobs_batched(self, jobs, cache, progress, ordered, stats, batch_size):
-        """The batched path: one payload per group, decoded back to per-job yields.
-
-        Statistics discipline: the worker reports one compile-cache flag per
-        batch (its first replicate); the remaining ``B - 1`` replicates reuse
-        that compiled model by construction and are recorded as hits, so
-        ``hits + misses == len(jobs)`` holds exactly as at ``batch_size=1``.
-        """
-        fn, payloads, groups = self._batch_submissions(jobs, cache, batch_size)
+        groups = batch_job_groups(jobs, batch_size)
+        fn, payloads = self._submissions(jobs, groups, cache)
         hook = None
         if progress is not None:
-            total_jobs = len(jobs)
-            done_jobs = [0]
+            done_runs = 0
 
             def hook(done, total, group):
-                done_jobs[0] += len(group)
-                progress(done_jobs[0], total_jobs, jobs[group[-1]])
+                nonlocal done_runs
+                done_runs += len(group)
+                progress(done_runs, len(jobs), jobs[group[-1]])
 
-        for payload_index, (result, cache_hit) in iter_windowed(
+        for group_index, (result, cache_hit) in iter_windowed(
             self,
             fn,
             payloads,
@@ -645,7 +538,7 @@ class BaseEnsembleExecutor:
             items=groups,
             weights=[len(group) for group in groups],
         ):
-            group = groups[payload_index]
+            group = groups[group_index]
             trajectories = decode_trajectories(result) if isinstance(result, bytes) else result
             if len(trajectories) != len(group):
                 raise EngineError(
@@ -653,28 +546,5 @@ class BaseEnsembleExecutor:
                     f"for {len(group)} jobs",
                 )
             stats.record(cache_hit)
-            for _ in range(len(group) - 1):
-                stats.record(True)
+            stats.hits += len(group) - 1
             yield from zip(group, trajectories)
-
-    def run_jobs(
-        self,
-        jobs: Sequence[SimulationJob],
-        cache: Optional[CompiledModelCache] = None,
-        progress: Optional[ProgressHook] = None,
-        batch_stats: Optional[BatchCacheStats] = None,
-        batch_size: int = 1,
-    ) -> List[Trajectory]:
-        """Materialize the whole batch, in submission order."""
-        jobs = list(jobs)
-        results: List[Optional[Trajectory]] = [None] * len(jobs)
-        for index, trajectory in self.iter_jobs(
-            jobs,
-            cache=cache,
-            progress=progress,
-            ordered=False,
-            batch_stats=batch_stats,
-            batch_size=batch_size,
-        ):
-            results[index] = trajectory
-        return results

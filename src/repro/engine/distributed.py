@@ -5,10 +5,10 @@
 pickle protocol over TCP to ``genlogic worker`` processes.  It is a thin
 adapter over the engine's shared submission core — the same
 :class:`~repro.engine.core.BaseEnsembleExecutor` surface, the same windowed
-submission loop, the same declarative payload envelope (model blob keyed on a
+submission loop, the same declarative group payloads (model blob keyed on a
 content fingerprint, generated propensity-kernel artifact per ``(model,
-overrides)`` pair) and therefore the same worker-side fingerprint seen-set
-and warm-cache discipline as the process pool — so every study that accepts
+overrides)`` pair, the group's seeds) and therefore the same worker-side
+fingerprint-keyed caches as the process pool — so every study that accepts
 ``executor=`` shards across machines with no study-code changes, and results
 are bit-identical to the serial executor because seeds are fanned out before
 dispatch.
@@ -35,11 +35,11 @@ coordinator left with no workers and no way to get one fails the batch with
 
 Wire format: each frame is a 4-byte big-endian length followed by a pickled
 message dict — see :func:`send_message` / :func:`recv_message`, shared
-verbatim by :mod:`repro.engine.worker`.  Batches (``batch_size=B``) ride
-the same frames: a B-replicate result crosses the socket as one compact
+verbatim by :mod:`repro.engine.worker`.  Every job group (``batch_size=B``
+replicates, one at ``batch_size=1``) crosses the socket back as one compact
 binary trajectory frame (raw little-endian float64 blocks plus a species
-table encoded once per batch, :func:`repro.stochastic.encode_trajectories`)
-inside the result message, instead of B pickled ``Trajectory`` objects.
+table encoded once per group, :func:`repro.stochastic.encode_trajectories`)
+inside the result message, instead of pickled ``Trajectory`` objects.
 
 Liveness: the coordinator pings every link on a configurable
 ``heartbeat_interval`` and retires any worker not heard from within
@@ -98,7 +98,7 @@ from .auth import (
     resolve_key,
 )
 from .backoff import Backoff, BackoffPolicy
-from .core import BaseEnsembleExecutor, BatchCacheStats
+from .core import BaseEnsembleExecutor
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -304,9 +304,9 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
     (bind and accept dialing workers; block in :meth:`open` until
     ``min_workers`` have joined) must be given.  The executor then behaves
     like any other engine executor: a context manager with a persistent
-    transport, ``iter_jobs`` / ``run_jobs`` / ``map`` inherited from the
-    shared core, per-batch :class:`BatchCacheStats`, and submission-order
-    result delivery bit-identical to the serial executor for the same seeds.
+    transport, ``iter_jobs`` / ``map`` inherited from the shared core,
+    per-batch :class:`BatchCacheStats`, and submission-order result delivery
+    bit-identical to the serial executor for the same seeds.
     Worker processes keep their fingerprint-keyed model and kernel caches
     across batches exactly like pool workers, so a closed-and-reopened batch
     on the same fabric starts warm.
@@ -373,8 +373,6 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
         self._requeues_total = 0
         self._links_dropped = 0
         self._tasks_completed = 0
-        self.last_cache_hits = 0
-        self.last_cache_misses = 0
         self._lifecycle_lock = threading.Lock()
         self._state = threading.Condition()
         self._open = False
@@ -629,10 +627,6 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
 
     # wait_any: the base's first-completion wait (reader threads resolve the
     # futures as result frames arrive).
-
-    def _record_last_stats(self, stats: BatchCacheStats) -> None:
-        self.last_cache_hits = stats.hits
-        self.last_cache_misses = stats.misses
 
     def _dispatch_loop(self) -> None:
         """Move queued tasks onto workers with free slots (single scheduler)."""

@@ -37,19 +37,10 @@ from typing import Any, Callable, Collection, Mapping, Optional, Tuple
 
 from ..errors import EngineError
 from ..stochastic import resolve_simulator
-from ..stochastic.batch import simulate_ssa_batch
 from .cache import CompiledModelCache, default_cache
-from .core import (
-    BaseEnsembleExecutor,
-    BatchCacheStats,
-    ProgressHook,
-    batch_job_groups,
-)
-from .jobs import SimulationJob
+from .core import BaseEnsembleExecutor
 
 __all__ = [
-    "ProgressHook",
-    "BatchCacheStats",
     "SerialExecutor",
     "ProcessPoolEnsembleExecutor",
     "get_executor",
@@ -104,50 +95,29 @@ class SerialExecutor(BaseEnsembleExecutor):
         future.run()
         return (future,)
 
-    def _job_submissions(self, jobs, cache: Optional[CompiledModelCache]):
-        """Run jobs in-process against the shared compiled-model cache."""
-        chosen = cache if cache is not None else default_cache()
+    def _submissions(self, jobs, groups, cache: Optional[CompiledModelCache]):
+        """Run each group in-process: no envelopes, no result encoding.
 
-        def run(job: SimulationJob) -> Tuple[Any, bool]:
-            compiled, cache_hit = chosen.lookup(job.model, job.frozen_overrides())
-            simulate = resolve_simulator(job.simulator)
-            trajectory = simulate(
-                compiled,
-                job.t_end,
-                rng=job.seed,
-                **job.simulate_kwargs(),
-            )
-            return trajectory, cache_hit
-
-        return run, jobs
-
-    def _batch_submissions(self, jobs, cache: Optional[CompiledModelCache], batch_size: int):
-        """Run batches in-process: no envelopes, no result encoding.
-
-        The same grouping as the remote path, but each payload is just the
-        group's index list and the result is the group's trajectory list
-        itself — the serial executor gets the one-compile-per-batch win
-        without paying any transport.  Live ``Generator`` seeds are fine here
-        (nothing crosses a process boundary), exactly as at ``batch_size=1``.
+        A payload is just the group's index list and its result the group's
+        trajectory list itself.  The group's model is looked up once in the
+        shared compiled-model cache, then the job's simulator runs once per
+        seed — so a serial SSA replicate runs exactly as a direct
+        ``simulate_ssa`` call would.  Live ``Generator`` seeds are fine here:
+        nothing crosses a process boundary.
         """
         chosen = cache if cache is not None else default_cache()
-        groups = batch_job_groups(jobs, batch_size)
 
         def run(group) -> Tuple[Any, bool]:
             first = jobs[group[0]]
             compiled, cache_hit = chosen.lookup(first.model, first.frozen_overrides())
-            seeds = [jobs[index].seed for index in group]
+            simulate = resolve_simulator(first.simulator)
             kwargs = first.simulate_kwargs()
-            if first.simulator == "ssa":
-                trajectories = simulate_ssa_batch(compiled, first.t_end, seeds, **kwargs)
-            else:
-                simulate = resolve_simulator(first.simulator)
-                trajectories = [
-                    simulate(compiled, first.t_end, rng=seed, **kwargs) for seed in seeds
-                ]
+            trajectories = [
+                simulate(compiled, first.t_end, rng=jobs[index].seed, **kwargs) for index in group
+            ]
             return trajectories, cache_hit
 
-        return run, groups, groups
+        return run, groups
 
 
 class ProcessPoolEnsembleExecutor(BaseEnsembleExecutor):
@@ -166,10 +136,8 @@ class ProcessPoolEnsembleExecutor(BaseEnsembleExecutor):
     One executor may serve several concurrent batches (e.g. independent
     studies run on threads through ``asyncio.to_thread``, as the HTTP service
     does): submission is thread-safe and each batch counts its own cache
-    statistics into the :class:`BatchCacheStats` it was given.
-    ``last_cache_hits`` / ``last_cache_misses`` are kept as a snapshot of the
-    most recently *finished* batch (the parent cache is never involved in
-    pool execution).
+    statistics into the :class:`~repro.engine.core.BatchCacheStats` it was
+    given (the parent cache is never involved in pool execution).
     """
 
     name = "process-pool"
@@ -178,8 +146,6 @@ class ProcessPoolEnsembleExecutor(BaseEnsembleExecutor):
         if workers < 1:
             raise EngineError("a process-pool executor needs at least one worker")
         self.workers = int(workers)
-        self.last_cache_hits = 0
-        self.last_cache_misses = 0
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._lifecycle_lock = threading.Lock()
 
@@ -213,10 +179,6 @@ class ProcessPoolEnsembleExecutor(BaseEnsembleExecutor):
     # -- transport (wait_any: the base's first-completion wait) ----------------------
     def submit(self, fn, payload) -> concurrent.futures.Future:
         return self.open()._pool.submit(fn, payload)
-
-    def _record_last_stats(self, stats: BatchCacheStats) -> None:
-        self.last_cache_hits = stats.hits
-        self.last_cache_misses = stats.misses
 
 
 def get_executor(workers: int = 1):

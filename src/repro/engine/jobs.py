@@ -11,15 +11,15 @@ dispatch, both paths produce bit-identical trajectories.
 An :class:`EnsembleResult` pairs the submitted jobs with their trajectories
 (in submission order) and the execution statistics of the batch.
 
-Jobs are also the unit of *batching* (``batch_size=B`` on the run APIs):
+Jobs are also the unit of *grouping* (``batch_size=B`` on the run APIs):
 consecutive jobs describing the same configuration — same model object,
 frozen overrides, simulator, schedule object, horizon, sampling and
-recording choices — pack into one dispatch that runs their replicates one
-by one on one compiled model and ships one compact binary result frame
-back.  Replicate fan-outs
-built by :func:`repro.engine.replicate_jobs` satisfy that by construction;
-jobs that differ in any configuration field simply fall back to one dispatch
-each.
+recording choices — pack into groups of up to B, and each group is one
+dispatch that runs its replicates one by one on one compiled model and
+ships one compact binary result frame back.  Replicate fan-outs built by
+:func:`repro.engine.replicate_jobs` satisfy that by construction; jobs that
+differ in any configuration field form groups of one, as every job does at
+``batch_size=1``.
 """
 
 from __future__ import annotations

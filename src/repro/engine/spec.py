@@ -39,6 +39,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
@@ -46,7 +47,7 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 from ..errors import EngineError, ReproError, SimulationError
 from ..stochastic import canonical_simulator_name
 
-__all__ = ["STUDY_SPEC_SCHEMA", "StudySpec", "as_float", "frozen_overrides"]
+__all__ = ["STUDY_SPEC_SCHEMA", "StudySpec", "as_float", "as_seed", "frozen_overrides"]
 
 #: Version of the StudySpec wire schema.  Bump when a field is added,
 #: removed or changes meaning; :meth:`StudySpec.from_dict` rejects specs from
@@ -61,6 +62,28 @@ def as_float(label: str, value: Any) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise EngineError(f"{label} must be a number") from None
+
+
+def as_seed(label: str, value: Any) -> Optional[int]:
+    """``value`` as a non-negative integer seed; ``None`` stays ``None``.
+
+    Python and numpy integers and integral floats pass; a bool, a fractional
+    float, a non-number or a negative raises :class:`EngineError` naming
+    ``label`` — a seed of 1.5 must not quietly run (and be cached as) seed 1.
+    """
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise EngineError(f"{label} must be an integer or None")
+    try:
+        seed = int(value)
+    except (ValueError, OverflowError):  # NaN, infinity
+        raise EngineError(f"{label} must be an integer or None") from None
+    if seed != value:
+        raise EngineError(f"{label} must be an integer or None")
+    if seed < 0:
+        raise EngineError(f"{label} must be non-negative")
+    return seed
 
 
 def frozen_overrides(
@@ -155,17 +178,7 @@ class StudySpec:
         except SimulationError as error:
             raise EngineError(f"StudySpec.simulator: {error}") from None
         object.__setattr__(self, "overrides", frozen_overrides(self.overrides))
-        if self.seed is not None:
-            if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-                try:
-                    coerced = int(self.seed)  # numpy integers
-                except (TypeError, ValueError, OverflowError):
-                    raise EngineError("StudySpec.seed must be an integer or None") from None
-                if isinstance(self.seed, float) and self.seed != coerced:
-                    raise EngineError("StudySpec.seed must be an integer or None")
-                object.__setattr__(self, "seed", coerced)
-            if self.seed < 0:
-                raise EngineError("StudySpec.seed must be non-negative")
+        object.__setattr__(self, "seed", as_seed("StudySpec.seed", self.seed))
         for name in ("n_replicates", "repeats", "workers", "batch_size"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:

@@ -2,11 +2,11 @@
 
 A worker is the remote half of
 :class:`~repro.engine.distributed.DistributedEnsembleExecutor`: it speaks the
-same length-prefixed pickle protocol, executes the same declarative payloads
-through the same entry points as a process-pool worker
-(:func:`repro.engine.core.simulate_payload` and friends, dispatched by
+same length-prefixed pickle protocol, executes the same declarative group
+payloads through the same entry point as a process-pool worker
+(:func:`repro.engine.core.simulate_batch_payload`, dispatched by
 pickled-by-reference function name), and therefore shares the pool workers'
-cache discipline verbatim — the fingerprint-keyed model seen-set, the shipped
+cache discipline verbatim — the fingerprint-keyed model cache, the shipped
 propensity-kernel registry and the compiled-model LRU all live in this
 process's :mod:`repro.engine.cache` module state and stay warm across batches
 and across coordinators.
@@ -30,13 +30,12 @@ capacity; afterwards it answers every ``job`` frame with a ``result`` frame
 exception and traceback text) and exits the session on a ``shutdown`` frame
 or EOF.  A dedicated reader thread answers the coordinator's ``ping`` frames
 with ``pong`` *while jobs are computing*, so a busy worker never looks dead
-to the heartbeat monitor — only a wedged or unreachable one does.  Batched
-payloads (:func:`repro.engine.core.simulate_batch_payload`, dispatched at
-``batch_size > 1``) need no protocol change: the worker runs the batch
-and the ``result`` frame's value carries the replicates as one compact
-binary trajectory frame (``bytes``) instead of per-replicate pickled
-``Trajectory`` objects.  Task failures never kill the worker — only
-transport failures (and the operator's Ctrl-C) end a session.
+to the heartbeat monitor — only a wedged or unreachable one does.  Each job
+frame carries one group of replicates (one replicate at ``batch_size=1``);
+the worker runs the group and the ``result`` frame's value carries its
+replicates as one compact binary trajectory frame (``bytes``).  Task
+failures never kill the worker — only transport failures (and the
+operator's Ctrl-C) end a session.
 
 .. warning:: The handshake authenticates the peer; the frames themselves are
    still pickle, so an *authenticated* coordinator fully controls this

@@ -292,16 +292,11 @@ def run_design_search(
     any ``batch_size`` — see the module docstring for why.
     """
     spec = _as_search_spec(spec)
+    spec.check_budget()
     states = _build_states(spec)
     n = len(states)
     budget = spec.total_budget()
-    initial = spec.fixed_replicates if spec.allocator == "fixed" else spec.n0
-    if budget < n * initial:
-        raise EngineError(
-            f"budget_replicates={budget} cannot fund the initial round: "
-            f"{n} candidates x {initial} replicates = {n * initial}; raise "
-            "the budget or cap the space with max_candidates",
-        )
+    initial = spec.initial_replicates()
     analyzer = LogicAnalyzer(threshold=spec.threshold, fov_ud=spec.fov_ud)
 
     owns_executor = executor is None

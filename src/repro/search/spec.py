@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from ..engine.spec import as_float, frozen_overrides
+from ..engine.spec import as_float, as_seed, frozen_overrides
 from ..errors import EngineError, SimulationError
 from ..gates.assignment import PartAssignment, count_assignments, enumerate_assignments
 from ..gates.parts_library import LIBRARY_NAMES, PartsLibrary, resolve_library
@@ -183,15 +183,7 @@ class SearchSpec:
             if value is not None:
                 if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                     raise EngineError(f"SearchSpec.{name} must be a positive integer or None")
-        if self.seed is not None:
-            if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-                try:
-                    coerced = int(self.seed)
-                except (TypeError, ValueError, OverflowError):
-                    raise EngineError("SearchSpec.seed must be an integer or None") from None
-                object.__setattr__(self, "seed", coerced)
-            if self.seed < 0:
-                raise EngineError("SearchSpec.seed must be non-negative")
+        object.__setattr__(self, "seed", as_seed("SearchSpec.seed", self.seed))
         for name in ("threshold", "fov_ud", "hold_time", "sample_interval"):
             value = as_float(f"SearchSpec.{name}", getattr(self, name))
             object.__setattr__(self, name, value)
@@ -260,6 +252,29 @@ class SearchSpec:
         if self.budget_replicates is not None:
             return self.budget_replicates
         return self.exhaustive_replicates()
+
+    def initial_replicates(self) -> int:
+        """Replicates every candidate gets in the first round."""
+        return self.fixed_replicates if self.allocator == "fixed" else self.n0
+
+    def check_budget(self) -> None:
+        """Raise :class:`EngineError` unless the budget funds the first round.
+
+        The first round gives every candidate :meth:`initial_replicates`.
+        The check counts the space (:meth:`n_candidates`) and builds nothing,
+        so an unaffordable search is refused before any circuit exists — by
+        :func:`repro.search.run_design_search` and by the service before
+        admission.
+        """
+        n = self.n_candidates()
+        initial = self.initial_replicates()
+        budget = self.total_budget()
+        if budget < n * initial:
+            raise EngineError(
+                f"budget_replicates={budget} cannot fund the initial round: "
+                f"{n} candidates x {initial} replicates = {n * initial}; raise "
+                "the budget or cap the space with max_candidates",
+            )
 
     # -- content addressing ----------------------------------------------------
     def cache_key(self) -> str:

@@ -270,7 +270,9 @@ class AnalysisService:
         bound, one registry, one content-addressed cache (frontiers are keyed
         by :meth:`SearchSpec.cache_key`) — only the budget check differs: a
         search is charged its *total* replicate budget across the whole
-        candidate space.
+        candidate space, and a budget that cannot fund the first round is
+        malformed (:meth:`SearchSpec.check_budget`, 400) — refused before
+        anything is built or dispatched.
         """
         spec = self.parse_search_spec(data)
         budget = spec.total_budget()
@@ -282,6 +284,7 @@ class AnalysisService:
                 "per request (cap the space with max_candidates or lower "
                 "budget_replicates)",
             )
+        spec.check_budget()
         key = self._content_key(spec, from_body=not isinstance(data, SearchSpec))
         return await self._admit(spec, key, kind="search")
 

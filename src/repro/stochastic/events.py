@@ -10,6 +10,7 @@ clamping those species at segment boundaries.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
@@ -52,9 +53,12 @@ class InputSchedule:
 
     # -- construction ---------------------------------------------------------
     def add(self, time: float, settings: Mapping[str, float]) -> "InputSchedule":
-        """Add an event (returns self so calls can be chained)."""
-        self._events.append(InputEvent(time, settings))
-        self._events.sort(key=lambda e: e.time)
+        """Add an event (returns self so calls can be chained).
+
+        The event goes after every event at the same time or earlier, so
+        equal-time events keep their insertion order.
+        """
+        bisect.insort(self._events, InputEvent(time, settings), key=lambda e: e.time)
         return self
 
     def merge(self, other: "InputSchedule") -> "InputSchedule":
@@ -152,7 +156,7 @@ class InputSchedule:
             raise ExperimentError("hold_time must be positive")
         if high_amount <= low_amount:
             raise ExperimentError("high_amount must exceed low_amount")
-        schedule = cls()
+        events = []
         time = float(start_time)
         for combination in combinations:
             if len(combination) != len(input_species):
@@ -164,9 +168,9 @@ class InputSchedule:
                 sid: (high_amount if bit else low_amount)
                 for sid, bit in zip(input_species, combination)
             }
-            schedule.add(time, settings)
+            events.append(InputEvent(time, settings))
             time += hold_time
-        return schedule
+        return cls(events)
 
     def total_duration(self) -> float:
         """Time of the last event (the schedule's natural minimum duration)."""

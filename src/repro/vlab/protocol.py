@@ -133,13 +133,11 @@ def exhaustive_protocol(
     repeats: int = 1,
 ) -> StimulusProtocol:
     """All 2^n combinations in ascending binary order, ``repeats`` times."""
-    combinations = []
-    for _ in range(max(1, repeats)):
-        for index in range(2**n_inputs):
-            combinations.append(
-                tuple((index >> (n_inputs - 1 - bit)) & 1 for bit in range(n_inputs)),
-            )
-    return StimulusProtocol(n_inputs, combinations, hold_time)
+    sweep = [
+        tuple((index >> (n_inputs - 1 - bit)) & 1 for bit in range(n_inputs))
+        for index in range(2**n_inputs)
+    ]
+    return StimulusProtocol(n_inputs, sweep * max(1, repeats), hold_time)
 
 
 def gray_code_protocol(

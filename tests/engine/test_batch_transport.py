@@ -59,7 +59,7 @@ def _isolate_parent_worker_caches():
     """
     import repro.engine.cache as cache_module
 
-    names = ("_WORKER_CACHE", "_WORKER_MODELS", "_WORKER_KERNELS", "_WORKER_BLOBS_SEEN")
+    names = ("_WORKER_CACHE", "_WORKER_MODELS", "_WORKER_KERNELS")
     saved = {name: dict(getattr(cache_module, name)) for name in names}
     yield
     for name, value in saved.items():
@@ -121,7 +121,7 @@ class TestTransports:
         jobs = replicate_jobs(template, 3, seed=17)
         baseline = run_ensemble(jobs, workers=1)
         if form == "inline":
-            fn, payloads, _ = SerialExecutor()._batch_submissions(jobs, None, 3)
+            fn, payloads = SerialExecutor()._submissions(jobs, batch_job_groups(jobs, 3), None)
             trajectories, cache_hit = fn(payloads[0])
             assert isinstance(trajectories, list)
         else:

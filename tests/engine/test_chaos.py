@@ -40,7 +40,7 @@ def _isolate_parent_worker_caches():
     """
     import repro.engine.cache as cache_module
 
-    names = ("_WORKER_CACHE", "_WORKER_MODELS", "_WORKER_KERNELS", "_WORKER_BLOBS_SEEN")
+    names = ("_WORKER_CACHE", "_WORKER_MODELS", "_WORKER_KERNELS")
     saved = {name: dict(getattr(cache_module, name)) for name in names}
     yield
     for name, value in saved.items():

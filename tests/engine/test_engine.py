@@ -203,8 +203,9 @@ class TestExecutorParity:
     def test_generator_seed_rejected_by_process_pool(self, and_job):
         job = replicate_jobs(and_job, 1, seed=1)[0]
         job.seed = np.random.default_rng(1)
-        with pytest.raises(EngineError, match="picklable seeds"):
-            ProcessPoolEnsembleExecutor(2).run_jobs([job])
+        with ProcessPoolEnsembleExecutor(2) as pool:
+            with pytest.raises(EngineError, match="picklable seeds"):
+                run_ensemble([job], executor=pool)
 
     def test_get_executor_selection(self):
         assert isinstance(get_executor(1), SerialExecutor)

@@ -144,13 +144,6 @@ class TestPerIterationBatchStats:
         assert second.stats.cache_misses == 0
         assert second.stats.cache_hits == 3
 
-    def test_legacy_snapshot_reflects_last_finished_batch(self, ode_job):
-        with ProcessPoolEnsembleExecutor(1) as executor:
-            list(iter_ensemble(replicate_jobs(ode_job, 2, seed=1), executor=executor))
-            list(iter_ensemble(replicate_jobs(ode_job, 3, seed=2), executor=executor))
-            assert executor.last_cache_hits == 3
-            assert executor.last_cache_misses == 0
-
     def test_concurrent_replicate_studies_inside_one_loop(self, and_circuit):
         """The web-service shape: several studies awaited together through
         ``asyncio.to_thread`` on one shared executor, each reporting its own

@@ -1,4 +1,7 @@
-"""Compiled-propensity serialization through the worker blob cache."""
+"""Compiled-propensity serialization through the worker-side caches."""
+
+import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -38,19 +41,25 @@ def _fresh_model(sid: str):
     return model
 
 
-class TestBlobEnvelope:
+def _source_only(source: str) -> KernelArtifact:
+    """A kernel artifact a worker can only load from source: its bytecode
+    carries another interpreter's magic, as when shipped across Python builds."""
+    return KernelArtifact(source=source, magic=b"\x00\x00\x00\x00", bytecode=b"")
+
+
+class TestModelBlob:
     def test_fingerprint_is_the_model_content_hash(self):
         model = _fresh_model("blob_fp")
-        blob_plain, fp_plain = model_blob(model)
-        blob_kernels, fp_kernels = model_blob(model, {(): "source"})
-        # The fingerprint covers the model alone: attaching kernels must not
-        # shift worker-side cache keys.
-        assert fp_plain == fp_kernels == model_fingerprint(model)
-        assert blob_plain != blob_kernels
+        blob, fingerprint = model_blob(model)
+        # The blob is the model's own pickle and the fingerprint its hash, so
+        # every worker-side cache key covers the model alone; kernels travel
+        # beside the blob, one per payload.
+        assert blob == pickle.dumps(model)
+        assert fingerprint == model_fingerprint(model) == hashlib.sha1(blob).hexdigest()
 
     def test_worker_round_trips_the_model(self):
         model = _fresh_model("blob_round_trip")
-        blob, fingerprint = model_blob(model, {(): kernel_source_for(model)})
+        blob, fingerprint = model_blob(model)
         restored = worker_model_from_blob(fingerprint, blob)
         assert restored.sid == model.sid
         assert restored.reaction_ids() == model.reaction_ids()
@@ -62,7 +71,8 @@ class TestWorkerKernelExec:
     def test_worker_compiled_execs_the_shipped_source(self):
         model = _fresh_model("blob_exec")
         source = kernel_source_for(model)
-        blob, fingerprint = model_blob(model, {(): source})
+        blob, fingerprint = model_blob(model)
+        register_worker_kernel(fingerprint, (), _source_only(source))
         restored = worker_model_from_blob(fingerprint, blob)
         compiled, hit = worker_compiled(restored, fingerprint, ())
         assert not hit
@@ -74,12 +84,12 @@ class TestWorkerKernelExec:
     def test_override_kernels_are_keyed_separately(self):
         model = _fresh_model("blob_overrides")
         overrides = (("kmax", 8.0),)
-        blob, fingerprint = model_blob(
-            model,
-            {
-                (): kernel_source_for(model),
-                overrides: kernel_source_for(model, dict(overrides)),
-            },
+        blob, fingerprint = model_blob(model)
+        register_worker_kernel(fingerprint, (), _source_only(kernel_source_for(model)))
+        register_worker_kernel(
+            fingerprint,
+            overrides,
+            _source_only(kernel_source_for(model, dict(overrides))),
         )
         restored = worker_model_from_blob(fingerprint, blob)
         plain, _ = worker_compiled(restored, fingerprint, ())
@@ -95,7 +105,8 @@ class TestWorkerKernelExec:
             f"KERNEL_FORMAT = {KERNEL_FORMAT}",
             "KERNEL_FORMAT = 9999",
         )
-        blob, fingerprint = model_blob(model, {(): bogus})
+        blob, fingerprint = model_blob(model)
+        register_worker_kernel(fingerprint, (), _source_only(bogus))
         restored = worker_model_from_blob(fingerprint, blob)
         compiled, _ = worker_compiled(restored, fingerprint, ())
         # The run still works; the kernel just got rebuilt from the model.
@@ -128,7 +139,8 @@ class TestWorkerKernelExec:
         fingerprint = model_fingerprint(model)
         artifact = kernel_artifact_for_blob(model, fingerprint, ())
         assert isinstance(artifact, KernelArtifact)
-        blob, _ = model_blob(model, {(): artifact})
+        blob, _ = model_blob(model)
+        register_worker_kernel(fingerprint, (), artifact)
         restored = worker_model_from_blob(fingerprint, blob)
         compiled, _ = worker_compiled(restored, fingerprint, ())
         assert compiled.kernel is not None
@@ -139,7 +151,8 @@ class TestWorkerKernelExec:
         fingerprint = model_fingerprint(model)
         source = kernel_source_for(model)
         alien = KernelArtifact(source=source, magic=b"\x00\x00\x00\x00", bytecode=b"junk")
-        blob, _ = model_blob(model, {(): alien})
+        blob, _ = model_blob(model)
+        register_worker_kernel(fingerprint, (), alien)
         restored = worker_model_from_blob(fingerprint, blob)
         compiled, _ = worker_compiled(restored, fingerprint, ())
         # The bytecode is ignored (wrong interpreter magic) but the source

@@ -255,7 +255,18 @@ class TestExecutorLifecycle:
         so the transition batch runs entirely on warm worker caches."""
         from repro.vlab import estimate_propagation_delay
 
-        with ProcessPoolEnsembleExecutor(1) as executor:
+        class StatsRecordingPool(ProcessPoolEnsembleExecutor):
+            """A pool that keeps the BatchCacheStats of every batch it runs."""
+
+            def __init__(self, workers):
+                super().__init__(workers)
+                self.batch_stats = []
+
+            def iter_jobs(self, jobs, *args, batch_stats=None, **kwargs):
+                self.batch_stats.append(batch_stats)
+                return super().iter_jobs(jobs, *args, batch_stats=batch_stats, **kwargs)
+
+        with StatsRecordingPool(1) as executor:
             analysis = estimate_propagation_delay(
                 and_circuit.model,
                 and_circuit.inputs,
@@ -271,8 +282,9 @@ class TestExecutorLifecycle:
         assert analysis.delays
         # Worker-side statistics of the *last* batch (the transitions): the
         # settle batch already compiled the model in the pool's single worker.
-        assert executor.last_cache_misses == 0
-        assert executor.last_cache_hits == len(analysis.delays)
+        transitions = executor.batch_stats[-1]
+        assert transitions.misses == 0
+        assert transitions.hits == len(analysis.delays)
 
     def test_propagation_delay_matches_serial_with_shared_pool(self, and_circuit):
         from repro.vlab import estimate_propagation_delay

@@ -10,8 +10,10 @@ import json
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,33 @@ class TestCanonicalization:
         body = json.dumps({"circuit": "and", "seed": 1, field: value})
         with pytest.raises(EngineError, match=f"{field} must be positive and finite"):
             StudySpec.from_json(body)
+
+    @pytest.mark.parametrize("value", [7, np.int64(7), 7.0, np.float64(7.0)])
+    def test_integral_seeds_accepted(self, value):
+        spec = StudySpec(circuit="and", seed=value)
+        assert spec.seed == 7 and type(spec.seed) is int
+        assert StudySpec.from_json(json.dumps({"circuit": "and", "seed": float(value)})) == spec
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (1.5, "must be an integer"),
+            (True, "must be an integer"),
+            (np.bool_(True), "must be an integer"),
+            ("7", "must be an integer"),
+            ([7], "must be an integer"),
+            (float("nan"), "must be an integer"),
+            (-1, "must be non-negative"),
+        ],
+    )
+    def test_malformed_seeds_rejected(self, value, message):
+        with pytest.raises(EngineError, match=f"StudySpec.seed {message}"):
+            StudySpec(circuit="and", seed=value)
+
+    @pytest.mark.parametrize("seed", ["1.5", "true", "-2"])
+    def test_malformed_json_seeds_rejected(self, seed):
+        with pytest.raises(EngineError, match="StudySpec.seed"):
+            StudySpec.from_json(f'{{"circuit": "and", "seed": {seed}}}')
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_overrides_rejected(self, value):
@@ -195,6 +224,25 @@ class TestCacheKeyStability:
         key = spec.cache_key()
         assert StudySpec.from_json(spec.to_json()).cache_key() == key
         assert pickle.loads(pickle.dumps(spec)).cache_key() == key
+
+    def test_pinned_key_of_a_repeated_protocol(self):
+        """A key persisted by an earlier release still names the same study."""
+        key = "009626d099a5d51ea82279107f5fa67ccbc1aba31877a6825c7f11bace25286b"
+        assert StudySpec(circuit="0x0B", seed=1, repeats=3).cache_key() == key
+
+    def test_long_protocol_keys_in_linear_time(self):
+        """The service keys every seeded body on its event loop: 8,000 input
+        events (0x0B at repeats=1000) must not stall it.  Best of three, so
+        one scheduler hiccup cannot fail it; a quadratic schedule build takes
+        over a second every time."""
+        spec = StudySpec(circuit="0x0B", seed=1, repeats=1000)
+        spec.resolve_circuit()
+        timings = []
+        for _ in range(3):
+            start = time.perf_counter()
+            spec.cache_key()
+            timings.append(time.perf_counter() - start)
+        assert min(timings) < 0.1, timings
 
     def test_unseeded_spec_has_no_key(self):
         with pytest.raises(EngineError, match="seed"):

@@ -23,6 +23,7 @@ from repro.engine import (
 )
 from repro.errors import EngineError
 from repro.search import SearchSpec, run_design_search
+from repro.search import engine as search_engine
 
 
 def small_spec(**overrides):
@@ -137,6 +138,29 @@ class TestAllocators:
     def test_budget_too_small_for_initial_round(self):
         with pytest.raises(EngineError):
             run_design_search(small_spec(budget_replicates=11))  # needs 6 x 2
+
+    def test_unaffordable_search_builds_nothing(self, monkeypatch):
+        """The budget is checked against the counted space before any
+        circuit is built: this space holds 17,160 candidates."""
+        built = []
+        build_circuit = search_engine.build_circuit
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return build_circuit(*args, **kwargs)
+
+        monkeypatch.setattr(search_engine, "build_circuit", counting)
+        for max_candidates in (600, None):
+            spec = SearchSpec(
+                function="0x0B",
+                library="default",
+                seed=1,
+                budget_replicates=10,
+                max_candidates=max_candidates,
+            )
+            with pytest.raises(EngineError, match="cannot fund the initial round"):
+                run_design_search(spec)
+        assert built == []
 
 
 class TestAcceptance:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -82,6 +83,32 @@ class TestValidation:
         with pytest.raises(EngineError):
             make_spec(n0=5, fixed_replicates=3)
 
+    @pytest.mark.parametrize("value", [7, np.int64(7), 7.0])
+    def test_integral_seeds_accepted(self, value):
+        spec = make_spec(seed=value)
+        assert spec.seed == 7 and type(spec.seed) is int
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (1.5, "must be an integer"),
+            (True, "must be an integer"),
+            ("7", "must be an integer"),
+            (float("inf"), "must be an integer"),
+            (-1, "must be non-negative"),
+        ],
+    )
+    def test_malformed_seeds_rejected(self, value, message):
+        with pytest.raises(EngineError, match=f"SearchSpec.seed {message}"):
+            make_spec(seed=value)
+
+    @pytest.mark.parametrize("seed", ["1.5", "true"])
+    def test_malformed_json_seeds_rejected(self, seed):
+        """A fractional seed must not parse as (and share the cache key of)
+        seed 1."""
+        with pytest.raises(EngineError, match="SearchSpec.seed"):
+            SearchSpec.from_json(f'{{"function": "0x8", "seed": {seed}}}')
+
     def test_bool_not_accepted_as_count(self):
         with pytest.raises(EngineError):
             make_spec(top_k=True)
@@ -136,6 +163,15 @@ class TestSpace:
         assert spec.exhaustive_replicates() == 40
         assert spec.total_budget() == 40
         assert make_spec(max_candidates=10, budget_replicates=25).total_budget() == 25
+
+    def test_budget_must_fund_the_first_round(self):
+        make_spec(max_candidates=10, budget_replicates=30).check_budget()  # 10 x n0=3
+        with pytest.raises(EngineError, match="cannot fund the initial round"):
+            make_spec(max_candidates=10, budget_replicates=29).check_budget()
+        fixed = make_spec(max_candidates=10, allocator="fixed", budget_replicates=99)
+        with pytest.raises(EngineError, match="10 candidates x 10 replicates"):
+            fixed.check_budget()
+        make_spec(max_candidates=10).check_budget()  # the exhaustive total
 
     def test_candidates_carry_variant_overrides(self):
         spec = make_spec(variants=((), (("kd_YFP", 0.2),)), max_candidates=4)

@@ -337,6 +337,18 @@ class TestSearchSubmission:
         with pytest.raises(BudgetError, match="at most 7"):
             asyncio.run(_go())
 
+    def test_unaffordable_search_is_refused_before_admission(self):
+        """A budget that cannot fund the first round is a malformed request:
+        refused while counting the space, with no record and no dispatch."""
+        runner = _StubSearchRunner()
+        service = AnalysisService(runner=_StubRunner(), search_runner=runner)
+        spec = SearchSpec(function="0x0B", library="default", seed=1, budget_replicates=10)
+        with pytest.raises(EngineError, match="cannot fund the initial round"):
+            asyncio.run(service.submit_search(spec.to_json()))
+        assert runner.calls == 0
+        assert service._records == {}
+        assert service.stats()["studies"]["submitted"] == 0
+
     def test_searches_and_studies_share_the_inflight_bound(self):
         study_runner = _StubRunner(blocking=True)
 
@@ -605,8 +617,15 @@ class TestHttpService:
             ("/v1/studies", {"circuit": "0x1E1E", "seed": 1}, "out of range for 3 inputs"),
             ("/v1/studies", b"\xff\xfe{", "JSON"),
             ("/v1/studies", dict(_spec().to_dict(), analysis_jobs=2), "analysis_jobs"),
+            ("/v1/studies", {"circuit": "and", "seed": True}, "seed"),
             ("/v1/search", dict(_search_spec().to_dict(), threshold="abc"), "threshold"),
             ("/v1/search", b"\xff\xfe{", "JSON"),
+            ("/v1/search", {"function": "0x8", "seed": 1.5}, "seed"),
+            (
+                "/v1/search",
+                {"function": "0x0B", "library": "default", "seed": 1, "budget_replicates": 10},
+                "cannot fund the initial round",
+            ),
         ],
         ids=[
             "non-number",
@@ -617,8 +636,11 @@ class TestHttpService:
             "out-of-range-circuit",
             "not-utf8",
             "schema-1-field",
+            "bool-seed",
             "search-non-number",
             "search-not-utf8",
+            "search-fractional-seed",
+            "search-unaffordable",
         ],
     )
     def test_malformed_body_maps_to_400(self, path, body, field):

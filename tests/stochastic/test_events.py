@@ -22,6 +22,26 @@ class TestSchedule:
         schedule = InputSchedule().add(5.0, {"A": 1.0}).add(1.0, {"A": 2.0})
         assert [e.time for e in schedule] == [1.0, 5.0]
 
+    def test_equal_time_events_keep_insertion_order(self):
+        """Each add lands after every event at its time or earlier: the order
+        a stable append-then-sort gives, which later same-time clamps rely on
+        to win."""
+        added = [
+            (10.0, {"A": 1.0}),
+            (0.0, {"B": 2.0}),
+            (10.0, {"A": 3.0}),
+            (5.0, {"C": 1.0}),
+            (10.0, {"B": 0.0}),
+            (0.0, {"B": 4.0}),
+        ]
+        schedule = InputSchedule()
+        for time, settings in added:
+            schedule.add(time, settings)
+        expected = sorted(added, key=lambda event: event[0])
+        assert [(e.time, e.settings) for e in schedule] == expected
+        assert schedule.value_at("A", 10.0) == 3.0
+        assert schedule.value_at("B", 0.0) == 4.0
+
     def test_species_first_use_order(self):
         schedule = InputSchedule().add(0.0, {"B": 1.0}).add(1.0, {"A": 2.0, "B": 0.0})
         assert schedule.species == ["B", "A"]
