@@ -14,7 +14,8 @@ in **events per second**, asserting the ≥3x codegen speedup on the
 Cello-scale model.  It also measures worker cold start: building a
 ``CompiledModel`` from a source+bytecode kernel blob (what a pool worker
 does when the ensemble engine ships it a model) versus recompiling the
-kinetic-law ASTs from scratch.  All numbers land in ``extra_info`` of the
+kinetic-law ASTs from scratch, and reports the kernel build time of each
+circuit of the paper's Section III table.  All numbers land in ``extra_info`` of the
 pytest-benchmark JSON so CI can track the perf trajectory across PRs.
 
 The two backends are compared on the same host within one test, so the
@@ -31,7 +32,8 @@ import pytest
 from conftest import check_wallclock
 from repro.engine import StudySpec
 from repro.engine.cache import kernel_artifact_for_blob, model_fingerprint
-from repro.gates import and_gate_circuit, cello_circuit
+from repro.gates import and_gate_circuit, cello_circuit, resolve_circuit
+from repro.gates.cello import CELLO_CIRCUIT_NAMES
 from repro.sbml import Model
 from repro.stochastic import (
     BACKEND_CODEGEN,
@@ -51,6 +53,9 @@ T_END_CELLO = 15.0
 
 #: Hold time of the short-segment case: four segments of ~250 events.
 SHORT_HOLD = 30.0
+
+#: The paper's Section III table: five textbook gates and ten Cello circuits.
+SUITE_CIRCUITS = ("not", "and", "or", "nand", "nor", *CELLO_CIRCUIT_NAMES)
 
 #: The ≥3x acceptance bar for codegen vs interpreted events/sec on the
 #: Cello-scale model (measured ~4x on the development host).
@@ -155,6 +160,29 @@ def test_kernel_events_per_sec_cello_scale(benchmark, cello_scale_model):
         f"codegen kernel is only {speedup:.2f}x the interpreted path "
         f"({codegen_eps:,.0f} vs {interp_eps:,.0f} events/sec); expected ≥{MIN_CELLO_SPEEDUP}x",
     )
+
+
+def test_kernel_build_ms_suite_circuits(benchmark):
+    """Report only: the kernel build of each of the 15 Section III circuits.
+
+    A build is what a study pays on a compiled-model cache miss: model
+    tables, kernel generation and the byte-compilation of what loading runs.
+    Best of five per circuit, in ms, lands in ``extra_info``; nothing is
+    asserted about the time.
+    """
+    models = {name: resolve_circuit(name).model for name in SUITE_CIRCUITS}
+    best = dict.fromkeys(models, float("inf"))
+    for _ in range(5):
+        for name, model in models.items():
+            start = time.perf_counter()
+            CompiledModel(model, backend=BACKEND_CODEGEN)
+            best[name] = min(best[name], time.perf_counter() - start)
+
+    builds = benchmark(lambda: [CompiledModel(m, backend=BACKEND_CODEGEN) for m in models.values()])
+    assert all(build.kernel is not None for build in builds)
+    for name, seconds in best.items():
+        benchmark.extra_info[f"build_ms_{name}"] = round(seconds * 1e3, 3)
+    benchmark.extra_info["build_ms_total"] = round(sum(best.values()) * 1e3, 2)
 
 
 def test_worker_cold_start_blob_exec_vs_ast_recompile(benchmark, cello_scale_model):

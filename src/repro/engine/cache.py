@@ -1,27 +1,30 @@
 """Compiled-model caching for the ensemble engine.
 
-Compiling a :class:`repro.sbml.Model` into a :class:`CompiledModel` (parsing
-kinetic laws, building the dependency graph) costs far more than a short SSA
+Compiling a :class:`repro.sbml.Model` into a :class:`CompiledModel`
+(generating and byte-compiling its kernel) costs far more than a short SSA
 run, and every multi-run study used to pay it once *per run*.  The engine
-pays it once per distinct ``(model identity, frozen parameter overrides)``
-pair instead:
+pays it once per distinct ``(model content, frozen parameter overrides)``
+pair instead, with one keying rule in every process:
+``(model_fingerprint(model), overrides)``, the SHA-1 of the model's pickle.
 
 * in-process (serial executor and single runs), :class:`CompiledModelCache`
-  keys on the model's ``id()`` plus a cheap fingerprint of its mutable state
-  (initial amounts, parameter values, boundary flags) so an in-place edit such
-  as ``model.set_initial_amount(...)`` correctly invalidates the entry;
+  keys on it, so two builds of one circuit share an entry and an in-place
+  edit such as ``model.set_initial_amount(...)`` keys the edited model apart;
 * in worker processes (where every unpickled model is a fresh object),
-  :func:`worker_compiled` keys on a content fingerprint computed once in the
+  :func:`worker_compiled` keys on the fingerprint computed once in the
   parent, so each worker compiles each distinct model once, not once per job.
 
 Compiled-propensity serialization: alongside the pickled-model blob, each
 worker payload carries the **generated propensity kernel** (a
-:class:`KernelArtifact`: source plus marshalled bytecode) for its own
+:class:`KernelArtifact`: source plus the marshalled bytecode of what loading
+a kernel compiles, its preamble and ``ssa_segment``) for its own
 ``(model, overrides)`` pair — attached per payload rather than per blob so
 sweep IPC stays linear in the number of jobs (see
 :mod:`repro.stochastic.codegen`).  A worker's first compile of a model then
-``exec``'s one shipped module instead of re-parsing and re-compiling every
-kinetic-law AST — the parent generates and byte-compiles each kernel once
+``exec``'s shipped code instead of re-parsing and re-compiling every
+kinetic-law AST, and compiles any other part (``propensities_all``,
+``propensities_after``) from the shipped source if a simulator asks for it.
+The parent generates and byte-compiles each kernel once
 (:func:`kernel_artifact_for_blob`, content-memoized) and every worker reuses
 it, which is what makes ``workers=N`` cold starts cheap on big Cello
 circuits.  The blob itself is the model's own pickle, so its content
@@ -74,10 +77,12 @@ def model_blob(model) -> Tuple[bytes, str]:
 class KernelArtifact(NamedTuple):
     """A shippable compiled-propensity kernel.
 
-    ``bytecode`` is the marshalled code object of ``source``, tagged with the
+    ``bytecode`` is the marshalled :func:`~repro.stochastic.codegen.compile_kernel`
+    result for ``source`` (its preamble and ``ssa_segment``), tagged with the
     interpreter's bytecode ``magic`` so a worker only reuses it when it runs
     the same Python build (always true for a process pool; the source is the
-    portable fallback for everything else).
+    portable fallback for everything else, and the source of the parts
+    compiled on demand).
     """
 
     source: str
@@ -123,24 +128,15 @@ def kernel_artifact_for_blob(model, fingerprint: str, overrides: Tuple = ()) -> 
     return artifact
 
 
-def _state_token(model) -> Tuple:
-    """Cheap token over the model state that can change without re-`id`-ing.
-
-    Kinetic-law ASTs are treated as immutable per model object (nothing in the
-    package rewrites them in place); initial amounts, boundary/constant flags
-    and parameter values *are* edited in place by tests and benchmarks, so
-    they participate in the cache key.
-    """
-    species = tuple(
-        (sid, s.initial_amount, s.boundary_condition, s.constant)
-        for sid, s in model.species.items()
-    )
-    parameters = tuple(sorted(model.parameter_values().items()))
-    return (species, parameters, len(model.reactions))
-
-
 class CompiledModelCache:
     """An LRU cache of :class:`CompiledModel` objects with hit/miss counters.
+
+    Entries are keyed on ``(model_fingerprint(model), overrides)``, the rule
+    :func:`worker_compiled` uses in worker processes: two builds of one
+    circuit share an entry, and an in-place edit changes the fingerprint, so
+    the edited model compiles afresh.  An entry's ``compiled.model`` is the
+    object it was first built from; callers of a hit must not read it (it
+    may have been edited since), and the simulators never do.
 
     Lookups are serialized by an internal lock: the shared process-wide cache
     is reachable from several threads at once (concurrent serial studies run
@@ -152,7 +148,7 @@ class CompiledModelCache:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple, Tuple[object, CompiledModel]]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[str, Tuple], CompiledModel]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -171,41 +167,41 @@ class CompiledModelCache:
         model,
         overrides: Tuple[Tuple[str, float], ...] = (),
     ) -> CompiledModel:
-        """The compiled form of ``model`` under ``overrides`` (compiling on miss).
-
-        The cached entry keeps a strong reference to the source model, so the
-        ``id()`` in the key cannot be recycled while the entry is alive.
-        """
+        """The compiled form of ``model`` under ``overrides`` (compiling on miss)."""
         return self.lookup(model, overrides)[0]
 
     def lookup(
         self,
         model,
         overrides: Tuple[Tuple[str, float], ...] = (),
+        fingerprint: Optional[str] = None,
     ) -> Tuple[CompiledModel, bool]:
         """``(compiled, cache_hit)`` — like :meth:`get`, but reporting the hit.
 
-        The flag belongs to *this* lookup, so callers keeping per-batch
-        statistics (:class:`~repro.engine.core.BatchCacheStats`) stay
-        accurate even when other threads hit the same cache concurrently —
-        a delta on the global counters could not tell the batches apart.
+        ``fingerprint`` is ``model_fingerprint(model)`` when the caller has
+        it already (an executor fingerprints each model object once per job
+        list).  The flag belongs to *this* lookup, so callers keeping
+        per-batch statistics (:class:`~repro.engine.core.BatchCacheStats`)
+        stay accurate even when other threads hit the same cache
+        concurrently — a delta on the global counters could not tell the
+        batches apart.
         """
         if isinstance(model, CompiledModel):
             if not overrides:
                 return model, False
             # Overrides cannot be applied to an already-compiled model;
             # recompile (with caching) from its source model instead.
-            model = model.model
-        key = (id(model), _state_token(model), overrides)
+            model, fingerprint = model.model, None
+        key = (fingerprint or model_fingerprint(model), overrides)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            compiled = self._entries.get(key)
+            if compiled is not None:
                 self.hits += 1
                 self._entries.move_to_end(key)
-                return entry[1], True
+                return compiled, True
             self.misses += 1
             compiled = CompiledModel(model, dict(overrides) if overrides else None)
-            self._entries[key] = (model, compiled)
+            self._entries[key] = compiled
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
             return compiled, False

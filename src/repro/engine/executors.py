@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import concurrent.futures
 import threading
-from typing import Any, Callable, Collection, Mapping, Optional, Tuple
+from typing import Any, Callable, Collection, Dict, Mapping, Optional, Tuple
 
 from ..errors import EngineError
-from ..stochastic import resolve_simulator
-from .cache import CompiledModelCache, default_cache
+from ..stochastic import CompiledModel, resolve_simulator
+from .cache import CompiledModelCache, default_cache, model_fingerprint
 from .core import BaseEnsembleExecutor
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "ProcessPoolEnsembleExecutor",
     "get_executor",
 ]
+
 
 class _DeferredCall(concurrent.futures.Future):
     """A future whose work runs lazily, when the serial transport waits on it.
@@ -102,14 +103,26 @@ class SerialExecutor(BaseEnsembleExecutor):
         trajectory list itself.  The group's model is looked up once in the
         shared compiled-model cache, then the job's simulator runs once per
         seed — so a serial SSA replicate runs exactly as a direct
-        ``simulate_ssa`` call would.  Live ``Generator`` seeds are fine here:
-        nothing crosses a process boundary.
+        ``simulate_ssa`` call would.  Each distinct model object of the job
+        list is fingerprinted once, as
+        :func:`~repro.engine.core.batch_job_payloads` does for
+        remote payloads.  Live ``Generator`` seeds are fine here: nothing
+        crosses a process boundary.
         """
         chosen = cache if cache is not None else default_cache()
+        fingerprints: Dict[int, Optional[str]] = {}
 
         def run(group) -> Tuple[Any, bool]:
             first = jobs[group[0]]
-            compiled, cache_hit = chosen.lookup(first.model, first.frozen_overrides())
+            model = first.model
+            if id(model) not in fingerprints:
+                # A compiled model is its own entry and needs no fingerprint.
+                fingerprints[id(model)] = (
+                    None if isinstance(model, CompiledModel) else model_fingerprint(model)
+                )
+            compiled, cache_hit = chosen.lookup(
+                model, first.frozen_overrides(), fingerprints[id(model)]
+            )
             simulate = resolve_simulator(first.simulator)
             kwargs = first.simulate_kwargs()
             trajectories = [

@@ -47,13 +47,25 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 from ..errors import EngineError, ReproError, SimulationError
 from ..stochastic import canonical_simulator_name
 
-__all__ = ["STUDY_SPEC_SCHEMA", "StudySpec", "as_float", "as_seed", "frozen_overrides"]
+__all__ = [
+    "MAX_STUDY_SAMPLES",
+    "STUDY_SPEC_SCHEMA",
+    "StudySpec",
+    "as_float",
+    "as_seed",
+    "frozen_overrides",
+]
 
 #: Version of the StudySpec wire schema.  Bump when a field is added,
 #: removed or changes meaning; :meth:`StudySpec.from_dict` rejects specs from
 #: a *newer* schema instead of silently dropping fields it does not know.
 #: Schema 2 dropped the analysis fan-out knob of schema 1.
 STUDY_SPEC_SCHEMA = 2
+
+#: Samples a study may ask for, summed over its replicates:
+#: :meth:`StudySpec.check_cost` refuses more.  Each sample of a replicate
+#: is one state row, so this bounds what a worker records and ships.
+MAX_STUDY_SAMPLES = 10_000_000
 
 
 def as_float(label: str, value: Any) -> float:
@@ -264,6 +276,38 @@ class StudySpec:
             repeats=self.repeats,
             overrides=dict(self.overrides) if self.overrides else None,
         )
+
+    # -- cost ------------------------------------------------------------------
+    def check_cost(self) -> None:
+        """Raise :class:`EngineError` when the study asks for more than
+        :data:`MAX_STUDY_SAMPLES` samples over all its replicates.
+
+        Counted from the protocol alone, before any circuit or schedule is
+        built: a replicate holds each of ``2**n`` input combinations
+        ``hold_time`` long, ``repeats`` times, and records a sample every
+        ``sample_interval``.  ``n`` is the attached circuit's input count or,
+        for a name, the most inputs a named circuit takes (a Cello circuit's
+        three), so the count bounds the study's own.  The service checks it
+        before computing any key.
+        """
+        attached = self.__dict__.get("_circuit")
+        if attached is not None:
+            n_inputs = attached.n_inputs
+        else:
+            from ..gates.cello import CELLO_INPUT_SPECIES
+
+            n_inputs = len(CELLO_INPUT_SPECIES)
+        try:
+            per_replicate = 2**n_inputs * self.repeats * self.hold_time / self.sample_interval + 1
+            samples = per_replicate * self.n_replicates
+        except OverflowError:  # an integer field beyond float range
+            samples = math.inf
+        if samples > MAX_STUDY_SAMPLES:
+            raise EngineError(
+                f"the study asks for about {samples:.3g} samples over its replicates; "
+                f"at most {MAX_STUDY_SAMPLES} are accepted (lower n_replicates, "
+                "hold_time or repeats, or raise sample_interval)",
+            )
 
     # -- content addressing ----------------------------------------------------
     def cache_key(self) -> str:

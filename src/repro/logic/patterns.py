@@ -11,6 +11,7 @@ gate families.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .truthtable import TruthTable
@@ -114,6 +115,30 @@ def gate_truth_table(name: str, inputs: Sequence[str]) -> TruthTable:
     return TruthTable.from_function(fn, inputs)
 
 
+@functools.lru_cache(maxsize=None)
+def _candidate_columns(n_inputs: int) -> Tuple[Tuple[str, Optional[int], Tuple[int, ...]], ...]:
+    """``(family, input position, output column)`` for every candidate
+    :func:`identify_gate` tries on an ``n_inputs``-input table, in its order.
+
+    The columns depend only on the input count, so each is built once: the
+    families in recognition order, then, for a multi-input table, BUF and
+    NOT of each input (position set) in place of the families' BUF and NOT.
+    """
+    rows = [TruthTable.combination_bits(index, n_inputs) for index in range(2**n_inputs)]
+    candidates = []
+    for name in _RECOGNITION_ORDER:
+        fn, minimum_inputs = GATE_FAMILIES[name]
+        if n_inputs < minimum_inputs or (name in ("BUF", "NOT") and n_inputs > 1):
+            continue
+        candidates.append((name, None, tuple(int(bool(fn(*bits))) for bits in rows)))
+    if n_inputs > 1:
+        for position in range(n_inputs):
+            column = tuple(bits[position] for bits in rows)
+            candidates.append(("BUF", position, column))
+            candidates.append(("NOT", position, tuple(1 - bit for bit in column)))
+    return tuple(candidates)
+
+
 def identify_gate(table: TruthTable) -> Optional[str]:
     """Name of the gate family matching ``table``, or None.
 
@@ -121,29 +146,10 @@ def identify_gate(table: TruthTable) -> Optional[str]:
     specific input of a multi-input table are reported with the input index,
     e.g. ``"BUF(in2)"``.
     """
-    for name in _RECOGNITION_ORDER:
-        fn, minimum_inputs = GATE_FAMILIES[name]
-        if table.n_inputs < minimum_inputs:
-            continue
-        if name in ("BUF", "NOT") and table.n_inputs > 1:
-            continue  # handled below with explicit input attribution
-        candidate = TruthTable.from_function(fn, table.inputs)
-        if candidate.outputs == table.outputs:
-            return name
-
-    # Single-input dependence of a multi-input table: BUF/NOT of one input.
-    if table.n_inputs > 1:
-        for position, input_name in enumerate(table.inputs):
-            buffer_outputs = []
-            not_outputs = []
-            for index in range(table.n_rows):
-                bit = TruthTable.combination_bits(index, table.n_inputs)[position]
-                buffer_outputs.append(bit)
-                not_outputs.append(1 - bit)
-            if table.outputs == buffer_outputs:
-                return f"BUF({input_name})"
-            if table.outputs == not_outputs:
-                return f"NOT({input_name})"
+    outputs = tuple(table.outputs)
+    for name, position, column in _candidate_columns(table.n_inputs):
+        if column == outputs:
+            return name if position is None else f"{name}({table.inputs[position]})"
     return None
 
 

@@ -246,9 +246,11 @@ class AnalysisService:
         """Admit one study: cache hit, coalesce, or dispatch.
 
         Returns the (possibly already-done) :class:`StudyRecord`.  Raises
-        :class:`~repro.errors.EngineError` for a malformed spec,
-        :class:`BudgetError` over the replicate budget and
-        :class:`BackpressureError` when the in-flight bound is saturated.
+        :class:`~repro.errors.EngineError` for a malformed spec or one that
+        asks for more samples than :meth:`StudySpec.check_cost` allows
+        (checked before the key is computed), :class:`BudgetError` over the
+        replicate budget and :class:`BackpressureError` when the in-flight
+        bound is saturated.
         """
         spec = self.parse_spec(data)
         if spec.n_replicates > self.max_replicates:
@@ -257,6 +259,7 @@ class AnalysisService:
                 f"spec asks for {spec.n_replicates} replicates; this service "
                 f"accepts at most {self.max_replicates} per request",
             )
+        spec.check_cost()
         key = self._content_key(spec, from_body=not isinstance(data, StudySpec))
         return await self._admit(spec, key, kind="study")
 

@@ -5,23 +5,34 @@ The interpreted path (:class:`~repro.stochastic.propensity.CompiledModel` with
 function per reaction, paying Python call overhead, argument unpacking and
 constant-dictionary lookups *R* times per evaluation, and the direct-method
 loop around it pays a handful of numpy calls per event.  This module instead
-emits **one generated Python module per model** containing three functions:
+emits **one generated Python module per model**: a preamble (the model's
+shape, its ``DEPENDENTS`` table and the ``_clamp``/``_exceeded`` helpers) and
+three parts, each opened by a ``# part: NAME`` line:
 
-* ``propensities_all(state, out)`` — the full propensity vector with every
-  constant folded to a literal and direct ``state[i]`` indexing (no
-  per-reaction call, no tuple unpacking);
-* ``propensities_after(r, state, out)`` — recompute only the reactions that
-  depend on species changed by reaction ``r`` (the Gibson–Bruck update);
 * ``ssa_segment(state, t, t_stop, generator, recorder, events, max_events)``
   — the whole direct-method loop (Gillespie 1977) up to the end of one input
   segment, with species counts and propensities held as Python locals.  Each
   law is split into single-species factors held in locals shared by every
-  law that contains them; an event recomputes the factors of the species
-  the fired reaction changed and the laws that read one of those species
-  (its own law only if it does).  When ``t`` passes a sample time the loop
-  appends the state row to the recorder's list itself
+  law that contains them (a factor containing another's reads its local);
+  an event recomputes the factors of the species the fired reaction changed
+  and the laws that read one of those species (its own law only if it
+  does).  When ``t`` passes a sample time the loop appends the state row to
+  the recorder's list itself
   (:class:`~repro.stochastic.sampling.SampleRecorder` fields ``times``,
-  ``rows`` and ``cursor``).
+  ``rows`` and ``cursor``);
+* ``propensities_all(state, out)`` — the full propensity vector with every
+  constant folded to a literal and direct ``state[i]`` indexing (no
+  per-reaction call, no tuple unpacking);
+* ``propensities_after(r, state, out)`` — recompute only the reactions that
+  depend on species changed by reaction ``r`` (the Gibson–Bruck update),
+  through one ``_after_r`` function per reaction.
+
+Loading a kernel (:func:`load_kernel`) compiles only the preamble and
+``ssa_segment``; the other parts (:data:`ON_DEMAND_PARTS`) compile from the
+same source the first time a simulator reads them.  Every law stores its
+clamped value in one line,
+``_pN = _v if (_v := <law>) > 0.0 else _clamp(_v, N)``: ``_clamp`` raises
+:class:`~repro.errors.PropensityError` on NaN and otherwise returns ``0.0``.
 
 Bit-identity contract
 ---------------------
@@ -93,7 +104,9 @@ __all__ = [
     "dependents_table",
     "generate_kernel_source",
     "pairwise_sum_source",
+    "ON_DEMAND_PARTS",
     "PropensityKernel",
+    "compile_part",
     "compile_kernel",
     "load_kernel",
     "kernel_namespace",
@@ -109,7 +122,10 @@ BACKEND_INTERP = "interp"
 #: Version stamp embedded in every generated module.  A worker handed kernel
 #: source from a different package version refuses to load it (and recompiles
 #: from the model instead of silently running a stale kernel).
-KERNEL_FORMAT = 5
+KERNEL_FORMAT = 6
+
+#: Starts the line opening each part of a generated module.
+_PART_MARK = "# part: "
 
 #: Above this many generated update statements the per-reaction incremental
 #: functions would bloat the module (dense dependency graphs are O(R^2));
@@ -341,16 +357,14 @@ class _RenderedReaction:
     integral: bool
 
     def assign(self, target: str) -> List[str]:
-        """Statements storing the clamped propensity into ``target``."""
+        """Statements storing the clamped propensity into ``target``.
+
+        One line per law: a positive value is stored as it is, and
+        ``_clamp`` turns any other into ``0.0``, raising on NaN.
+        """
         return [
             *self.preamble,
-            f"_v = {self.expression}",
-            "if _v > 0.0:",
-            f"    {target} = _v",
-            "elif _v != _v:",
-            f"    _nan({self.index})",
-            "else:",
-            f"    {target} = 0.0",
+            f"{target} = _v if (_v := {self.expression}) > 0.0 else _clamp(_v, {self.index})",
         ]
 
 
@@ -397,6 +411,17 @@ def _scalar_reaction(spec: ReactionKernelSpec, r: int, counter: _FunctionBody) -
 # ---------------------------------------------------------------------------
 
 
+def _map_children(expr: Expr, fn) -> Expr:
+    """``expr`` with ``fn(child)`` in place of each of its children."""
+    if isinstance(expr, Neg):
+        return Neg(fn(expr.operand))
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, fn(expr.left), fn(expr.right))
+    if isinstance(expr, Call):
+        return Call(expr.func, tuple(fn(a) for a in expr.args))
+    return expr
+
+
 def _map_factors(expr: Expr, replace) -> Expr:
     """``expr`` with ``replace(subtree)`` in place of each maximal non-atomic
     subtree that reads exactly one symbol."""
@@ -404,11 +429,7 @@ def _map_factors(expr: Expr, replace) -> Expr:
         return expr
     if len(expr.symbols()) == 1:
         return replace(expr)
-    if isinstance(expr, Neg):
-        return Neg(_map_factors(expr.operand, replace))
-    if isinstance(expr, BinOp):
-        return BinOp(expr.op, _map_factors(expr.left, replace), _map_factors(expr.right, replace))
-    return Call(expr.func, tuple(_map_factors(a, replace) for a in expr.args))
+    return _map_children(expr, lambda child: _map_factors(child, replace))
 
 
 @dataclass
@@ -431,21 +452,35 @@ def _factor_laws(
     the same structure and literal bits (its ``to_python`` text, whose
     literals are ``repr``s); the law then reads the local where it held the
     subtree.  Every law still performs the same operations on the same
-    operands, so each value is bit-identical to the unfactored law's.
-    Returns the factors, in first-use order, and the factored laws.
+    operands, so each value is bit-identical to the unfactored law's.  A
+    factor that holds another law's factor inside it (``4.0 * hill_rep(X)``
+    around ``hill_rep(X)``) reads that factor's local in the same way, so
+    each subtree is evaluated once per update.  Returns the factors, each
+    after the factors it reads, and the factored laws.
     """
     names = {sid: f"_s{idx}" for law in rendered for sid, idx in law.used_species}
     columns = {sid: idx for law in rendered for sid, idx in law.used_species}
+    found = set()
+    for law in rendered:
+        _map_factors(law.tree, lambda subtree: found.add(subtree.to_python(names)))
     factors: List[_Factor] = []
     refs: Dict[str, str] = {}
+
+    def nested(node: Expr) -> Expr:
+        if isinstance(node, _ATOM_TYPES):
+            return node
+        if node.to_python(names) in found:
+            return share(node)
+        return _map_children(node, nested)
 
     def share(subtree: Expr) -> Expr:
         key = subtree.to_python(names)
         if key not in refs:
+            inner = _map_children(subtree, nested)
             # A space keeps the reference apart from every species id.
             refs[key] = ref = f"factor {len(factors)}"
             names[ref] = local = f"_f{len(factors)}"
-            preamble, expression = _render_counted(subtree, names, counter)
+            preamble, expression = _render_counted(inner, names, counter)
             (sid,) = subtree.symbols()
             factors.append(_Factor(columns[sid], [*preamble, f"{local} = {expression}"]))
         return Sym(refs[key])
@@ -459,11 +494,11 @@ def _factor_laws(
 
 def _emit_function(
     lines: List[str],
-    name: str,
-    arg: str,
+    signature: str,
     reactions: Sequence[_RenderedReaction],
 ) -> None:
-    lines.append(f"def {name}({arg}, out):")
+    """Emit ``def <signature>:`` storing ``reactions`` into ``out`` from ``state``."""
+    lines.append(f"def {signature}:")
     hoisted = sorted(
         {(sid, idx) for block in reactions for sid, idx in block.used_species},
         key=lambda item: item[1],
@@ -471,7 +506,7 @@ def _emit_function(
     for _, idx in hoisted:
         # .item() yields a Python float: bit-identical values, ~2x cheaper
         # arithmetic than numpy scalar ops (see module docstring).
-        lines.append(f"    _s{idx} = {arg}.item({idx})")
+        lines.append(f"    _s{idx} = state.item({idx})")
     for block in reactions:
         lines.extend(f"    {line}" for line in block.assign(f"out[{block.index}]"))
     lines.append("    return out")
@@ -618,6 +653,9 @@ def _emit_ssa_segment(
     compute_all = [line for factor in factors for line in factor.lines]
     compute_all += [line for law in laws for line in law.assign(f"_p{law.index}")]
     total = pairwise_sum_source([f"_p{r}" for r in range(len(specs))])
+    # Each block holds the draws the rest of the segment is expected to take:
+    # two words per event at the current total.
+    block = ziggurat.block_for("2.0 * (t_stop - t) * _total")
 
     # Samples before the entry time take the entry state.
     prologue = _record_rows(row)
@@ -625,12 +663,12 @@ def _emit_ssa_segment(
         f"_total = {total}",
         "if _total <= 0.0:",
         "    break",
-        *ziggurat.draw_exponential("_tau", "(1.0 / _total)"),
+        *ziggurat.draw_exponential("_tau", "(1.0 / _total)", block),
         "if t + _tau >= t_stop:",
         "    break",
         "t += _tau",
         *_record_rows(row),
-        *ziggurat.draw_uniform("_threshold", "_total"),
+        *ziggurat.draw_uniform("_threshold", "_total", block),
         *_selection(specs, factors, laws, dependents, incremental),
         "events += 1",
         "if events > max_events:",
@@ -693,8 +731,10 @@ def generate_kernel_source(
         f"DEPENDENTS = ({', '.join(_int_tuple(deps) for deps in dependents)},)",
         "",
         "",
-        "def _nan(r):",
-        "    raise PropensityError('propensity of reaction %r is NaN' % (_REACTION_IDS[r],))",
+        "def _clamp(v, r):",
+        "    if v != v:",
+        "        raise PropensityError('propensity of reaction %r is NaN' % (_REACTION_IDS[r],))",
+        "    return 0.0",
         "",
         "",
         "def _exceeded(max_events):",
@@ -705,44 +745,30 @@ def generate_kernel_source(
         "",
     ]
 
-    _emit_function(lines, "propensities_all", "state", rendered)
-    lines.append("")
-
     total_after_statements = sum(len(dependents[r]) for r in range(n_reactions))
     incremental = total_after_statements <= _AFTER_STATEMENT_CAP
+    lines.append(f"{_PART_MARK}ssa_segment")
+    _emit_ssa_segment(lines, specs, rendered, dependents, n_species, incremental, counter)
+    lines += ["", f"{_PART_MARK}propensities_all"]
+    _emit_function(lines, "propensities_all(state, out)", rendered)
+    lines += ["", f"{_PART_MARK}propensities_after"]
     if incremental:
         for r in range(n_reactions):
-            _emit_function(
-                lines,
-                f"_after_{r}",
-                "state",
-                [rendered[j] for j in dependents[r]],
-            )
-        lines.append(f"_AFTER = ({', '.join(f'_after_{r}' for r in range(n_reactions))},)")
-        lines.extend(
-            [
-                "",
-                "",
-                "def propensities_after(r, state, out):",
-                "    _AFTER[r](state, out)",
-                "    return out",
-                "",
-            ],
-        )
+            _emit_function(lines, f"_after_{r}(state, out)", [rendered[j] for j in dependents[r]])
+        lines += [
+            f"_AFTER = ({', '.join(f'_after_{r}' for r in range(n_reactions))},)",
+            "",
+            "",
+            "def propensities_after(r, state, out):",
+            "    _AFTER[r](state, out)",
+            "    return out",
+            "",
+        ]
     else:
-        lines.extend(
-            [
-                "",
-                "def propensities_after(r, state, out):",
-                "    # Dense dependency graph: per-reaction update functions would",
-                "    # exceed the generated-module size cap, so fall back to a full",
-                "    # recompute (untouched reactions recompute to the same values).",
-                "    return propensities_all(state, out)",
-                "",
-            ],
-        )
-    lines.append("")
-    _emit_ssa_segment(lines, specs, rendered, dependents, n_species, incremental, counter)
+        # Dense dependency graph: per-reaction update functions would exceed
+        # the module size cap, so recompute everything (untouched reactions
+        # recompute to the same values).
+        _emit_function(lines, "propensities_after(r, state, out)", rendered)
     return "\n".join(lines)
 
 
@@ -763,68 +789,103 @@ def kernel_namespace() -> Dict[str, object]:
     return namespace
 
 
+#: The parts of a generated module that compile the first time a simulator
+#: reads them (loading compiles only the preamble and ``ssa_segment``).
+ON_DEMAND_PARTS = ("propensities_all", "propensities_after")
+
+
 class PropensityKernel:
-    """The loaded (exec'd) kernels of one generated module."""
+    """The loaded kernels of one generated module.
+
+    Loading runs the module's preamble and ``ssa_segment``.  Each of
+    :data:`ON_DEMAND_PARTS` compiles from ``source`` into the same namespace
+    the first time it is read, so a direct-method run never pays for them.
+    Two threads reading a part for the first time at once both compile it;
+    the second rebinds equivalent functions, which is harmless.
+    """
 
     __slots__ = (
         "source",
         "n_reactions",
         "n_species",
         "dependents",
-        "propensities_all",
-        "propensities_after",
         "ssa_segment",
+        *ON_DEMAND_PARTS,
+        "_namespace",
     )
+
+    def __getattr__(self, name):
+        # Reached only for an unset slot: an on-demand part not read yet.
+        if name not in ON_DEMAND_PARTS:
+            raise AttributeError(name)
+        exec(compile_part(self.source, name), self._namespace)  # noqa: S102 - generated code
+        function = self._namespace[name]
+        setattr(self, name, function)
+        return function
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"PropensityKernel(reactions={self.n_reactions}, species={self.n_species})"
 
 
-def compile_kernel(source: str):
-    """Byte-compile a generated kernel module (without executing it).
+def compile_part(source: str, name: str):
+    """Byte-compile part ``name`` of a generated module (``""``: the preamble).
 
-    Split out of :func:`load_kernel` because byte-compilation dominates
-    kernel loading time: the ensemble engine compiles once in the parent and
-    ships the marshalled code to every worker, which then only pays the
-    (microsecond) ``exec``.  Returns a tuple of code objects to execute in
-    order: ``ssa_segment`` compiles apart from the rest of the module, so the
-    compiler's working memory peaks with the larger part, not with both.
+    A part runs from its ``# part: NAME`` line to the next part; the preamble
+    is everything before the first.  Newline padding keeps the part's line
+    numbers those of ``source``.
     """
-    head, marker, tail = source.partition("\ndef ssa_segment(")
-    # Newline padding keeps the second part's line numbers those of ``source``.
-    parts = [head, "\n" * (head.count("\n") + 1) + marker[1:] + tail] if marker else [source]
+    start = 0
+    if name:
+        start = source.find(f"\n{_PART_MARK}{name}\n") + 1
+        if not start:
+            raise PropensityError(
+                f"propensity kernel source has no {name!r} part; regenerate it from the model",
+            )
+    end = source.find(f"\n{_PART_MARK}", start)
+    text = "\n" * source.count("\n", 0, start) + source[start : end if end >= 0 else None]
     try:
-        return tuple(compile(part, "<repro-propensity-kernel>", "exec") for part in parts)
+        return compile(text, "<repro-propensity-kernel>", "exec")
     except SyntaxError as error:
         raise PropensityError(f"invalid propensity kernel source: {error}") from error
 
 
+def compile_kernel(source: str):
+    """Byte-compile what loading a kernel runs: its preamble and ``ssa_segment``.
+
+    Split out of :func:`load_kernel` because byte-compilation dominates
+    kernel loading time: the ensemble engine compiles once in the parent and
+    ships the marshalled pair to every worker, which then only pays the
+    (microsecond) ``exec``.  The :data:`ON_DEMAND_PARTS` are left out; a
+    process compiles them from the source if a simulator reads them.
+    """
+    return compile_part(source, ""), compile_part(source, "ssa_segment")
+
+
 def load_kernel(source: str, code=None) -> PropensityKernel:
-    """``exec`` a generated kernel module and wrap its entry points.
+    """``exec`` a generated kernel module's preamble and ``ssa_segment``.
 
     This is the only compilation work a pool worker performs when the parent
     ships kernel source alongside the pickled model: one ``exec`` replaces
     per-reaction AST analysis, per-reaction ``compile_function`` calls and
     the dependency-graph build.  ``code`` (:func:`compile_kernel`'s result for
-    exactly ``source``) skips even the byte-compilation.
+    exactly ``source``) skips even the byte-compilation.  The format stamp is
+    checked before ``ssa_segment`` is compiled, so a stale source fails on it.
     """
     namespace = kernel_namespace()
-    if code is None:
-        code = compile_kernel(source)
-    for part in code:
-        exec(part, namespace)  # noqa: S102 - code generated from a validated AST
+    preamble, segment = code if code is not None else (compile_part(source, ""), None)
+    exec(preamble, namespace)  # noqa: S102 - code generated from a validated AST
     if namespace.get("KERNEL_FORMAT") != KERNEL_FORMAT:
         raise PropensityError(
             "propensity kernel source has an incompatible format "
             f"(expected {KERNEL_FORMAT}, got {namespace.get('KERNEL_FORMAT')!r}); "
             "regenerate it from the model",
         )
+    exec(segment or compile_part(source, "ssa_segment"), namespace)  # noqa: S102
     kernel = PropensityKernel()
     kernel.source = source
     kernel.n_reactions = int(namespace["N_REACTIONS"])
     kernel.n_species = int(namespace["N_SPECIES"])
     kernel.dependents = [list(deps) for deps in namespace["DEPENDENTS"]]
-    kernel.propensities_all = namespace["propensities_all"]
-    kernel.propensities_after = namespace["propensities_after"]
     kernel.ssa_segment = namespace["ssa_segment"]
+    kernel._namespace = namespace
     return kernel

@@ -69,9 +69,7 @@ class OdeSimulator:
         compiled = self.compiled
         schedule = schedule or InputSchedule()
 
-        state = compiled.initial_state.copy()
-        if initial_state:
-            state = compiled.state_from_dict({**compiled.model.initial_state(), **initial_state})
+        state = compiled.state_from_dict(initial_state or {})
 
         sample_times = make_sample_times(t_end, sample_interval)
         recorder = SampleRecorder(sample_times, compiled.n_species)

@@ -6,9 +6,10 @@ loop.  :class:`CompiledModel` turns a :class:`repro.sbml.Model` into:
 * a species index (name -> column in the state vector),
 * per-reaction state-change vectors (with boundary/input species frozen),
 * a whole-model **kernel** generated by :mod:`repro.stochastic.codegen` —
-  one module per model holding the fused ``propensities_all`` /
-  ``propensities_after`` evaluators and the ``ssa_segment`` direct-method
-  loop, with constants folded to literals — or, with ``REPRO_KERNEL=interp``,
+  one module per model holding the ``ssa_segment`` direct-method loop
+  (compiled with the model) and the fused ``propensities_all`` /
+  ``propensities_after`` evaluators (compiled the first time a simulator
+  reads them), with constants folded to literals — or, with ``REPRO_KERNEL=interp``,
   the reference path of per-reaction compiled callables (the simulators then
   run their per-event numpy loops), and
 * a reaction dependency graph (used by the Gibson–Bruck simulator to only
@@ -177,9 +178,10 @@ class CompiledModel:
         the cheap worker-pool cold-start path.
     kernel_code:
         Optional :func:`~repro.stochastic.codegen.compile_kernel` result
-        for exactly ``kernel_source`` (byte-compilation dominates kernel
-        loading; the engine ships marshalled code alongside the source so
-        workers skip it too).
+        for exactly ``kernel_source``: the code of its preamble and
+        ``ssa_segment`` (byte-compilation dominates kernel loading; the
+        engine ships marshalled code alongside the source so workers skip
+        it too).  The other parts compile from ``kernel_source`` on demand.
     """
 
     def __init__(

@@ -143,9 +143,7 @@ class DirectMethodSimulator:
         compiled = self.compiled
         schedule = schedule or InputSchedule()
 
-        state = compiled.initial_state.copy()
-        if initial_state:
-            state = compiled.state_from_dict({**compiled.model.initial_state(), **initial_state})
+        state = compiled.state_from_dict(initial_state or {})
 
         recorder = SampleRecorder(sample_times, compiled.n_species)
         if (

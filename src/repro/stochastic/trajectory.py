@@ -68,7 +68,7 @@ class Trajectory:
                 f"trajectory has {len(self.species)} species names but "
                 f"{self.data.shape[1]} data columns",
             )
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
+        if self.times.size > 1 and not (self.times[1:] > self.times[:-1]).all():
             raise SimulationError("trajectory times must be strictly increasing")
 
     # -- basic access --------------------------------------------------------

@@ -31,11 +31,15 @@ consumes exactly the words the draws used, so on every exit the generator
 stands where numpy's own calls would have left it.  On a 2-vCPU Xeon VM,
 fetching and decoding a block costs ~5-13 µs plus ~40-60 ns per word (the
 two float lists are most of the per-word cost), and a segment pays ~7-12 µs
-once to save, restore and replay the state.  The first block holds
-:data:`FIRST_BLOCK` words and each refill doubles it up to
-:data:`BLOCK_CAP`.  Per run at holds 30, 60 and 200 (a few hundred to a few
-thousand events a segment), 16/1024 ran 1-10% slower than 256/4096, and
-64/2048 up to 5% slower at hold 30 and within 4% at the longer holds.
+once to save, restore and replay the state.  A function sizes its blocks
+with an expression (:data:`DOUBLING` unless it passes its own): the
+direct-method loop asks for the draws the rest of its segment is expected
+to take, two words per event at the current total
+(``2 * (t_stop - t) * total``, see :func:`block_for`), plus
+:data:`BLOCK_PAD`, so a segment of a few events decodes a few dozen words,
+not hundreds, and a segment whose total drifts refetches what is left
+instead of twice its last block.  On the AND gate at holds 30 to 200 that
+fetches 2.1-2.3 words per event, against ~4 for doubling blocks.
 
 The tables are numpy's ``ke_double``, ``we_double`` and ``fe_double``, copied
 value for value from the ``_generator`` extension of numpy 2.4.6, where ``fe``
@@ -65,11 +69,14 @@ __all__ = [
     "U53",
     "FIRST_BLOCK",
     "BLOCK_CAP",
+    "BLOCK_PAD",
     "END",
     "decode_words",
     "exponential_rare",
     "WORDS_OPEN",
     "WORDS_CLOSE",
+    "DOUBLING",
+    "block_for",
     "draw_exponential",
     "draw_uniform",
     "statement_namespace",
@@ -84,10 +91,13 @@ R = 7.6971174701310497140446280481
 #: ``2**-53``: PCG64's ``next_double`` scales the top 53 bits of a word by it.
 U53 = 1.0 / 9007199254740992.0
 
-#: Raw words in a block's first fetch, and the cap its doubling refills
-#: stop at.
+#: Raw words in a :data:`DOUBLING` function's first block, and the cap
+#: every block stops at.
 FIRST_BLOCK = 256
 BLOCK_CAP = 4096
+
+#: Words a block sized from a draw count (:func:`block_for`) holds beyond it.
+BLOCK_PAD = 8
 
 #: The first-try slot one past a block's last word (see :func:`decode_words`):
 #: negative, and apart from every rejected try's ``-1.0 - k``.
@@ -387,7 +397,6 @@ WORDS_OPEN = [
     f"_zx = [{END!r}]",
     "_zu = []",
     "_n = _i = _used = 0",
-    "_block = _FIRST_BLOCK",
 ]
 
 #: Closes the block (in a ``finally``): when words were fetched but not
@@ -399,28 +408,44 @@ WORDS_CLOSE = [
     "    _raw(_used + _i, output=False)",
 ]
 
-#: Fetches and decodes the next block; the draw sets ``_i``.
-_NEXT_BLOCK = [
-    "_used += _n",
-    "_n = _block",
-    "_zx, _zu = _decode(_raw(_n))",
-    "if _block < _BLOCK_CAP:",
-    "    _block += _block",
-]
+#: The size of the next block of a function that does not size its blocks:
+#: :data:`FIRST_BLOCK` words first, then twice the last block, up to
+#: :data:`BLOCK_CAP`.
+DOUBLING = "(min(_n + _n, _BLOCK_CAP) if _n else _FIRST_BLOCK)"
 
 
-def draw_exponential(target: str, scale: str) -> List[str]:
+def _next_block(size: str) -> List[str]:
+    """Fetches and decodes the next block, ``size`` words; the draw sets ``_i``."""
+    return [
+        "_used += _n",
+        f"_n = {size}",
+        "_zx, _zu = _decode(_raw(_n))",
+    ]
+
+
+def block_for(draws: str) -> str:
+    """An expression sizing a block for an expected count of draws.
+
+    ``draws`` is a float expression; the block holds it plus
+    :data:`BLOCK_PAD` words, and at most :data:`BLOCK_CAP` (an infinite or
+    NaN count gets the cap).
+    """
+    return f"(int(min(_BLOCK_CAP - _BLOCK_PAD, {draws})) + _BLOCK_PAD)"
+
+
+def draw_exponential(target: str, scale: str, block: str = DOUBLING) -> List[str]:
     """Statements for ``target = generator.exponential(scale)``.
 
     One test covers both rare cases: a rejected first try and the
-    :data:`END` slot past the block, which fetches the next block first.
+    :data:`END` slot past the block, which fetches the next block first
+    (``block`` words; see :data:`DOUBLING` and :func:`block_for`).
     """
     return [
         "_x = _zx[_i]",
         "_i += 1",
         "if _x < 0.0:",
         "    if _i > _n:",
-        *(f"        {line}" for line in _NEXT_BLOCK),
+        *(f"        {line}" for line in _next_block(block)),
         "        _x = _zx[0]",
         "        _i = 1",
         "    if _x < 0.0:",
@@ -430,12 +455,12 @@ def draw_exponential(target: str, scale: str) -> List[str]:
     ]
 
 
-def draw_uniform(target: str, factor: Optional[str]) -> List[str]:
+def draw_uniform(target: str, factor: Optional[str], block: str = DOUBLING) -> List[str]:
     """Statements for ``target = generator.random() * factor``."""
     times = f" * {factor}" if factor else ""
     return [
         "if _i == _n:",
-        *(f"    {line}" for line in _NEXT_BLOCK),
+        *(f"    {line}" for line in _next_block(block)),
         "    _i = 0",
         f"{target} = _zu[_i]{times}",
         "_i += 1",
@@ -455,6 +480,7 @@ def statement_namespace() -> Dict[str, object]:
         "_exp_rare": exponential_rare,
         "_FIRST_BLOCK": FIRST_BLOCK,
         "_BLOCK_CAP": BLOCK_CAP,
+        "_BLOCK_PAD": BLOCK_PAD,
     }
 
 

@@ -25,6 +25,7 @@ The distributed backend here is a *real* TCP fabric (listen + two spawned
 """
 
 import asyncio
+import marshal
 import time
 
 import numpy as np
@@ -39,6 +40,7 @@ from repro.engine import (
     replicate_jobs,
     run_ensemble,
 )
+from repro.engine.cache import kernel_artifact_for_blob, model_fingerprint
 from repro.engine.jobs import SimulationJob
 from repro.stochastic.events import InputSchedule
 
@@ -171,6 +173,58 @@ class TestBitIdentity:
             expected = serial_baseline.trajectory(index)
             assert np.array_equal(trajectory.times, expected.times)
             assert np.array_equal(trajectory.data, expected.data)
+
+
+#: Simulators that read the kernel parts loading leaves out, with short
+#: horizons (the ODE is deterministic and the slowest per time unit).
+ON_DEMAND_SIMULATORS = {"next-reaction": 60.0, "tau-leap": 60.0, "ode": 20.0}
+
+
+@pytest.fixture(scope="module")
+def on_demand_model(and_circuit):
+    """An AND-gate variant no other test ships, so every worker compiles it
+    from its payload's kernel artifact."""
+    model = and_circuit.model.copy()
+    model.set_initial_amount(and_circuit.output, 7.0)
+    return model
+
+
+@pytest.fixture(scope="module", params=list(ON_DEMAND_SIMULATORS))
+def on_demand_jobs(request, and_circuit, on_demand_model):
+    schedule = InputSchedule.from_combinations(
+        list(and_circuit.inputs), [(1, 0), (1, 1)], ON_DEMAND_SIMULATORS[request.param] / 2, 40.0
+    )
+    template = SimulationJob(
+        model=on_demand_model,
+        t_end=ON_DEMAND_SIMULATORS[request.param],
+        simulator=request.param,
+        schedule=schedule,
+    )
+    jobs = replicate_jobs(template, 3, seed=23)
+    return jobs, run_ensemble(jobs, workers=1)
+
+
+class TestOnDemandKernelParts:
+    def test_payload_ships_only_the_loaded_parts(self, on_demand_model):
+        artifact = kernel_artifact_for_blob(on_demand_model, model_fingerprint(on_demand_model))
+        defined = {
+            const.co_name
+            for code in marshal.loads(artifact.bytecode)
+            for const in code.co_consts
+            if hasattr(const, "co_name")
+        }
+        assert defined == {"_clamp", "_exceeded", "ssa_segment"}
+
+    def test_non_ssa_simulators_match_serial_bit_for_bit(
+        self, backend, on_demand_jobs, batch_size
+    ):
+        """Workers compile ``propensities_all``/``propensities_after`` from
+        the shipped source when these simulators ask for them."""
+        jobs, baseline = on_demand_jobs
+        result = backend.materialize(jobs, batch_size=batch_size)
+        for index, (_, expected) in enumerate(baseline):
+            assert np.array_equal(result.trajectory(index).times, expected.times)
+            assert np.array_equal(result.trajectory(index).data, expected.data)
 
 
 class TestOrdering:

@@ -17,6 +17,7 @@ from repro.engine import (
 )
 from repro.engine.jobs import EnsembleStats
 from repro.errors import EngineError, SimulationError
+from repro.gates import and_gate_circuit
 from repro.stochastic import (
     CANONICAL_SIMULATORS,
     SIMULATOR_ALIASES,
@@ -307,11 +308,67 @@ class TestCompiledModelCache:
         assert result.stats.cache_hits + result.stats.cache_misses == 4
         assert 1 <= result.stats.cache_misses <= 2
 
+    def test_two_builds_of_one_circuit_share_an_entry(self):
+        cache = CompiledModelCache()
+        first = cache.get(and_gate_circuit().model)
+        assert cache.get(and_gate_circuit().model) is first
+        assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
+
+    @pytest.mark.parametrize("simulator", ["ssa", "ode", "next-reaction"])
+    def test_in_place_edit_never_changes_a_content_equal_run(self, and_circuit, simulator):
+        """The entry built from ``edited`` serves ``twin`` (equal content)
+        after ``edited`` changed in place: ``twin``'s runs, the on-demand
+        kernel parts and the initial state included, equal a fresh compile's."""
+        edited, twin = and_circuit.model.copy(), and_circuit.model.copy()
+        schedule = InputSchedule.from_combinations(list(and_circuit.inputs), [(1, 1)], 30.0, 40.0)
+        job = SimulationJob(
+            model=twin,
+            t_end=30.0,
+            simulator=simulator,
+            schedule=schedule,
+            initial_state={and_circuit.inputs[0]: 5.0},
+        )
+        cache = CompiledModelCache()
+        executor = SerialExecutor()
+        cache.get(edited)
+        edited.set_initial_amount(and_circuit.output, 90.0)
+        for parameter in edited.parameters.values():
+            parameter.value *= 2.0
+        jobs = replicate_jobs(job, 2, seed=5)
+        cached = run_ensemble(jobs, executor=executor, cache=cache)
+        assert cached.stats.cache_hits == 2
+        fresh = run_ensemble(jobs, executor=executor, cache=CompiledModelCache())
+        for index in range(2):
+            assert np.array_equal(cached.trajectory(index).data, fresh.trajectory(index).data)
+
+    def test_ssa_study_compiles_no_other_kernel_part(self, monkeypatch):
+        from repro.analysis import run_replicate_study
+        from repro.engine import StudySpec
+        from repro.stochastic import codegen
+
+        compiled_parts = []
+        compile_part = codegen.compile_part
+
+        def recording(source, name):
+            compiled_parts.append(name)
+            return compile_part(source, name)
+
+        monkeypatch.setattr(codegen, "compile_part", recording)
+        default_cache().clear()
+        study = run_replicate_study(
+            StudySpec(circuit="0x0B", n_replicates=2, seed=3, hold_time=40.0)
+        )
+        assert study.n_replicates == 2
+        assert compiled_parts == ["", "ssa_segment"]
+
     def test_lru_eviction_bounds_the_cache(self, toy_model):
+        # Entries are keyed by content: three distinct contents, three entries.
         cache = CompiledModelCache(max_entries=2)
         models = [toy_model.copy() for _ in range(3)]
-        for model in models:
+        for amount, model in enumerate(models):
+            model.set_initial_amount("Y", float(amount))
             cache.get(model)
+        assert cache.misses == 3
         assert len(cache) == 2
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.spec import STUDY_SPEC_SCHEMA, StudySpec
+from repro.engine.spec import MAX_STUDY_SAMPLES, STUDY_SPEC_SCHEMA, StudySpec
 from repro.errors import EngineError
 from repro.gates.circuits import and_gate_circuit
 
@@ -127,6 +127,47 @@ class TestCanonicalization:
         assert spec.circuit == circuit.name
         assert spec.resolve_circuit() is circuit
         assert spec.replace(workers=2).resolve_circuit() is circuit
+
+
+class TestCheckCost:
+    def test_defaults_and_a_long_table_study_pass(self):
+        StudySpec(circuit="0x0B", seed=1).check_cost()
+        StudySpec(circuit="0x0B", seed=1, n_replicates=64, hold_time=400.0).check_cost()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"circuit": "not", "hold_time": 1e8},
+            {"circuit": "and", "repeats": 10000},
+            {"circuit": "and", "sample_interval": 1e-6},
+            {"circuit": "and", "repeats": 10**400},
+            {"circuit": "and", "hold_time": 1e300, "sample_interval": 1e-300},
+        ],
+        ids=["hold", "repeats", "interval", "huge-int", "overflow"],
+    )
+    def test_oversized_protocols_raise(self, fields):
+        with pytest.raises(EngineError, match="samples"):
+            StudySpec(seed=1, **fields).check_cost()
+
+    def test_counted_without_building_anything(self, monkeypatch):
+        """A name counts as the most inputs a named circuit takes (three),
+        without resolving it; an attached circuit counts its own inputs."""
+
+        def no_build(name):
+            raise AssertionError("check_cost resolved the circuit")
+
+        monkeypatch.setattr("repro.gates.circuits.resolve_circuit", no_build)
+        limit = MAX_STUDY_SAMPLES
+        # Two replicates of 8 combinations: 16 * hold + 2 samples.
+        hold = (limit - 2) / 16
+        StudySpec(circuit="and", seed=1, n_replicates=2, hold_time=hold).check_cost()
+        with pytest.raises(EngineError, match="samples"):
+            StudySpec(circuit="and", seed=1, n_replicates=2, hold_time=hold * 1.01).check_cost()
+        # The attached AND gate has two inputs: four combinations, not eight.
+        attached = StudySpec.for_circuit(
+            and_gate_circuit(), seed=1, n_replicates=2, hold_time=hold * 1.9
+        )
+        attached.check_cost()
 
 
 class TestSerialization:

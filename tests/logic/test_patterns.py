@@ -75,6 +75,46 @@ class TestIdentifyGate:
         assert identify_gate(TruthTable.from_minterm_indices([7], ["a", "b", "c"])) == "AND"
 
 
+def _identify_gate_by_family_tables(table):
+    """The loop ``identify_gate`` ran before it cached its columns: one
+    ``TruthTable.from_function`` per family per call (the reference)."""
+    from repro.logic.patterns import _RECOGNITION_ORDER, GATE_FAMILIES
+
+    for name in _RECOGNITION_ORDER:
+        fn, minimum_inputs = GATE_FAMILIES[name]
+        if table.n_inputs < minimum_inputs:
+            continue
+        if name in ("BUF", "NOT") and table.n_inputs > 1:
+            continue
+        if TruthTable.from_function(fn, table.inputs).outputs == table.outputs:
+            return name
+    if table.n_inputs > 1:
+        for position, input_name in enumerate(table.inputs):
+            buffer_outputs = []
+            not_outputs = []
+            for index in range(table.n_rows):
+                bit = TruthTable.combination_bits(index, table.n_inputs)[position]
+                buffer_outputs.append(bit)
+                not_outputs.append(1 - bit)
+            if table.outputs == buffer_outputs:
+                return f"BUF({input_name})"
+            if table.outputs == not_outputs:
+                return f"NOT({input_name})"
+    return None
+
+
+@pytest.mark.parametrize("n_inputs", [1, 2, 3])
+def test_every_table_named_as_by_family_tables(n_inputs):
+    inputs = ["x", "y", "z"][:n_inputs]
+    names = set()
+    for value in range(2 ** (2**n_inputs)):
+        table = TruthTable.from_hex(value, inputs=inputs)
+        name = identify_gate(table)
+        assert name == _identify_gate_by_family_tables(table), hex(value)
+        names.add(name)
+    assert len(names) > 2 * n_inputs  # the walk meets many families
+
+
 class TestIsNamedGate:
     def test_positive(self):
         assert is_named_gate(TruthTable.from_expression("A & B"), "AND")

@@ -349,6 +349,23 @@ class TestSearchSubmission:
         assert service._records == {}
         assert service.stats()["studies"]["submitted"] == 0
 
+    def test_oversized_study_is_refused_before_keying(self, monkeypatch):
+        """A protocol over ``MAX_STUDY_SAMPLES`` is malformed: refused from
+        its fields alone, with no key computed, no record and no dispatch."""
+
+        def no_key(spec):
+            raise AssertionError("an oversized study was keyed")
+
+        monkeypatch.setattr(StudySpec, "cache_key", no_key)
+        runner = _StubRunner()
+        service = AnalysisService(runner=runner)
+        body = {"circuit": "and", "seed": 1, "repeats": 10000}
+        with pytest.raises(EngineError, match="samples"):
+            asyncio.run(service.submit(body))
+        assert runner.calls == 0
+        assert service._records == {}
+        assert service.stats()["studies"]["submitted"] == 0
+
     def test_searches_and_studies_share_the_inflight_bound(self):
         study_runner = _StubRunner(blocking=True)
 
@@ -618,6 +635,8 @@ class TestHttpService:
             ("/v1/studies", b"\xff\xfe{", "JSON"),
             ("/v1/studies", dict(_spec().to_dict(), analysis_jobs=2), "analysis_jobs"),
             ("/v1/studies", {"circuit": "and", "seed": True}, "seed"),
+            ("/v1/studies", {"circuit": "not", "seed": 1, "hold_time": 1e8}, "samples"),
+            ("/v1/studies", {"circuit": "and", "seed": 1, "repeats": 10000}, "samples"),
             ("/v1/search", dict(_search_spec().to_dict(), threshold="abc"), "threshold"),
             ("/v1/search", b"\xff\xfe{", "JSON"),
             ("/v1/search", {"function": "0x8", "seed": 1.5}, "seed"),
@@ -637,6 +656,8 @@ class TestHttpService:
             "not-utf8",
             "schema-1-field",
             "bool-seed",
+            "oversized-hold",
+            "oversized-repeats",
             "search-non-number",
             "search-not-utf8",
             "search-fractional-seed",

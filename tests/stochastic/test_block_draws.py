@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.sbml import Model
 from repro.stochastic import BACKEND_CODEGEN, BACKEND_INTERP, CompiledModel, ziggurat
 from repro.stochastic.ssa import DirectMethodSimulator
 
@@ -109,6 +110,36 @@ class TestRebuiltDraws:
             assert draw_pairs(ours, scales) == expected
             assert ours.bit_generator.state == theirs.bit_generator.state
         assert min(taken.values()) > 0, taken
+
+
+class TestBlockSizing:
+    def test_short_segment_fetches_its_expected_draws(self, monkeypatch):
+        """A birth-death run of a few events (production 5 per unit time from
+        empty, t_end 1) fetches a first block of 2 x 1 x 5 words plus the pad,
+        not a fixed block, refetches only what the rest of the segment is
+        expected to draw, and still equals the reference loop."""
+        model = Model("birth_death")
+        model.add_species("Y")
+        model.add_reaction("prod", products=[("Y", 1.0)], kinetic_law="5.0")
+        model.add_reaction("deg", reactants=[("Y", 1.0)], kinetic_law="0.1 * Y")
+        fetched = []
+        decode = ziggurat.decode_words
+
+        def recording_decode(ke, we, words):
+            fetched.append(len(words))
+            return decode(ke, we, words)
+
+        assert ziggurat.block_draws_verified()  # its own blocks are not the run's
+        monkeypatch.setattr(ziggurat, "decode_words", recording_decode)
+        for seed in range(20):
+            fetched.clear()
+            data, events, generator = _run(model, BACKEND_CODEGEN, np.random.default_rng(seed), 1.0)
+            assert fetched[0] == 2 * 5 + ziggurat.BLOCK_PAD
+            assert sum(fetched) < 64
+            expected = _run(model, BACKEND_INTERP, np.random.default_rng(seed), 1.0)
+            assert events == expected[1]
+            assert np.array_equal(data, expected[0])
+            assert generator.bit_generator.state == expected[2].bit_generator.state
 
 
 class TestFallback:

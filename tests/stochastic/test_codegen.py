@@ -277,8 +277,8 @@ class TestDependencyGraph:
         assert "out[0] = _v" in after and "out[1] = _v" in after
         loop = source[source.index("if (_c := _p0) > _threshold:") :]
         branch = loop[: loop.index("else:")]
-        assert "_nan(1)" in branch
-        assert "_nan(0)" not in branch
+        assert "_p1 = _v if (_v := " in branch and "_clamp(_v, 1)" in branch
+        assert "_p0 = " not in branch and "_clamp(_v, 0)" not in branch
 
 
 class TestCompileModelEarlyOut:

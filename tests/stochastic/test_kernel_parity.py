@@ -15,6 +15,7 @@ import re
 import numpy as np
 import pytest
 
+from repro.gates import cello_circuit
 from repro.sbml import Model
 from repro.stochastic import (
     BACKEND_CODEGEN,
@@ -354,7 +355,7 @@ class TestFactoredLoopSource:
         entry = _segment_entry(model)
         (floor_local,) = re.findall(r"^ +(_f\d+) = _fn_floor\(\(_s1 / 3\.0\)\)$", entry, re.M)
         # The law that is nothing but the shared floor still holds a float.
-        assert f"_v = float({floor_local})\n" in entry
+        assert f"(_v := float({floor_local}))" in entry
         assert "_fn_ceil((_s2 / 4.0))" in _segment_factors(model)
 
     def test_hill_temporaries_inside_factors(self):
@@ -363,3 +364,25 @@ class TestFactoredLoopSource:
         # hill_act((X + 1) * Y, ...) reads two species: its argument's
         # temporary multiplies the factor (X + 1) by Y.
         assert re.search(r"^ +_t\d+ = \(_f\d+ \* _s2\)$", _segment_entry(model), re.M)
+
+    @pytest.mark.parametrize(("name", "column"), [("0x8E", 5), ("0xC8", 3)])
+    def test_nested_factor_reads_the_inner_local(self, name, column, monkeypatch):
+        """``4.0 * hill_rep(s)`` reads the local holding another law's
+        ``hill_rep(s)``: each branch evaluates every ``_sN ** 4.0`` once."""
+        model = cello_circuit(name).model
+        source = CompiledModel(model, backend=BACKEND_CODEGEN).kernel.source
+        start = source.index("def ssa_segment(")
+        segment = source[start : source.index("# part: propensities_all")]
+        entry, loop = segment.split("while True:")
+        branches = re.split(r"^ +(?:(?:el)?if \(_c := .*|else):\n", loop, flags=re.M)
+        assert len(branches) > 10
+        for block in (entry, *branches):
+            powers = re.findall(r"_s\d+ \*\* 4\.0", block)
+            assert len(powers) == len(set(powers)), block
+        (inner,) = re.findall(rf"^ +(_f\d+) = \(1\.0 if _s{column} <= 0\.0 else .*$", entry, re.M)
+        assert re.search(rf"^ +_f\d+ = \(4\.0 \* {inner}\)$", entry, re.M)
+        runs = []
+        for backend in (BACKEND_CODEGEN, BACKEND_INTERP):
+            monkeypatch.setenv(KERNEL_ENV_VAR, backend)
+            runs.append(resolve_simulator("ssa")(model, 40.0, rng=20170664).data)
+        assert np.array_equal(*runs)
