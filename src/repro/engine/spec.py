@@ -49,6 +49,7 @@ from ..stochastic import canonical_simulator_name
 
 __all__ = [
     "MAX_STUDY_SAMPLES",
+    "MAX_STUDY_STEPS",
     "STUDY_SPEC_SCHEMA",
     "StudySpec",
     "as_float",
@@ -62,10 +63,19 @@ __all__ = [
 #: Schema 2 dropped the analysis fan-out knob of schema 1.
 STUDY_SPEC_SCHEMA = 2
 
-#: Samples a study may ask for, summed over its replicates:
-#: :meth:`StudySpec.check_cost` refuses more.  Each sample of a replicate
-#: is one state row, so this bounds what a worker records and ships.
+#: Samples a study may ask for, summed over its replicates, with each held
+#: input combination counted as one more: :meth:`StudySpec.check_cost`
+#: refuses more.  Each sample of a replicate is one state row and each held
+#: combination one simulated segment, so this bounds what a worker runs,
+#: records and ships.
 MAX_STUDY_SAMPLES = 10_000_000
+
+#: Input combinations one replicate may hold in turn (``2**n * repeats``):
+#: :meth:`StudySpec.check_cost` refuses more.  :meth:`StudySpec.cache_key`
+#: builds and digests that schedule, ~10 µs a combination on a 2-vCPU Xeon
+#: VM, and the service keys a body on its event loop, so this bounds that
+#: work at ~0.1 s whatever the hold time.
+MAX_STUDY_STEPS = 10_000
 
 
 def as_float(label: str, value: Any) -> float:
@@ -280,15 +290,18 @@ class StudySpec:
     # -- cost ------------------------------------------------------------------
     def check_cost(self) -> None:
         """Raise :class:`EngineError` when the study asks for more than
+        :data:`MAX_STUDY_STEPS` held input combinations per replicate or
         :data:`MAX_STUDY_SAMPLES` samples over all its replicates.
 
         Counted from the protocol alone, before any circuit or schedule is
         built: a replicate holds each of ``2**n`` input combinations
         ``hold_time`` long, ``repeats`` times, and records a sample every
-        ``sample_interval``.  ``n`` is the attached circuit's input count or,
-        for a name, the most inputs a named circuit takes (a Cello circuit's
-        three), so the count bounds the study's own.  The service checks it
-        before computing any key.
+        ``sample_interval``; each held combination counts as one sample
+        more, so a tiny hold time cannot make many combinations free.
+        ``n`` is the attached circuit's input count or, for a name, the most
+        inputs a named circuit takes (a Cello circuit's three), so the count
+        bounds the study's own.  The service checks it before computing any
+        key.
         """
         attached = self.__dict__.get("_circuit")
         if attached is not None:
@@ -297,8 +310,9 @@ class StudySpec:
             from ..gates.cello import CELLO_INPUT_SPECIES
 
             n_inputs = len(CELLO_INPUT_SPECIES)
+        steps = 2**n_inputs * self.repeats
         try:
-            per_replicate = 2**n_inputs * self.repeats * self.hold_time / self.sample_interval + 1
+            per_replicate = steps * (self.hold_time / self.sample_interval + 1)
             samples = per_replicate * self.n_replicates
         except OverflowError:  # an integer field beyond float range
             samples = math.inf
@@ -307,6 +321,11 @@ class StudySpec:
                 f"the study asks for about {samples:.3g} samples over its replicates; "
                 f"at most {MAX_STUDY_SAMPLES} are accepted (lower n_replicates, "
                 "hold_time or repeats, or raise sample_interval)",
+            )
+        if steps > MAX_STUDY_STEPS:
+            raise EngineError(
+                f"the study holds {steps} input combinations a replicate; at most "
+                f"{MAX_STUDY_STEPS} are accepted (lower repeats)",
             )
 
     # -- content addressing ----------------------------------------------------

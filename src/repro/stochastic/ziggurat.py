@@ -31,15 +31,15 @@ consumes exactly the words the draws used, so on every exit the generator
 stands where numpy's own calls would have left it.  On a 2-vCPU Xeon VM,
 fetching and decoding a block costs ~5-13 µs plus ~40-60 ns per word (the
 two float lists are most of the per-word cost), and a segment pays ~7-12 µs
-once to save, restore and replay the state.  A function sizes its blocks
-with an expression (:data:`DOUBLING` unless it passes its own): the
-direct-method loop asks for the draws the rest of its segment is expected
-to take, two words per event at the current total
-(``2 * (t_stop - t) * total``, see :func:`block_for`), plus
+once to save, restore and replay the state.  A function sizes each block
+from the draws it expects still to take (:func:`block_for`): the
+direct-method loop asks for the rest of its segment, two words per event
+at the current total (``2 * (t_stop - t) * total``), plus
 :data:`BLOCK_PAD`, so a segment of a few events decodes a few dozen words,
 not hundreds, and a segment whose total drifts refetches what is left
 instead of twice its last block.  On the AND gate at holds 30 to 200 that
-fetches 2.1-2.3 words per event, against ~4 for doubling blocks.
+fetches 2.1-2.3 words per event, against ~4 for blocks of 256 words
+doubling up to :data:`BLOCK_CAP`.
 
 The tables are numpy's ``ke_double``, ``we_double`` and ``fe_double``, copied
 value for value from the ``_generator`` extension of numpy 2.4.6, where ``fe``
@@ -67,7 +67,6 @@ __all__ = [
     "FE",
     "R",
     "U53",
-    "FIRST_BLOCK",
     "BLOCK_CAP",
     "BLOCK_PAD",
     "END",
@@ -75,7 +74,6 @@ __all__ = [
     "exponential_rare",
     "WORDS_OPEN",
     "WORDS_CLOSE",
-    "DOUBLING",
     "block_for",
     "draw_exponential",
     "draw_uniform",
@@ -91,9 +89,7 @@ R = 7.6971174701310497140446280481
 #: ``2**-53``: PCG64's ``next_double`` scales the top 53 bits of a word by it.
 U53 = 1.0 / 9007199254740992.0
 
-#: Raw words in a :data:`DOUBLING` function's first block, and the cap
-#: every block stops at.
-FIRST_BLOCK = 256
+#: Raw words every block stops at.
 BLOCK_CAP = 4096
 
 #: Words a block sized from a draw count (:func:`block_for`) holds beyond it.
@@ -408,11 +404,6 @@ WORDS_CLOSE = [
     "    _raw(_used + _i, output=False)",
 ]
 
-#: The size of the next block of a function that does not size its blocks:
-#: :data:`FIRST_BLOCK` words first, then twice the last block, up to
-#: :data:`BLOCK_CAP`.
-DOUBLING = "(min(_n + _n, _BLOCK_CAP) if _n else _FIRST_BLOCK)"
-
 
 def _next_block(size: str) -> List[str]:
     """Fetches and decodes the next block, ``size`` words; the draw sets ``_i``."""
@@ -433,12 +424,12 @@ def block_for(draws: str) -> str:
     return f"(int(min(_BLOCK_CAP - _BLOCK_PAD, {draws})) + _BLOCK_PAD)"
 
 
-def draw_exponential(target: str, scale: str, block: str = DOUBLING) -> List[str]:
+def draw_exponential(target: str, scale: str, block: str) -> List[str]:
     """Statements for ``target = generator.exponential(scale)``.
 
     One test covers both rare cases: a rejected first try and the
     :data:`END` slot past the block, which fetches the next block first
-    (``block`` words; see :data:`DOUBLING` and :func:`block_for`).
+    (``block`` words, an expression from :func:`block_for`).
     """
     return [
         "_x = _zx[_i]",
@@ -455,8 +446,9 @@ def draw_exponential(target: str, scale: str, block: str = DOUBLING) -> List[str
     ]
 
 
-def draw_uniform(target: str, factor: Optional[str], block: str = DOUBLING) -> List[str]:
-    """Statements for ``target = generator.random() * factor``."""
+def draw_uniform(target: str, factor: Optional[str], block: str) -> List[str]:
+    """Statements for ``target = generator.random() * factor``; a refill
+    fetches ``block`` words."""
     times = f" * {factor}" if factor else ""
     return [
         "if _i == _n:",
@@ -478,7 +470,6 @@ def statement_namespace() -> Dict[str, object]:
     return {
         "_decode": decode,
         "_exp_rare": exponential_rare,
-        "_FIRST_BLOCK": FIRST_BLOCK,
         "_BLOCK_CAP": BLOCK_CAP,
         "_BLOCK_PAD": BLOCK_PAD,
     }
@@ -494,9 +485,11 @@ def load_draw_pairs():
     ``generator`` must be PCG64-backed.
     """
     body = ["_out = []", *WORDS_OPEN, "try:", "    for _scale in scales:"]
+    # Sized like the kernels' blocks: two words for each pair of the call.
+    block = block_for("2.0 * len(scales)")
     draws = [
-        *draw_exponential("_e", "_scale"),
-        *draw_uniform("_u", None),
+        *draw_exponential("_e", "_scale", block),
+        *draw_uniform("_u", None, block),
         "_out += (_e, _u)",
     ]
     body.extend(f"        {line}" for line in draws)

@@ -18,7 +18,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.spec import MAX_STUDY_SAMPLES, STUDY_SPEC_SCHEMA, StudySpec
+from repro.engine.spec import (
+    MAX_STUDY_SAMPLES,
+    MAX_STUDY_STEPS,
+    STUDY_SPEC_SCHEMA,
+    StudySpec,
+)
 from repro.errors import EngineError
 from repro.gates.circuits import and_gate_circuit
 
@@ -142,8 +147,10 @@ class TestCheckCost:
             {"circuit": "and", "sample_interval": 1e-6},
             {"circuit": "and", "repeats": 10**400},
             {"circuit": "and", "hold_time": 1e300, "sample_interval": 1e-300},
+            {"circuit": "and", "repeats": 1_000_000, "hold_time": 1e-4},
+            {"circuit": "and", "repeats": 10**8, "hold_time": 1e-6},
         ],
-        ids=["hold", "repeats", "interval", "huge-int", "overflow"],
+        ids=["hold", "repeats", "interval", "huge-int", "overflow", "tiny-hold", "tinier-hold"],
     )
     def test_oversized_protocols_raise(self, fields):
         with pytest.raises(EngineError, match="samples"):
@@ -158,8 +165,8 @@ class TestCheckCost:
 
         monkeypatch.setattr("repro.gates.circuits.resolve_circuit", no_build)
         limit = MAX_STUDY_SAMPLES
-        # Two replicates of 8 combinations: 16 * hold + 2 samples.
-        hold = (limit - 2) / 16
+        # Two replicates of 8 combinations: 16 * (hold + 1) samples.
+        hold = limit / 16 - 1
         StudySpec(circuit="and", seed=1, n_replicates=2, hold_time=hold).check_cost()
         with pytest.raises(EngineError, match="samples"):
             StudySpec(circuit="and", seed=1, n_replicates=2, hold_time=hold * 1.01).check_cost()
@@ -168,6 +175,21 @@ class TestCheckCost:
             and_gate_circuit(), seed=1, n_replicates=2, hold_time=hold * 1.9
         )
         attached.check_cost()
+
+    def test_held_combinations_are_bounded_whatever_the_hold(self, monkeypatch):
+        """Keying builds one schedule entry per held combination, so a tiny
+        hold time, which makes the samples few, lets no more repeats through."""
+
+        def no_key(spec):
+            raise AssertionError("check_cost keyed the study")
+
+        monkeypatch.setattr(StudySpec, "cache_key", no_key)
+        repeats = MAX_STUDY_STEPS // 8  # a name counts as three inputs
+        tiny = {"circuit": "and", "seed": 1, "n_replicates": 1, "hold_time": 1e-6}
+        StudySpec(repeats=repeats, **tiny).check_cost()
+        for many in (repeats + 1, 1_200_000):
+            with pytest.raises(EngineError, match="input combinations"):
+                StudySpec(repeats=many, **tiny).check_cost()
 
 
 class TestSerialization:

@@ -349,9 +349,19 @@ class TestSearchSubmission:
         assert service._records == {}
         assert service.stats()["studies"]["submitted"] == 0
 
-    def test_oversized_study_is_refused_before_keying(self, monkeypatch):
-        """A protocol over ``MAX_STUDY_SAMPLES`` is malformed: refused from
-        its fields alone, with no key computed, no record and no dispatch."""
+    @pytest.mark.parametrize(
+        "protocol, refusal",
+        [
+            ({"repeats": 10000}, "samples"),
+            ({"repeats": 1_000_000, "hold_time": 1e-4}, "samples"),
+            ({"n_replicates": 1, "repeats": 1_200_000, "hold_time": 1e-6}, "input combinations"),
+        ],
+        ids=["repeats", "repeats-tiny-hold", "one-replicate-tiny-hold"],
+    )
+    def test_oversized_study_is_refused_before_keying(self, monkeypatch, protocol, refusal):
+        """A protocol over ``MAX_STUDY_SAMPLES`` samples or ``MAX_STUDY_STEPS``
+        held combinations is malformed: refused from its fields alone, with
+        no key computed, no record and no dispatch."""
 
         def no_key(spec):
             raise AssertionError("an oversized study was keyed")
@@ -359,8 +369,8 @@ class TestSearchSubmission:
         monkeypatch.setattr(StudySpec, "cache_key", no_key)
         runner = _StubRunner()
         service = AnalysisService(runner=runner)
-        body = {"circuit": "and", "seed": 1, "repeats": 10000}
-        with pytest.raises(EngineError, match="samples"):
+        body = {"circuit": "and", "seed": 1, **protocol}
+        with pytest.raises(EngineError, match=refusal):
             asyncio.run(service.submit(body))
         assert runner.calls == 0
         assert service._records == {}
@@ -637,6 +647,22 @@ class TestHttpService:
             ("/v1/studies", {"circuit": "and", "seed": True}, "seed"),
             ("/v1/studies", {"circuit": "not", "seed": 1, "hold_time": 1e8}, "samples"),
             ("/v1/studies", {"circuit": "and", "seed": 1, "repeats": 10000}, "samples"),
+            (
+                "/v1/studies",
+                {"circuit": "and", "seed": 1, "repeats": 1_000_000, "hold_time": 1e-4},
+                "samples",
+            ),
+            (
+                "/v1/studies",
+                {
+                    "circuit": "and",
+                    "seed": 1,
+                    "n_replicates": 1,
+                    "repeats": 1_200_000,
+                    "hold_time": 1e-6,
+                },
+                "input combinations",
+            ),
             ("/v1/search", dict(_search_spec().to_dict(), threshold="abc"), "threshold"),
             ("/v1/search", b"\xff\xfe{", "JSON"),
             ("/v1/search", {"function": "0x8", "seed": 1.5}, "seed"),
@@ -658,6 +684,8 @@ class TestHttpService:
             "bool-seed",
             "oversized-hold",
             "oversized-repeats",
+            "oversized-repeats-tiny-hold",
+            "oversized-steps-one-replicate",
             "search-non-number",
             "search-not-utf8",
             "search-fractional-seed",

@@ -77,7 +77,6 @@ class TestRebuiltDraws:
         try is a block's last word, and a rare draw that appends words past
         its block.  Each path must be taken, and every call must equal
         numpy's and hand the generator back in numpy's state."""
-        monkeypatch.setattr(ziggurat, "FIRST_BLOCK", block)
         monkeypatch.setattr(ziggurat, "BLOCK_CAP", block)
         taken = dict.fromkeys(["END refill", "uniform refill", "rare on last word", "append"], 0)
         decode, rare = ziggurat.decode_words, ziggurat.exponential_rare

@@ -396,8 +396,8 @@ class TestFusedLoopContracts:
         (``_k``, ``_r``, ``_i``, ``_n``, ``_w``, ...) would be clobbered per event."""
         draws = [
             *ziggurat.WORDS_OPEN,
-            *ziggurat.draw_exponential("_tau", "1.0"),
-            *ziggurat.draw_uniform("_threshold", None),
+            *ziggurat.draw_exponential("_tau", "1.0", ziggurat.block_for("1.0")),
+            *ziggurat.draw_uniform("_threshold", None, ziggurat.block_for("1.0")),
             *ziggurat.WORDS_CLOSE,
         ]
         drawn = {n.id for n in ast.walk(ast.parse("\n".join(draws))) if isinstance(n, ast.Name)}
