@@ -261,16 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind and serve coordinator sessions (the --dispatch shape)",
     )
     worker.add_argument(
-        "--capacity",
-        type=int,
-        default=1,
-        help=(
-            "jobs the coordinator may pipeline to this worker at once; they "
-            "execute sequentially — >1 hides dispatch latency, it is not "
-            "worker-side parallelism (run one worker per core for that)"
-        ),
-    )
-    worker.add_argument(
         "--max-sessions",
         type=int,
         default=None,
@@ -300,12 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
             "supervised worker i listens on PORT+i (feed the printed list to a "
             "coordinator's --dispatch)"
         ),
-    )
-    supervisor.add_argument(
-        "--capacity",
-        type=int,
-        default=1,
-        help="pipelining depth advertised by each supervised worker",
     )
     supervisor.add_argument(
         "--status-port",
@@ -819,15 +803,12 @@ def _command_runtime(args: argparse.Namespace) -> int:
 def _command_worker(args: argparse.Namespace) -> int:
     from .engine.worker import run_worker
 
-    if args.capacity < 1:
-        raise ReproError("--capacity must be at least 1")
     if args.max_sessions is not None and args.connect:
         raise ReproError("--max-sessions only applies to --listen workers")
     try:
         run_worker(
             connect=args.connect,
             listen=args.listen,
-            capacity=args.capacity,
             max_sessions=args.max_sessions,
             key_file=args.key_file,
         )
@@ -843,13 +824,10 @@ def _command_supervisor(args: argparse.Namespace) -> int:
 
     if args.target < 0:
         raise ReproError("supervisor target must be non-negative")
-    if args.capacity < 1:
-        raise ReproError("--capacity must be at least 1")
     supervisor = WorkerSupervisor(
         args.target,
         connect=args.connect,
         listen_base=args.listen_base,
-        capacity=args.capacity,
         key_file=args.key_file,
         stable_after=args.stable_after,
     )

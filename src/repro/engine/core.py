@@ -2,7 +2,7 @@
 
 Every executor in the engine — serial, process pool and socket-distributed —
 shares one orchestration logic: windowed submission (at most ``2 * capacity``
-undelivered results in flight), ordered-vs-completion-order delivery,
+undelivered dispatches in flight), ordered-vs-completion-order delivery,
 cancel-on-failure, per-batch :class:`BatchCacheStats`, and the payload
 envelope that ships a group of jobs to a worker.  This module is where all of
 that lives, exactly once:
@@ -153,11 +153,13 @@ class ExecutorBackend(Protocol):
 
 
 def submission_window(capacity: int) -> int:
-    """In-flight budget for a backend: ``2 * capacity``, never below one.
+    """In-flight budget for a backend: ``2 * capacity`` dispatches, never below one.
 
-    Twice the parallel slots keeps every slot busy while the previous result
-    travels back, without letting a long batch pile onto the transport queue
-    — the bound that makes streamed parents hold O(capacity) trajectories.
+    Each slot runs one dispatch and holds the next one queued behind it, so
+    no slot idles while a result travels back and a new dispatch travels
+    out, and a long batch still cannot pile onto the transport queue — the
+    bound that makes streamed parents hold O(capacity × group size)
+    trajectories.
     """
     return max(1, 2 * int(capacity))
 
@@ -170,25 +172,21 @@ def iter_windowed(
     ordered: bool = True,
     progress: Optional[ProgressHook] = None,
     items: Optional[Sequence[Any]] = None,
-    weights: Optional[Sequence[int]] = None,
 ) -> Iterator[Tuple[int, Any]]:
     """THE windowed submission loop, yielding ``(index, result)`` per payload.
 
     This is the one implementation behind every executor's ``iter_jobs`` and
     ``map``: at most ``submission_window(backend.capacity)`` submitted-but-
-    undelivered results exist at any moment, later payloads are dispatched
+    undelivered payloads exist at any moment, later payloads are dispatched
     only as earlier results are consumed, and delivery is either submission
     order (``ordered=True``, completed-out-of-order results are buffered and
     count against the window) or completion order.  ``progress`` fires at
     completion time with ``(done, total, items[index])`` — ``items`` defaults
     to the payload index, which is the ``map`` contract.
 
-    ``weights`` makes the window count *work units* instead of payloads: a
-    batch payload carrying B replicates weighs B, so the in-flight bound
-    stays "at most ``2 * capacity`` undelivered *runs*" regardless of how
-    runs are packed into frames.  Submission stops while the summed weight of
-    pending-plus-buffered payloads meets the window (a single over-weight
-    payload still submits alone rather than deadlocking).
+    The window counts dispatches, whatever each one carries: a group of B
+    runs is one dispatch, so every slot runs one group and holds the next
+    one queued behind it at any group size.
 
     Failure and abandonment semantics: a payload whose future raises
     propagates its exception to the consumer, and the ``finally`` below
@@ -201,13 +199,9 @@ def iter_windowed(
     total = len(payloads)
     if total == 0:
         return
-    weight = [1] * total if weights is None else [max(1, int(w)) for w in weights]
-    if len(weight) != total:
-        raise EngineError(f"{len(weight)} weights for {total} payloads")
     backend.open()
     pending: Dict[concurrent.futures.Future, int] = {}
     buffered: Dict[int, Any] = {}
-    in_flight = 0  # summed weight of pending + (ordered) buffered payloads
     next_submit = 0
     next_yield = 0
     done = 0
@@ -216,10 +210,9 @@ def iter_windowed(
             # Capacity is re-read every round: a distributed backend's window
             # widens as workers join and narrows when they are lost.
             window = submission_window(backend.capacity)
-            while next_submit < total and in_flight < window:
+            while next_submit < total and len(pending) + len(buffered) < window:
                 future = backend.submit(fn, payloads[next_submit])
                 pending[future] = next_submit
-                in_flight += weight[next_submit]
                 next_submit += 1
             if pending:
                 completed = backend.wait_any(pending)
@@ -232,13 +225,11 @@ def iter_windowed(
                     if ordered:
                         buffered[index] = result
                     else:
-                        in_flight -= weight[index]
                         yield index, result
             if ordered:
                 # The smallest unyielded index is always submitted (payloads
                 # are dispatched in order), so this drain cannot starve.
                 while next_yield in buffered:
-                    in_flight -= weight[next_yield]
                     yield next_yield, buffered.pop(next_yield)
                     next_yield += 1
     finally:
@@ -497,16 +488,16 @@ class BaseEnsembleExecutor:
 
         With ``ordered=True`` (the default) results are delivered in
         submission order; ``ordered=False`` delivers them in completion order
-        for minimum latency.  Either way at most ``2 * capacity`` results are
-        submitted-but-unconsumed at any moment — later jobs are only
+        for minimum latency.  Either way at most ``2 * capacity`` dispatches
+        are submitted-but-unconsumed at any moment — later jobs are only
         dispatched as earlier results are yielded, so the parent's peak
-        trajectory memory is bounded by the window, not by ``len(jobs)``.
+        trajectory memory is bounded by the window (``2 * capacity *
+        batch_size`` runs), not by ``len(jobs)``.
 
         Jobs run as groups of up to ``batch_size`` consecutive
         same-configuration jobs, one dispatch per group (see
         :func:`batch_job_groups`); yielded pairs, delivery order and
-        bit-identity do not depend on the group size, and the window counts
-        runs, not dispatches.
+        bit-identity do not depend on the group size.
 
         Cache hits/misses accumulate into ``batch_stats`` (this batch's own
         counter, so concurrent batches on one shared executor never clobber
@@ -536,7 +527,6 @@ class BaseEnsembleExecutor:
             ordered=ordered,
             progress=hook,
             items=groups,
-            weights=[len(group) for group in groups],
         ):
             group = groups[group_index]
             trajectories = decode_trajectories(result) if isinstance(result, bytes) else result

@@ -18,11 +18,19 @@ connection is up; the worker always speaks first with a ``hello`` frame):
 
 * **coordinator listens** (``listen="host:port"``): workers dial in with
   ``genlogic worker --connect host:port``.  New workers may join mid-batch —
-  capacity grows and the submission window widens on the next scheduling
-  round — which is also how a lost worker's replacement re-enters the fabric.
+  capacity (one slot per live worker) grows and the submission window widens
+  on the next scheduling round — which is also how a lost worker's
+  replacement re-enters the fabric.
 * **coordinator dials** (``connect=["host:port", ...]``): workers were
   started with ``genlogic worker --listen host:port`` and the executor
   connects out to each — the shape behind the CLI's ``--dispatch`` flag.
+
+Pipelining: each worker runs one dispatch and holds the next one, which
+waits on its socket, so the worker starts it the moment it sends the previous
+result instead of idling while that result reaches the coordinator and a new
+dispatch travels out.  The executor's capacity is its number of live workers
+and the core's window (``2 * capacity`` dispatches) is what those held
+dispatches add up to.
 
 Fault tolerance: every dispatched task is tracked per connection; when a
 worker is lost (socket error, process death) its in-flight tasks are requeued
@@ -98,7 +106,7 @@ from .auth import (
     resolve_key,
 )
 from .backoff import Backoff, BackoffPolicy
-from .core import BaseEnsembleExecutor
+from .core import BaseEnsembleExecutor, submission_window
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -258,12 +266,15 @@ class _Task:
 
 
 class _WorkerLink:
-    """One connected worker: socket, capacity, in-flight tasks, health counters."""
+    """One connected worker: socket, in-flight tasks, health counters.
 
-    def __init__(self, link_id: int, sock: socket.socket, capacity: int, peer: str):
+    A link holds at most two dispatches: the one its worker runs and the
+    next one, which waits on the socket (``submission_window(1)``).
+    """
+
+    def __init__(self, link_id: int, sock: socket.socket, peer: str):
         self.link_id = link_id
         self.sock = sock
-        self.capacity = max(1, int(capacity))
         self.peer = peer
         self.in_flight: Dict[int, _Task] = {}
         self.send_lock = threading.Lock()
@@ -279,14 +290,13 @@ class _WorkerLink:
 
     @property
     def free_slots(self) -> int:
-        return self.capacity - len(self.in_flight)
+        return submission_window(1) - len(self.in_flight)
 
     def health(self) -> Dict[str, Any]:
         now = time.monotonic()
         uptime = max(now - self.connected_at, 1e-9)
         return {
             "peer": self.peer,
-            "capacity": self.capacity,
             "in_flight": len(self.in_flight),
             "dispatched": self.dispatched,
             "completed": self.completed,
@@ -396,23 +406,14 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
 
         Live, not the configured floor: a listening fabric that eight workers
         joined reports eight in :class:`EnsembleStats`, and loses them again
-        as they leave.
+        as they leave.  This is also the executor's ``capacity``, one slot
+        per worker.  It never reports zero: while the fabric is
+        (re)assembling, the nominal worker count keeps the submission window
+        open so tasks queue instead of stalling submission.
         """
         with self._state:
             live = len(self._links)
         return live or self._min_workers
-
-    @property
-    def capacity(self) -> int:
-        """Live parallel slots across every connected worker.
-
-        Never reports zero: while the fabric is (re)assembling, the nominal
-        worker count keeps the submission window open so tasks queue instead
-        of stalling submission.
-        """
-        with self._state:
-            live = sum(link.capacity for link in self._links if link.alive)
-        return live or max(1, self._min_workers)
 
     @property
     def authenticated(self) -> bool:
@@ -597,7 +598,7 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
             pass
         peer_host, peer_port = sock.getpeername()[:2]
         peer = f"{peer_host}:{peer_port}"
-        link = _WorkerLink(next(self._link_ids), sock, hello.get("capacity", 1), peer)
+        link = _WorkerLink(next(self._link_ids), sock, peer)
         with self._state:
             self._links.append(link)
             self._state.notify_all()
@@ -691,7 +692,13 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
                 self._send_task(link, task)
 
     def _pick_link(self) -> Optional[_WorkerLink]:
-        """The live worker with the most free slots (None when all are full)."""
+        """The live worker with the most free slots (None when all are full).
+
+        Emptiest first: a worker is sent a second, queued dispatch only once
+        every worker runs one.  With several workers a queued dispatch can
+        still wait behind a long one on its link while another worker idles
+        at the end of a batch; at most one dispatch per link waits that way.
+        """
         best = None
         for link in self._links:
             if link.alive and link.free_slots > 0:
@@ -854,7 +861,6 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
         cls,
         n_workers: int = 2,
         *,
-        capacity: int = 1,
         connect_timeout: float = 60.0,
         key: Optional[Any] = None,
         **kwargs: Any,
@@ -872,7 +878,6 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
         """
         executor = _LoopbackExecutor(
             n_workers,
-            capacity=capacity,
             connect_timeout=connect_timeout,
             key=key,
             **kwargs,
@@ -887,7 +892,6 @@ class _LoopbackExecutor(DistributedEnsembleExecutor):
         self,
         n_workers: int,
         *,
-        capacity: int = 1,
         connect_timeout: float = 60.0,
         key: Optional[Any] = None,
         **kwargs: Any,
@@ -899,20 +903,13 @@ class _LoopbackExecutor(DistributedEnsembleExecutor):
             key=key,
             **kwargs,
         )
-        self._spawn_capacity = capacity
         self._processes: List[subprocess.Popen] = []
 
     def _assemble(self) -> None:
         super()._assemble()
         host, port = self.bound_address
         for _ in range(self._min_workers):
-            self._processes.append(
-                spawn_worker_process(
-                    f"{host}:{port}",
-                    capacity=self._spawn_capacity,
-                    key=self._key,
-                ),
-            )
+            self._processes.append(spawn_worker_process(f"{host}:{port}", key=self._key))
 
     def _teardown(self) -> None:
         super()._teardown()
@@ -932,7 +929,6 @@ def spawn_worker_process(
     connect: Optional[str] = None,
     *,
     listen: Optional[str] = None,
-    capacity: int = 1,
     python: Optional[str] = None,
     key: Optional[bytes] = None,
 ) -> subprocess.Popen:
@@ -949,14 +945,7 @@ def spawn_worker_process(
     """
     if (connect is None) == (listen is None):
         raise EngineError("spawn_worker_process needs exactly one of connect= or listen=")
-    command = [
-        python or sys.executable,
-        "-m",
-        "repro.cli",
-        "worker",
-        "--capacity",
-        str(int(capacity)),
-    ]
+    command = [python or sys.executable, "-m", "repro.cli", "worker"]
     if connect is not None:
         command += ["--connect", connect]
     else:

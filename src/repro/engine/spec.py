@@ -54,6 +54,7 @@ __all__ = [
     "StudySpec",
     "as_float",
     "as_seed",
+    "check_protocol",
     "frozen_overrides",
 ]
 
@@ -64,18 +65,59 @@ __all__ = [
 STUDY_SPEC_SCHEMA = 2
 
 #: Samples a study may ask for, summed over its replicates, with each held
-#: input combination counted as one more: :meth:`StudySpec.check_cost`
-#: refuses more.  Each sample of a replicate is one state row and each held
+#: input combination counted as one more (:func:`check_protocol`):
+#: :meth:`StudySpec.check_cost` refuses more, and
+#: :meth:`repro.search.SearchSpec.check_budget` refuses a search replicate
+#: over it.  Each sample of a replicate is one state row and each held
 #: combination one simulated segment, so this bounds what a worker runs,
 #: records and ships.
 MAX_STUDY_SAMPLES = 10_000_000
 
 #: Input combinations one replicate may hold in turn (``2**n * repeats``):
-#: :meth:`StudySpec.check_cost` refuses more.  :meth:`StudySpec.cache_key`
-#: builds and digests that schedule, ~10 µs a combination on a 2-vCPU Xeon
-#: VM, and the service keys a body on its event loop, so this bounds that
-#: work at ~0.1 s whatever the hold time.
+#: :meth:`StudySpec.check_cost` and
+#: :meth:`repro.search.SearchSpec.check_budget` refuse more.
+#: :meth:`StudySpec.cache_key` builds and digests that schedule, ~10 µs a
+#: combination on a 2-vCPU Xeon VM, and the service keys a body on its event
+#: loop, so this bounds that work at ~0.1 s whatever the hold time.
 MAX_STUDY_STEPS = 10_000
+
+
+def check_protocol(
+    subject: str,
+    n_inputs: int,
+    hold_time: float,
+    repeats: int,
+    sample_interval: float,
+    n_replicates: int = 1,
+) -> None:
+    """Raise :class:`EngineError` when ``n_replicates`` replicates of a
+    stimulus protocol ask for more than :data:`MAX_STUDY_SAMPLES` samples,
+    or one replicate holds more than :data:`MAX_STUDY_STEPS` input
+    combinations.
+
+    A replicate holds each of ``2**n_inputs`` input combinations
+    ``hold_time`` long, ``repeats`` times, and records a sample every
+    ``sample_interval``; each held combination counts as one sample more,
+    so a tiny hold time cannot make many combinations free.  Counted from
+    the protocol alone, before any circuit or schedule is built.
+    ``subject`` names what is counted in the message.
+    """
+    steps = 2**n_inputs * repeats
+    try:
+        samples = steps * (hold_time / sample_interval + 1) * n_replicates
+    except OverflowError:  # an integer field beyond float range
+        samples = math.inf
+    if samples > MAX_STUDY_SAMPLES:
+        raise EngineError(
+            f"{subject}: about {samples:.3g} samples; at most {MAX_STUDY_SAMPLES} "
+            "are accepted (lower hold_time, repeats or the replicate count, or "
+            "raise sample_interval)",
+        )
+    if steps > MAX_STUDY_STEPS:
+        raise EngineError(
+            f"{subject}: {steps} input combinations held a replicate; at most "
+            f"{MAX_STUDY_STEPS} are accepted (lower repeats)",
+        )
 
 
 def as_float(label: str, value: Any) -> float:
@@ -293,15 +335,10 @@ class StudySpec:
         :data:`MAX_STUDY_STEPS` held input combinations per replicate or
         :data:`MAX_STUDY_SAMPLES` samples over all its replicates.
 
-        Counted from the protocol alone, before any circuit or schedule is
-        built: a replicate holds each of ``2**n`` input combinations
-        ``hold_time`` long, ``repeats`` times, and records a sample every
-        ``sample_interval``; each held combination counts as one sample
-        more, so a tiny hold time cannot make many combinations free.
-        ``n`` is the attached circuit's input count or, for a name, the most
-        inputs a named circuit takes (a Cello circuit's three), so the count
-        bounds the study's own.  The service checks it before computing any
-        key.
+        Counted by :func:`check_protocol`, with ``n_inputs`` the attached
+        circuit's input count or, for a name, the most inputs a named
+        circuit takes (a Cello circuit's three), so the count bounds the
+        study's own.  The service checks it before computing any key.
         """
         attached = self.__dict__.get("_circuit")
         if attached is not None:
@@ -310,23 +347,14 @@ class StudySpec:
             from ..gates.cello import CELLO_INPUT_SPECIES
 
             n_inputs = len(CELLO_INPUT_SPECIES)
-        steps = 2**n_inputs * self.repeats
-        try:
-            per_replicate = steps * (self.hold_time / self.sample_interval + 1)
-            samples = per_replicate * self.n_replicates
-        except OverflowError:  # an integer field beyond float range
-            samples = math.inf
-        if samples > MAX_STUDY_SAMPLES:
-            raise EngineError(
-                f"the study asks for about {samples:.3g} samples over its replicates; "
-                f"at most {MAX_STUDY_SAMPLES} are accepted (lower n_replicates, "
-                "hold_time or repeats, or raise sample_interval)",
-            )
-        if steps > MAX_STUDY_STEPS:
-            raise EngineError(
-                f"the study holds {steps} input combinations a replicate; at most "
-                f"{MAX_STUDY_STEPS} are accepted (lower repeats)",
-            )
+        check_protocol(
+            "the study",
+            n_inputs,
+            self.hold_time,
+            self.repeats,
+            self.sample_interval,
+            self.n_replicates,
+        )
 
     # -- content addressing ----------------------------------------------------
     def cache_key(self) -> str:

@@ -36,7 +36,9 @@ snapshot into ``/v1/stats`` as its backpressure signal.
 
 The fabric secret (``key=`` / ``GENLOGIC_FABRIC_KEY``) is exported to every
 spawned worker's environment, so a supervised fleet joins an authenticated
-coordinator without per-worker configuration.
+coordinator without per-worker configuration.  No other per-worker setting
+exists: every worker runs one dispatch and holds the next one, which waits
+on its socket (see :mod:`repro.engine.distributed`).
 """
 
 from __future__ import annotations
@@ -108,7 +110,6 @@ class WorkerSupervisor:
         *,
         connect: Union[str, Callable[[], Optional[str]], None] = None,
         listen_base: Optional[str] = None,
-        capacity: int = 1,
         key: Optional[Any] = None,
         key_file: Optional[str] = None,
         policy: Optional[BackoffPolicy] = None,
@@ -129,7 +130,6 @@ class WorkerSupervisor:
         self._listen_base: Optional[Tuple[str, int]] = None
         if listen_base is not None:
             self._listen_base = parse_address(listen_base)
-        self._capacity = max(1, int(capacity))
         self._key = resolve_key(key, key_file)
         self._policy = policy if policy is not None else RESTART_BACKOFF
         self.stable_after = float(stable_after)
@@ -271,7 +271,6 @@ class WorkerSupervisor:
             process = spawn_worker_process(
                 connect_address,
                 listen=slot.listen_address,
-                capacity=self._capacity,
                 python=self._python,
                 key=self._key,
             )

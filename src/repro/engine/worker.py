@@ -25,7 +25,7 @@ is configured (``GENLOGIC_FABRIC_KEY`` / ``--key-file``), bare preamble
 otherwise — so no coordinator frame is unpickled before the peer proved
 itself (or the operator explicitly chose trusted-network mode).  The worker
 then speaks first with a ``hello`` frame carrying its protocol version and
-capacity; afterwards it answers every ``job`` frame with a ``result`` frame
+pid; afterwards it answers every ``job`` frame with a ``result`` frame
 (``ok=True`` plus the return value, or ``ok=False`` plus the pickled
 exception and traceback text) and exits the session on a ``shutdown`` frame
 or EOF.  A dedicated reader thread answers the coordinator's ``ping`` frames
@@ -100,21 +100,16 @@ def _error_frame(task_id: int, error: BaseException) -> dict:
     }
 
 
-def serve_connection(
-    sock: socket.socket,
-    *,
-    capacity: int = 1,
-    key: Optional[bytes] = None,
-) -> int:
+def serve_connection(sock: socket.socket, *, key: Optional[bytes] = None) -> int:
     """Serve one coordinator session on an established socket.
 
     Runs the authentication handshake, sends the hello frame, then executes
     job frames **sequentially** until a shutdown frame or EOF, while a reader
     thread keeps draining the socket so heartbeat pings are answered even
-    mid-computation.  ``capacity`` is the pipelining depth advertised to the
-    coordinator — how many jobs it may keep in flight on this socket so the
-    next one is already queued when the current one finishes.  It is *not*
-    worker-side parallelism: run one worker process per core for that.
+    mid-computation.  The coordinator keeps two jobs on this socket: the one
+    running and the next one, which waits in the reader's queue, so the
+    worker starts it as soon as it has sent the previous result.  That is
+    not worker-side parallelism: run one worker process per core for that.
     Returns the number of jobs executed.  The caller owns the socket (and
     closes it).
     """
@@ -127,15 +122,7 @@ def serve_connection(
     sock.settimeout(None)
     send_lock = threading.Lock()
     with send_lock:
-        send_message(
-            sock,
-            {
-                "type": "hello",
-                "version": PROTOCOL_VERSION,
-                "capacity": max(1, int(capacity)),
-                "pid": os.getpid(),
-            },
-        )
+        send_message(sock, {"type": "hello", "version": PROTOCOL_VERSION, "pid": os.getpid()})
     # The reader thread owns the receiving half: it answers pings on the spot
     # (the whole point — liveness must not wait for the current job) and
     # feeds jobs to the sequential executor below; ``None`` means "session
@@ -210,7 +197,6 @@ def run_worker(
     connect: Optional[str] = None,
     listen: Optional[str] = None,
     *,
-    capacity: int = 1,
     max_sessions: Optional[int] = None,
     on_ready=None,
     key: Optional[bytes] = None,
@@ -236,7 +222,7 @@ def run_worker(
     if connect is not None:
         host, port = parse_address(connect)
         with socket.create_connection((host, port)) as sock:
-            return serve_connection(sock, capacity=capacity, key=secret)
+            return serve_connection(sock, key=secret)
     host, port = parse_address(listen)
     executed = 0
     sessions = 0
@@ -246,7 +232,7 @@ def run_worker(
         while max_sessions is None or sessions < max_sessions:
             sock, peer = server.accept()
             try:
-                executed += serve_connection(sock, capacity=capacity, key=secret)
+                executed += serve_connection(sock, key=secret)
             except (EngineError, ConnectionError, OSError) as error:
                 # One hostile or broken peer must not take the worker down —
                 # nor burn a --max-sessions slot: a peer turned away at the

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from ..engine.spec import as_float, as_seed, frozen_overrides
+from ..engine.spec import as_float, as_seed, check_protocol, frozen_overrides
 from ..errors import EngineError, SimulationError
 from ..gates.assignment import PartAssignment, count_assignments, enumerate_assignments
 from ..gates.parts_library import LIBRARY_NAMES, PartsLibrary, resolve_library
@@ -258,14 +258,24 @@ class SearchSpec:
         return self.fixed_replicates if self.allocator == "fixed" else self.n0
 
     def check_budget(self) -> None:
-        """Raise :class:`EngineError` unless the budget funds the first round.
+        """Raise :class:`EngineError` unless one replicate fits the study
+        bounds and the budget funds the first round.
 
-        The first round gives every candidate :meth:`initial_replicates`.
-        The check counts the space (:meth:`n_candidates`) and builds nothing,
-        so an unaffordable search is refused before any circuit exists — by
-        :func:`repro.search.run_design_search` and by the service before
-        admission.
+        One replicate of the search's protocol is bounded as one study
+        replicate is (:func:`~repro.engine.spec.check_protocol`).  The first
+        round gives every candidate :meth:`initial_replicates`.  The check
+        counts the protocol and the space (:meth:`n_candidates`) and builds
+        nothing, so an oversized or unaffordable search is refused before
+        any circuit exists — by :func:`repro.search.run_design_search` and
+        by the service before admission.
         """
+        check_protocol(
+            "one search replicate",
+            len(self.inputs),
+            self.hold_time,
+            self.repeats,
+            self.sample_interval,
+        )
         n = self.n_candidates()
         initial = self.initial_replicates()
         budget = self.total_budget()

@@ -273,11 +273,13 @@ class AnalysisService:
         bound, one registry, one content-addressed cache (frontiers are keyed
         by :meth:`SearchSpec.cache_key`) — only the budget check differs: a
         search is charged its *total* replicate budget across the whole
-        candidate space, and a budget that cannot fund the first round is
-        malformed (:meth:`SearchSpec.check_budget`, 400) — refused before
-        anything is built or dispatched.
+        candidate space.  A replicate over the study bounds, or a budget that
+        cannot fund the first round, is malformed
+        (:meth:`SearchSpec.check_budget`, 400) — refused before the budget is
+        charged and before anything is keyed, built or dispatched.
         """
         spec = self.parse_search_spec(data)
+        spec.check_budget()
         budget = spec.total_budget()
         if budget > self.max_search_replicates:
             self._rejected += 1
@@ -287,7 +289,6 @@ class AnalysisService:
                 "per request (cap the space with max_candidates or lower "
                 "budget_replicates)",
             )
-        spec.check_budget()
         key = self._content_key(spec, from_body=not isinstance(data, SearchSpec))
         return await self._admit(spec, key, kind="search")
 

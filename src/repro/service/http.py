@@ -244,7 +244,10 @@ class ServiceServer:
         target: str,
         body: bytes,
     ) -> Tuple[int, Dict[str, Any], Optional[int]]:
-        url = urlsplit(target)
+        try:
+            url = urlsplit(target)
+        except ValueError as error:  # e.g. an unclosed IPv6 bracket: "//["
+            raise _HttpError(400, f"malformed request target {target!r}: {error}") from None
         path = url.path.rstrip("/") or "/"
         query = parse_qs(url.query)
 

@@ -134,6 +134,34 @@ class TestTransports:
         _assert_bit_identical(trajectories, baseline)
 
 
+class _RecordingSerial(SerialExecutor):
+    """A serial transport (capacity 1) that logs each submit and wait."""
+
+    def __init__(self):
+        self.events = []
+
+    def submit(self, fn, payload):
+        self.events.append("submit")
+        return super().submit(fn, payload)
+
+    def wait_any(self, pending):
+        self.events.append("wait")
+        return super().wait_any(pending)
+
+
+class TestWindow:
+    def test_window_counts_dispatches_not_runs(self, template):
+        """At capacity 1 the window holds two dispatches however many runs
+        each carries: both 32-run groups are submitted before the first wait."""
+        executor = _RecordingSerial()
+        assert executor.capacity == 1
+        jobs = replicate_jobs(template, 64, seed=5)
+        result = run_ensemble(jobs, executor=executor, batch_size=32)
+        assert executor.events[:3] == ["submit", "submit", "wait"]
+        assert executor.events.count("submit") == 2
+        assert len(result.trajectories) == 64
+
+
 class TestPoolBatchLifecycle:
     def test_abandoned_pool_stream_leaves_the_pool_usable(self, template):
         """Breaking out of a batched pool stream cancels the queued batches;

@@ -169,11 +169,24 @@ class TestFabricExecution:
         assert second.stats.cache_hits == 4
 
     def test_worker_loss_requeues_in_flight_tasks(self):
-        """SIGKILL one of two workers mid-batch: its in-flight tasks are
-        requeued and the survivor completes the whole batch."""
+        """SIGKILL one of two workers mid-batch: every dispatch its link held
+        (the running one and the one queued behind it) is requeued, and the
+        survivor completes the whole batch."""
         with DistributedEnsembleExecutor.loopback(2) as executor:
             executor.open()
             victim = executor._processes[0]
+            held = []
+            drop_link = executor._drop_link
+
+            def _recording_drop(link, **kwargs):
+                # Under the fabric's (reentrant) state lock, so no dispatch
+                # or result moves between counting and requeueing.
+                with executor._state:
+                    if link.alive:
+                        held.append(len(link.in_flight))
+                    drop_link(link, **kwargs)
+
+            executor._drop_link = _recording_drop
 
             def _kill_soon():
                 time.sleep(0.25)
@@ -181,7 +194,43 @@ class TestFabricExecution:
 
             threading.Thread(target=_kill_soon, daemon=True).start()
             results = executor.map(_sleep_briefly, [0.1] * 16)
+            requeued = executor.health()["tasks_requeued"]
         assert results == [0.1] * 16
+        assert len(held) == 1 and held[0] >= 1
+        assert requeued == held[0]
+
+    def test_worker_holds_its_next_dispatch(self):
+        """A one-worker fabric sends the second dispatch while the first
+        runs: it waits on the worker's socket, not in the coordinator's
+        queue, so the worker starts it without a round trip."""
+        with DistributedEnsembleExecutor.loopback(1) as executor:
+            first = executor.submit(_sleep_briefly, 0.5)
+            second = executor.submit(_sleep_briefly, 0.0)
+            deadline = time.monotonic() + 30.0
+            while True:
+                health = executor.health()
+                if health["workers"][0]["in_flight"] == 2:
+                    break
+                assert not first.done(), "the second dispatch waited for the first result"
+                assert time.monotonic() < deadline, "the second dispatch was never sent"
+                time.sleep(0.005)
+            assert health["queue_depth"] == 0
+            assert "capacity" not in health["workers"][0]
+            assert first.result(timeout=30.0) == 0.5
+            assert second.result(timeout=30.0) == 0.0
+
+    def test_each_worker_runs_one_group(self, ssa_job):
+        """Two groups on two fresh workers go one to each, whatever a group
+        carries: each worker compiles once (6 hits / 2 misses), and the
+        trajectories equal the one-replicate dispatches'."""
+        jobs = replicate_jobs(ssa_job, 8, seed=7)
+        with DistributedEnsembleExecutor.loopback(2) as executor:
+            grouped = run_ensemble(jobs, executor=executor, batch_size=4)
+            single = run_ensemble(jobs, executor=executor, batch_size=1)
+        assert (grouped.stats.cache_hits, grouped.stats.cache_misses) == (6, 2)
+        for index in range(len(jobs)):
+            assert np.array_equal(grouped.trajectory(index).times, single.trajectory(index).times)
+            assert np.array_equal(grouped.trajectory(index).data, single.trajectory(index).data)
 
     def test_poison_task_fails_batch_not_forever(self):
         """A task that kills every worker it lands on must fail the batch
@@ -198,8 +247,8 @@ class TestFabricExecution:
 
         with DistributedEnsembleExecutor.loopback(1) as executor:
             executor.open()
-            slow = executor.submit(_sleep_briefly, 8.0)  # dispatched to the worker
-            queued = executor.submit(_sleep_briefly, 8.0)  # waits for a slot
+            slow = executor.submit(_sleep_briefly, 8.0)  # runs on the worker
+            queued = executor.submit(_sleep_briefly, 8.0)  # waits on its socket
             time.sleep(0.3)
             executor.close()
             for future in (slow, queued):
@@ -353,7 +402,12 @@ class TestDispatchCli:
 
         assert main(["worker", "--connect", "h:1", "--max-sessions", "2"]) == 2
         capsys.readouterr()
-        assert main(["worker", "--connect", "h:1", "--capacity", "0"]) == 2
+        # Each worker holds its next dispatch; there is no pipelining knob.
+        for command in (["worker", "--connect", "h:1"], ["supervisor", "1", "--connect", "h:1"]):
+            with pytest.raises(SystemExit) as exited:
+                main([*command, "--capacity", "2"])
+            assert exited.value.code == 2
+            assert "unrecognized arguments: --capacity" in capsys.readouterr().err
 
 
 class TestBitIdentityAcrossFabricShapes:

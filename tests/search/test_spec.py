@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.engine.spec import MAX_STUDY_SAMPLES, MAX_STUDY_STEPS
 from repro.errors import EngineError, ReproError
 from repro.search import SEARCH_SPEC_SCHEMA, SearchSpec
 from repro.search import spec as spec_module
@@ -172,6 +173,42 @@ class TestSpace:
         with pytest.raises(EngineError, match="10 candidates x 10 replicates"):
             fixed.check_budget()
         make_spec(max_candidates=10).check_budget()  # the exhaustive total
+
+    @pytest.mark.parametrize(
+        "protocol, refusal",
+        [
+            ({"hold_time": MAX_STUDY_SAMPLES / 4 * 1.01}, "samples"),
+            ({"sample_interval": 1e-6}, "samples"),
+            ({"repeats": 10**400}, "samples"),
+            ({"repeats": MAX_STUDY_STEPS // 4 + 1, "hold_time": 1e-6}, "input combinations"),
+        ],
+        ids=["hold", "interval", "huge-int", "steps"],
+    )
+    def test_oversized_replicate_is_refused(self, monkeypatch, protocol, refusal):
+        """A search replicate is bounded as one study replicate is, counted
+        from the protocol (two inputs: four combinations) before the space."""
+
+        def no_count(spec):
+            raise AssertionError("an oversized search counted its space")
+
+        monkeypatch.setattr(SearchSpec, "n_candidates", no_count)
+        with pytest.raises(EngineError, match=refusal):
+            make_spec(**protocol).check_budget()
+
+    def test_protocols_at_the_bounds_pass(self):
+        make_spec(max_candidates=10, hold_time=MAX_STUDY_SAMPLES / 4 - 1).check_budget()
+        make_spec(max_candidates=10, repeats=MAX_STUDY_STEPS // 4, hold_time=1e-6).check_budget()
+
+    def test_unbounded_hold_is_refused_and_shipped_protocols_pass(self):
+        with pytest.raises(EngineError, match="samples"):
+            SearchSpec(function="0x0B", seed=1, hold_time=1e8).check_budget()
+        # The CLI defaults, the service benchmark's search and the search
+        # benchmarks' specs.
+        SearchSpec(function="0x0B", seed=1).check_budget()
+        make_spec(max_candidates=8, n0=2, fixed_replicates=6, top_k=2, hold_time=60.0).check_budget()
+        make_spec(allocator="fixed", max_candidates=12, n0=2, fixed_replicates=2,
+                  hold_time=20.0).check_budget()
+        make_spec(max_candidates=60, fixed_replicates=10, top_k=5, hold_time=60.0).check_budget()
 
     def test_candidates_carry_variant_overrides(self):
         spec = make_spec(variants=((), (("kd_YFP", 0.2),)), max_candidates=4)

@@ -337,6 +337,24 @@ class TestSearchSubmission:
         with pytest.raises(BudgetError, match="at most 7"):
             asyncio.run(_go())
 
+    def test_oversized_search_is_refused_before_keying(self, monkeypatch):
+        """A search replicate over the study bounds is malformed whatever the
+        service's replicate limit: refused with no key computed, no record
+        and no dispatch."""
+
+        def no_key(spec):
+            raise AssertionError("an oversized search was keyed")
+
+        monkeypatch.setattr(SearchSpec, "cache_key", no_key)
+        runner = _StubSearchRunner()
+        service = AnalysisService(runner=_StubRunner(), search_runner=runner)
+        body = {"function": "0x0B", "seed": 1, "hold_time": 1e8}
+        with pytest.raises(EngineError, match="samples") as refused:
+            asyncio.run(service.submit_search(body))
+        assert not isinstance(refused.value, BudgetError)
+        assert runner.calls == 0
+        assert service._records == {}
+
     def test_unaffordable_search_is_refused_before_admission(self):
         """A budget that cannot fund the first round is a malformed request:
         refused while counting the space, with no record and no dispatch."""
@@ -623,6 +641,9 @@ class TestHttpService:
             status, _, body = _request(port, "GET", "/v1/nope")
             assert status == 404
 
+            status, _, body = _request(port, "GET", "//[")
+            assert status == 400 and "malformed request target" in body["error"]
+
         self._serve(exercise, runner=_StubRunner(), max_replicates=4)
 
     def test_non_finite_number_maps_to_400(self):
@@ -671,6 +692,7 @@ class TestHttpService:
                 {"function": "0x0B", "library": "default", "seed": 1, "budget_replicates": 10},
                 "cannot fund the initial round",
             ),
+            ("/v1/search", {"function": "0x0B", "seed": 1, "hold_time": 1e8}, "samples"),
         ],
         ids=[
             "non-number",
@@ -690,6 +712,7 @@ class TestHttpService:
             "search-not-utf8",
             "search-fractional-seed",
             "search-unaffordable",
+            "search-oversized-hold",
         ],
     )
     def test_malformed_body_maps_to_400(self, path, body, field):
