@@ -27,6 +27,7 @@ from repro.analysis import run_replicate_study
 from repro.engine import (
     ProcessPoolEnsembleExecutor,
     StudySpec,
+    default_cache,
     iter_ensemble,
     replicate_jobs,
     run_ensemble,
@@ -46,9 +47,11 @@ BASE_SEED = 20170654
 #: Replicate count for the peak-memory comparison: large enough that a
 #: materialized ensemble clearly scales with n_runs while the streamed path
 #: stays flat at the executor's in-flight window.  The claim is the ratio, not
-#: the size: at 20 the streamed peak reads ~0.16 of the materialized one, and
-#: a stream that kept every trajectory it yielded would read over 0.25.
-N_MEMORY_REPLICATES = 20
+#: the size: at 40 the streamed peak reads ~0.18 of the materialized one, and
+#: a stream that kept every trajectory it yielded would read over 0.25.  At 20
+#: it reads ~0.31: one in-flight ODE run's working memory (~30 KB) outweighs
+#: three held trajectories (~9 KB each) once no compile inflates either peak.
+N_MEMORY_REPLICATES = 40
 
 
 def _cpus() -> int:
@@ -149,12 +152,18 @@ def memory_template_job():
 def test_streaming_bounds_peak_trajectory_memory(benchmark, memory_template_job):
     """Streamed replicate studies hold O(window) trajectories, not O(n_runs).
 
-    Runs the same 20-replicate study twice — materialized via run_ensemble
+    Runs the same 40-replicate study twice — materialized via run_ensemble
     and streamed via iter_ensemble with analyze-and-discard — and compares
     tracemalloc peaks.  The streamed peak is bounded by the executor's
     in-flight window (one trajectory for the serial executor), so it must sit
     far below the materialized peak, which grows with the replicate count.
+    The model is compiled, with the ODE's on-demand kernel part, before
+    either pass, so neither peak holds a compile.
     """
+    compiled = default_cache().get(
+        memory_template_job.model, memory_template_job.frozen_overrides()
+    )
+    compiled.propensities(compiled.initial_state)
 
     def _measure():
         jobs = replicate_jobs(memory_template_job, N_MEMORY_REPLICATES, seed=BASE_SEED)

@@ -11,27 +11,21 @@ interpreted per-reaction fallback (``REPRO_KERNEL=interp``) on
   headline circuit 0x0B merged into one 80-reaction, 64-species model —
 
 in **events per second**, asserting the ≥3x codegen speedup on the
-Cello-scale model.  It also measures worker cold start: building a
-``CompiledModel`` from a source+bytecode kernel blob (what a pool worker
-does when the ensemble engine ships it a model) versus recompiling the
-kinetic-law ASTs from scratch, and reports the kernel build time of each
-circuit of the paper's Section III table.  All numbers land in ``extra_info`` of the
+Cello-scale model, and reports the kernel build time of each circuit of the
+paper's Section III table.  All numbers land in ``extra_info`` of the
 pytest-benchmark JSON so CI can track the perf trajectory across PRs.
 
 The two backends are compared on the same host within one test, so the
 speedup assertions are robust to absolute machine speed.
 """
 
-import marshal
 import os
 import time
 
-import numpy as np
 import pytest
 
 from conftest import check_wallclock
 from repro.engine import StudySpec
-from repro.engine.cache import kernel_artifact_for_blob, model_fingerprint
 from repro.gates import and_gate_circuit, cello_circuit, resolve_circuit
 from repro.gates.cello import CELLO_CIRCUIT_NAMES
 from repro.sbml import Model
@@ -186,67 +180,3 @@ def test_kernel_build_ms_suite_circuits(benchmark):
     for name, seconds in best.items():
         benchmark.extra_info[f"build_ms_{name}"] = round(seconds * 1e3, 3)
     benchmark.extra_info["build_ms_total"] = round(sum(best.values()) * 1e3, 2)
-
-
-def test_worker_cold_start_blob_exec_vs_ast_recompile(benchmark, cello_scale_model):
-    """Worker cold start: exec'ing the shipped kernel blob vs recompiling.
-
-    ``blob-exec`` is what a pool worker pays when the parent ships the
-    generated kernel (source + marshalled bytecode) inside the model blob;
-    ``ast-recompile`` is what it paid before compiled-propensity
-    serialization: re-deriving everything from the kinetic-law ASTs.
-    """
-    artifact = kernel_artifact_for_blob(
-        cello_scale_model,
-        model_fingerprint(cello_scale_model),
-        (),
-    )
-
-    def blob_exec():
-        return CompiledModel(
-            cello_scale_model,
-            kernel_source=artifact.source,
-            kernel_code=marshal.loads(artifact.bytecode),
-        )
-
-    def ast_recompile_interp():
-        return CompiledModel(cello_scale_model, backend=BACKEND_INTERP)
-
-    def ast_recompile_codegen():
-        return CompiledModel(cello_scale_model, backend=BACKEND_CODEGEN)
-
-    def best_of(fn, repeats=10):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    blob_seconds = best_of(blob_exec)
-    interp_seconds = best_of(ast_recompile_interp)
-    codegen_seconds = best_of(ast_recompile_codegen)
-
-    compiled = benchmark(blob_exec)
-    # Sanity: the blob-built model simulates identically to a fresh compile.
-    state = compiled.initial_state.copy()
-    fresh = ast_recompile_codegen()
-    assert np.array_equal(compiled.propensities(state), fresh.propensities(state))
-
-    benchmark.extra_info["cold_start_blob_exec_ms"] = round(blob_seconds * 1e3, 3)
-    benchmark.extra_info["cold_start_ast_recompile_interp_ms"] = round(interp_seconds * 1e3, 3)
-    benchmark.extra_info["cold_start_ast_recompile_codegen_ms"] = round(codegen_seconds * 1e3, 3)
-    benchmark.extra_info["blob_exec_speedup_vs_interp"] = round(interp_seconds / blob_seconds, 1)
-    benchmark.extra_info["blob_exec_speedup_vs_codegen"] = round(codegen_seconds / blob_seconds, 1)
-    # "Measurably cheaper than AST recompilation" is an acceptance criterion;
-    # the margin is large (10x+ on the dev host), so assert a conservative 2x.
-    check_wallclock(
-        blob_seconds * 2 < interp_seconds,
-        f"blob exec ({blob_seconds * 1e3:.2f} ms) is not 2x cheaper than the "
-        f"interp AST recompile ({interp_seconds * 1e3:.2f} ms)",
-    )
-    check_wallclock(
-        blob_seconds * 2 < codegen_seconds,
-        f"blob exec ({blob_seconds * 1e3:.2f} ms) is not 2x cheaper than the "
-        f"full codegen build ({codegen_seconds * 1e3:.2f} ms)",
-    )

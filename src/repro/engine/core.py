@@ -17,10 +17,10 @@ that lives, exactly once:
   :func:`simulate_batch_payload` — the one dispatch path.  Every job list
   runs as groups of consecutive same-configuration jobs (``batch_size=1``
   means groups of one); each group ships as one declarative payload (the
-  pickled model keyed on a content fingerprint, the generated
-  propensity-kernel artifact of its ``(model, overrides)`` pair, and the
-  group's seeds) to one remote entry point that pool workers and socket
-  workers share verbatim, and comes home as one binary trajectory frame.
+  pickled model keyed on a content fingerprint, the overrides, the
+  simulator settings and the group's seeds) to one remote entry point that
+  pool workers and socket workers share verbatim, which compiles the model
+  on its first group, and comes home as one binary trajectory frame.
   The serial executor runs the same groups in-process instead.
 * :class:`BaseEnsembleExecutor` — the public executor surface (``iter_jobs``
   / ``map`` / context-managed lifecycle) expressed once over the protocol;
@@ -56,16 +56,8 @@ import numpy as np
 from ..errors import EngineError
 from ..stochastic import resolve_simulator
 from ..stochastic.batch import simulate_ssa_batch
-from ..stochastic.codegen import BACKEND_CODEGEN, default_backend
 from ..stochastic.trajectory import Trajectory, decode_trajectories, encode_trajectories
-from .cache import (
-    CompiledModelCache,
-    kernel_artifact_for_blob,
-    model_blob,
-    register_worker_kernel,
-    worker_compiled,
-    worker_model_from_blob,
-)
+from .cache import CompiledModelCache, model_blob, worker_compiled
 from .jobs import SimulationJob
 
 __all__ = [
@@ -297,20 +289,15 @@ def batch_job_payloads(
     jobs: Sequence[SimulationJob],
     groups: Sequence[Sequence[int]],
 ) -> List[Dict[str, Any]]:
-    """One declarative worker payload per group: model blob, kernel and seeds.
+    """One declarative worker payload per group: model blob, settings and seeds.
 
     The blob is serialized once per distinct model and shared by every
     payload referencing it, so a payload costs a bytes copy rather than a
-    re-pickle of the model object graph.  With the codegen backend active,
-    each payload also carries the generated propensity-kernel artifact for
-    *its own* ``(model, overrides)`` pair (not the whole job list's override
-    grid — that would make sweep IPC quadratic): the worker ``exec``'s the
-    shipped module instead of re-compiling kinetic-law ASTs on its first
-    group.
+    re-pickle of the model object graph.  No generated code travels: the
+    worker compiles the blob itself, once per ``(fingerprint, overrides)``
+    pair (:func:`~repro.engine.cache.worker_compiled`).
     """
-    ship_kernels = default_backend() == BACKEND_CODEGEN
     blobs: Dict[int, Tuple[bytes, str]] = {}
-    kernels: Dict[Tuple[int, Tuple], Any] = {}
     payloads = []
     for group in groups:
         seeds = [jobs[index].seed for index in group]
@@ -325,28 +312,14 @@ def batch_job_payloads(
         if key not in blobs:
             blobs[key] = model_blob(job.model)
         blob, fingerprint = blobs[key]
-        frozen = job.frozen_overrides()
-        kernel = None
-        if ship_kernels:
-            kernel_key = (key, frozen)
-            if kernel_key not in kernels:
-                try:
-                    kernels[kernel_key] = kernel_artifact_for_blob(job.model, fingerprint, frozen)
-                except Exception:
-                    # Codegen failures are not fatal at dispatch time: the
-                    # worker falls back to an AST compile, which surfaces any
-                    # real model error where it always did.
-                    kernels[kernel_key] = None
-            kernel = kernels[kernel_key]
         payloads.append(
             {
                 "fingerprint": fingerprint,
                 "model_blob": blob,
-                "overrides": frozen,
+                "overrides": job.frozen_overrides(),
                 "simulator": job.simulator,
                 "t_end": job.t_end,
                 "kwargs": job.simulate_kwargs(),
-                "kernel": kernel,
                 "seeds": seeds,
             },
         )
@@ -356,7 +329,8 @@ def batch_job_payloads(
 def simulate_batch_payload(payload: Dict[str, Any]) -> Tuple[bytes, bool]:
     """Execute one batch payload (remote-side entry point).
 
-    The SSA runs its replicates through
+    The group's model comes from this process's compiled-model cache, which
+    compiles the payload's blob on a miss.  The SSA runs its replicates through
     :func:`repro.stochastic.batch.simulate_ssa_batch` on one shared sample
     grid; other simulators run their replicates one after another inside the
     one dispatch.  Returns ``(frame, cache_hit)``: the replicates as one
@@ -365,11 +339,9 @@ def simulate_batch_payload(payload: Dict[str, Any]) -> Tuple[bytes, bool]:
     the fabric's result message — and decodes with
     :func:`~repro.stochastic.trajectory.decode_trajectories`.
     """
-    fingerprint = payload["fingerprint"]
-    model = worker_model_from_blob(fingerprint, payload["model_blob"])
-    overrides = payload.get("overrides", ())
-    register_worker_kernel(fingerprint, overrides, payload.get("kernel"))
-    compiled, cache_hit = worker_compiled(model, fingerprint, overrides)
+    compiled, cache_hit = worker_compiled(
+        payload["fingerprint"], payload["model_blob"], payload.get("overrides", ())
+    )
     seeds = payload["seeds"]
     kwargs = payload["kwargs"]
     if payload["simulator"] == "ssa":

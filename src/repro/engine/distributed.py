@@ -6,9 +6,8 @@ pickle protocol over TCP to ``genlogic worker`` processes.  It is a thin
 adapter over the engine's shared submission core — the same
 :class:`~repro.engine.core.BaseEnsembleExecutor` surface, the same windowed
 submission loop, the same declarative group payloads (model blob keyed on a
-content fingerprint, generated propensity-kernel artifact per ``(model,
-overrides)`` pair, the group's seeds) and therefore the same worker-side
-fingerprint-keyed caches as the process pool — so every study that accepts
+content fingerprint, the overrides, the group's seeds) and therefore the same
+worker-side compiled-model cache as the process pool — so every study that accepts
 ``executor=`` shards across machines with no study-code changes, and results
 are bit-identical to the serial executor because seeds are fanned out before
 dispatch.
@@ -317,7 +316,7 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
     transport, ``iter_jobs`` / ``map`` inherited from the shared core,
     per-batch :class:`BatchCacheStats`, and submission-order result delivery
     bit-identical to the serial executor for the same seeds.
-    Worker processes keep their fingerprint-keyed model and kernel caches
+    Worker processes keep their fingerprint-keyed compiled-model caches
     across batches exactly like pool workers, so a closed-and-reopened batch
     on the same fabric starts warm.
 

@@ -6,10 +6,10 @@ same length-prefixed pickle protocol, executes the same declarative group
 payloads through the same entry point as a process-pool worker
 (:func:`repro.engine.core.simulate_batch_payload`, dispatched by
 pickled-by-reference function name), and therefore shares the pool workers'
-cache discipline verbatim — the fingerprint-keyed model cache, the shipped
-propensity-kernel registry and the compiled-model LRU all live in this
-process's :mod:`repro.engine.cache` module state and stay warm across batches
-and across coordinators.
+cache discipline verbatim: the compiled-model LRU, keyed on each blob's
+fingerprint and the overrides, lives in this process's
+:mod:`repro.engine.cache` module state, so the worker compiles each model it
+runs once and stays warm across batches and across coordinators.
 
 Two ways to join a fabric:
 

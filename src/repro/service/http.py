@@ -53,6 +53,11 @@ MAX_BODY_BYTES = 1 << 20
 #: Hard cap on one request's header section.
 MAX_HEADER_BYTES = 32 * 1024
 
+#: Seconds a client has to send one whole request (head and body); a
+#: connection that is still sending after this answers 408.  Handling the
+#: request (a ``?wait=1`` long-poll included) is not bounded by it.
+REQUEST_READ_TIMEOUT = 30.0
+
 
 class _HttpError(Exception):
     """An error with a ready HTTP mapping."""
@@ -140,16 +145,15 @@ async def _read_request(
     body = b""
     length = headers.get("content-length")
     if length is not None:
-        try:
-            n = int(length)
-        except ValueError:
-            raise _HttpError(400, "malformed Content-Length") from None
-        if n < 0:
+        # ASCII digits only: int() would also read "+5", "1_0" and "-0".
+        if not (length.isascii() and length.isdigit()):
             raise _HttpError(400, "malformed Content-Length")
-        if n > MAX_BODY_BYTES:
+        # Count digits before converting: int() refuses over 4300 of them.
+        digits = length.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
             raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         try:
-            body = await reader.readexactly(n)
+            body = await reader.readexactly(int(digits))
         except asyncio.IncompleteReadError:
             raise _HttpError(400, "truncated request body") from None
     return method, target, headers, body
@@ -217,7 +221,13 @@ class ServiceServer:
     ) -> None:
         try:
             try:
-                method, target, _headers, body = await _read_request(reader)
+                try:
+                    async with asyncio.timeout(REQUEST_READ_TIMEOUT):
+                        method, target, _headers, body = await _read_request(reader)
+                except TimeoutError:
+                    raise _HttpError(
+                        408, f"request not received within {REQUEST_READ_TIMEOUT} s"
+                    ) from None
                 status, response, retry_after = await self._route(method, target, body)
             except _HttpError as error:
                 status = error.status

@@ -12,7 +12,7 @@ from .codegen import BACKEND_CODEGEN, BACKEND_INTERP, KERNEL_ENV_VAR, default_ba
 from .events import InputEvent, InputSchedule
 from .nextreaction import NextReactionSimulator, simulate_next_reaction
 from .ode import OdeSimulator, simulate_ode
-from .propensity import CompiledModel, compile_model, kernel_source_for
+from .propensity import CompiledModel, compile_model
 from .rng import fan_out_seeds, make_rng, spawn_rngs
 from .sampling import SampleRecorder, make_sample_times
 from .ssa import DirectMethodSimulator, simulate_ssa
@@ -75,7 +75,6 @@ __all__ = [
     "Trajectory",
     "CompiledModel",
     "compile_model",
-    "kernel_source_for",
     "KERNEL_ENV_VAR",
     "BACKEND_CODEGEN",
     "BACKEND_INTERP",

@@ -78,9 +78,10 @@ trajectories to the per-event numpy loop in :mod:`repro.stochastic.ssa`:
   :func:`~repro.stochastic.ziggurat.block_draws_verified` has passed in the
   process.
 
-The generated source is a plain string: it can be shipped across process
-boundaries and ``exec``'d by pool workers (see :mod:`repro.engine.cache`),
-which is far cheaper than re-parsing and re-compiling every kinetic-law AST.
+The generated source is a plain string, which is how a pickled
+:class:`~repro.stochastic.propensity.CompiledModel` carries its kernel.  The
+ensemble engine generates no code for its workers: each worker generates
+and loads the kernels it runs (see :mod:`repro.engine.cache`).
 """
 
 from __future__ import annotations
@@ -107,7 +108,6 @@ __all__ = [
     "ON_DEMAND_PARTS",
     "PropensityKernel",
     "compile_part",
-    "compile_kernel",
     "load_kernel",
     "kernel_namespace",
 ]
@@ -119,9 +119,9 @@ KERNEL_ENV_VAR = "REPRO_KERNEL"
 BACKEND_CODEGEN = "codegen"
 BACKEND_INTERP = "interp"
 
-#: Version stamp embedded in every generated module.  A worker handed kernel
-#: source from a different package version refuses to load it (and recompiles
-#: from the model instead of silently running a stale kernel).
+#: Version stamp embedded in every generated module.  Kernel source from a
+#: different package version (say, in a compiled model pickled by it) is
+#: refused rather than silently run as a stale kernel.
 KERNEL_FORMAT = 6
 
 #: Starts the line opening each part of a generated module.
@@ -849,38 +849,22 @@ def compile_part(source: str, name: str):
         raise PropensityError(f"invalid propensity kernel source: {error}") from error
 
 
-def compile_kernel(source: str):
-    """Byte-compile what loading a kernel runs: its preamble and ``ssa_segment``.
+def load_kernel(source: str) -> PropensityKernel:
+    """Compile and ``exec`` a generated kernel module's preamble and ``ssa_segment``.
 
-    Split out of :func:`load_kernel` because byte-compilation dominates
-    kernel loading time: the ensemble engine compiles once in the parent and
-    ships the marshalled pair to every worker, which then only pays the
-    (microsecond) ``exec``.  The :data:`ON_DEMAND_PARTS` are left out; a
-    process compiles them from the source if a simulator reads them.
-    """
-    return compile_part(source, ""), compile_part(source, "ssa_segment")
-
-
-def load_kernel(source: str, code=None) -> PropensityKernel:
-    """``exec`` a generated kernel module's preamble and ``ssa_segment``.
-
-    This is the only compilation work a pool worker performs when the parent
-    ships kernel source alongside the pickled model: one ``exec`` replaces
-    per-reaction AST analysis, per-reaction ``compile_function`` calls and
-    the dependency-graph build.  ``code`` (:func:`compile_kernel`'s result for
-    exactly ``source``) skips even the byte-compilation.  The format stamp is
-    checked before ``ssa_segment`` is compiled, so a stale source fails on it.
+    The :data:`ON_DEMAND_PARTS` are left out; they compile from ``source``
+    the first time a simulator reads them.  The format stamp is checked
+    before ``ssa_segment`` is compiled, so a stale source fails on it.
     """
     namespace = kernel_namespace()
-    preamble, segment = code if code is not None else (compile_part(source, ""), None)
-    exec(preamble, namespace)  # noqa: S102 - code generated from a validated AST
+    exec(compile_part(source, ""), namespace)  # noqa: S102 - code generated from a validated AST
     if namespace.get("KERNEL_FORMAT") != KERNEL_FORMAT:
         raise PropensityError(
             "propensity kernel source has an incompatible format "
             f"(expected {KERNEL_FORMAT}, got {namespace.get('KERNEL_FORMAT')!r}); "
             "regenerate it from the model",
         )
-    exec(segment or compile_part(source, "ssa_segment"), namespace)  # noqa: S102
+    exec(compile_part(source, "ssa_segment"), namespace)  # noqa: S102
     kernel = PropensityKernel()
     kernel.source = source
     kernel.n_reactions = int(namespace["N_REACTIONS"])

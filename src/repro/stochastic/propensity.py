@@ -22,9 +22,10 @@ deterministic ODE integrator, which interprets the propensities as
 macroscopic rates.
 
 A :class:`CompiledModel` is picklable *by generated source*: un-pickling
-``exec``'s the kernel module instead of re-parsing and re-compiling the
-kinetic-law ASTs, which is what makes worker-pool cold starts cheap (see
-:mod:`repro.engine.cache`).
+loads the kernel module from its source instead of re-deriving it from the
+kinetic-law ASTs.  The ensemble engine ships each job's model as it was
+given and generates no code for its workers: each worker compiles what it
+runs (see :mod:`repro.engine.cache`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from ..sbml.ast import compile_function
 from ..sbml.model import Model
 from . import codegen
 
-__all__ = ["CompiledModel", "compile_model", "kernel_source_for"]
+__all__ = ["CompiledModel", "compile_model"]
 
 
 def _model_tables(model: Model, parameter_overrides: Optional[Dict[str, float]]):
@@ -141,20 +142,6 @@ def _law_specs(
     return specs, codegen.dependents_table(law_species, changed)
 
 
-def kernel_source_for(model: Model, parameter_overrides: Optional[Dict[str, float]] = None) -> str:
-    """Generate (without executing) a model's propensity-kernel source.
-
-    This is the parent-side half of compiled-model serialization: the
-    ensemble engine generates the source once per distinct
-    ``(model, overrides)`` pair and ships it to pool workers, which ``exec``
-    it instead of re-compiling the kinetic-law ASTs.
-    """
-    tables = _model_tables(model, parameter_overrides)
-    species, index, _, _, constants, change_indices, change_deltas = tables
-    specs, dependents = _law_specs(model, index, constants, change_indices, change_deltas, species)
-    return codegen.generate_kernel_source(model.sid, specs, dependents, len(species))
-
-
 class CompiledModel:
     """A :class:`repro.sbml.Model` compiled for simulation.
 
@@ -171,17 +158,10 @@ class CompiledModel:
         ``"interp"`` (per-reaction compiled callables).  ``None`` reads the
         ``REPRO_KERNEL`` environment variable.
     kernel_source:
-        Pre-generated kernel source for exactly this ``(model, overrides)``
-        pair, typically produced by :func:`kernel_source_for` in another
-        process.  When given (and the backend is ``codegen``) the constructor
-        ``exec``'s it directly and skips per-reaction AST analysis entirely —
-        the cheap worker-pool cold-start path.
-    kernel_code:
-        Optional :func:`~repro.stochastic.codegen.compile_kernel` result
-        for exactly ``kernel_source``: the code of its preamble and
-        ``ssa_segment`` (byte-compilation dominates kernel loading; the
-        engine ships marshalled code alongside the source so workers skip
-        it too).  The other parts compile from ``kernel_source`` on demand.
+        Generated kernel source for exactly this ``(model, overrides)``
+        pair: another instance's :attr:`kernel_source`, as unpickling passes
+        it.  When given (and the backend is ``codegen``) the constructor
+        loads it and skips per-reaction AST analysis entirely.
     """
 
     def __init__(
@@ -191,7 +171,6 @@ class CompiledModel:
         *,
         backend: Optional[str] = None,
         kernel_source: Optional[str] = None,
-        kernel_code=None,
     ):
         self.model = model
         self._overrides: Dict[str, float] = dict(parameter_overrides or {})
@@ -245,8 +224,7 @@ class CompiledModel:
                     dependents,
                     self.n_species,
                 )
-                kernel_code = None
-            self.kernel = codegen.load_kernel(kernel_source, kernel_code)
+            self.kernel = codegen.load_kernel(kernel_source)
             if (
                 self.kernel.n_reactions != self.n_reactions
                 or self.kernel.n_species != self.n_species
@@ -459,8 +437,8 @@ class CompiledModel:
         """The generated kernel module source for this model + overrides.
 
         Available on both backends (an interp-backend instance generates it
-        on demand without switching backends) so callers that serialize
-        compiled models never need to re-derive it.
+        on demand without switching backends).  Pickling a codegen instance
+        carries it, so unpickling loads the kernel instead of re-deriving it.
         """
         if self.kernel is not None:
             return self.kernel.source

@@ -79,3 +79,21 @@ def cello_0x0b_log():
 def standard_analyzer():
     """The paper's analysis settings: threshold 15 molecules, FOV_UD 0.25."""
     return LogicAnalyzer(threshold=15.0, fov_ud=0.25)
+
+
+@pytest.fixture()
+def _isolate_parent_worker_caches():
+    """Restore this process's worker-side compiled-model cache after a test.
+
+    A test that runs ``simulate_batch_payload`` or ``run_worker`` inside the
+    pytest process warms the module-level worker cache, and fork-started
+    pools inherit parent memory: without this, a later test's "fresh" pool
+    would start warm and its cold-compile assertions would fail.  Modules
+    opt in with ``pytestmark = pytest.mark.usefixtures(...)``.
+    """
+    import repro.engine.cache as cache_module
+
+    saved = dict(cache_module._WORKER_CACHE)
+    yield
+    cache_module._WORKER_CACHE.clear()
+    cache_module._WORKER_CACHE.update(saved)

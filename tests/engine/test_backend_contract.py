@@ -25,12 +25,13 @@ The distributed backend here is a *real* TCP fabric (listen + two spawned
 """
 
 import asyncio
-import marshal
 import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+import repro.engine.cache as cache_module
 from repro.engine import (
     DistributedEnsembleExecutor,
     ProcessPoolEnsembleExecutor,
@@ -40,9 +41,11 @@ from repro.engine import (
     replicate_jobs,
     run_ensemble,
 )
-from repro.engine.cache import kernel_artifact_for_blob, model_fingerprint
+from repro.engine.core import batch_job_groups, batch_job_payloads, simulate_batch_payload
 from repro.engine.jobs import SimulationJob
+from repro.stochastic import CompiledModel, codegen, fan_out_seeds
 from repro.stochastic.events import InputSchedule
+from repro.stochastic.trajectory import decode_trajectories
 
 BACKENDS = [
     "serial",
@@ -153,6 +156,34 @@ def serial_baseline(ssa_jobs):
     return run_ensemble(ssa_jobs, workers=1)
 
 
+@pytest.fixture(scope="module")
+def compiled_model_jobs(and_circuit):
+    """Jobs whose model is already a ``CompiledModel``, one per case: with or
+    without job overrides, on a compiled model with or without overrides
+    compiled in; plus their serial baseline."""
+    schedule = InputSchedule.from_combinations(
+        list(and_circuit.inputs), [(0, 0), (1, 1)], 40.0, 40.0
+    )
+    kmax = next(name for name in and_circuit.model.parameter_values() if name.endswith("kmax"))
+    cases = [
+        (compiled_in, job_overrides)
+        for compiled_in in (None, {kmax: 3.0})
+        for job_overrides in (None, {kmax: 3.0})
+    ]
+    jobs = [
+        SimulationJob(
+            model=CompiledModel(and_circuit.model, compiled_in),
+            t_end=80.0,
+            simulator="ssa",
+            schedule=schedule,
+            parameter_overrides=job_overrides,
+            seed=seed,
+        )
+        for (compiled_in, job_overrides), seed in zip(cases, fan_out_seeds(13, len(cases)))
+    ]
+    return jobs, run_ensemble(jobs, workers=1)
+
+
 class TestBitIdentity:
     def test_materialized_matches_serial_bit_for_bit(
         self, backend, ssa_jobs, serial_baseline, batch_size
@@ -174,6 +205,15 @@ class TestBitIdentity:
             assert np.array_equal(trajectory.times, expected.times)
             assert np.array_equal(trajectory.data, expected.data)
 
+    def test_compiled_model_jobs_match_serial_bit_for_bit(
+        self, backend, compiled_model_jobs, batch_size
+    ):
+        jobs, baseline = compiled_model_jobs
+        result = backend.materialize(jobs, batch_size=batch_size)
+        for index, (_, expected) in enumerate(baseline):
+            assert np.array_equal(result.trajectory(index).times, expected.times)
+            assert np.array_equal(result.trajectory(index).data, expected.data)
+
 
 #: Simulators that read the kernel parts loading leaves out, with short
 #: horizons (the ODE is deterministic and the slowest per time unit).
@@ -183,7 +223,7 @@ ON_DEMAND_SIMULATORS = {"next-reaction": 60.0, "tau-leap": 60.0, "ode": 20.0}
 @pytest.fixture(scope="module")
 def on_demand_model(and_circuit):
     """An AND-gate variant no other test ships, so every worker compiles it
-    from its payload's kernel artifact."""
+    from its payload's model blob."""
     model = and_circuit.model.copy()
     model.set_initial_amount(and_circuit.output, 7.0)
     return model
@@ -205,21 +245,38 @@ def on_demand_jobs(request, and_circuit, on_demand_model):
 
 
 class TestOnDemandKernelParts:
-    def test_payload_ships_only_the_loaded_parts(self, on_demand_model):
-        artifact = kernel_artifact_for_blob(on_demand_model, model_fingerprint(on_demand_model))
-        defined = {
-            const.co_name
-            for code in marshal.loads(artifact.bytecode)
-            for const in code.co_consts
-            if hasattr(const, "co_name")
-        }
-        assert defined == {"_clamp", "_exceeded", "ssa_segment"}
+    def test_a_workers_first_ssa_group_compiles_only_the_loaded_parts(
+        self, monkeypatch, and_circuit, on_demand_model
+    ):
+        # A fresh worker cache, so the model compiles here and no pool forked
+        # later inherits the entry.
+        monkeypatch.setattr(cache_module, "_WORKER_CACHE", OrderedDict())
+        compiled_parts = []
+        compile_part = codegen.compile_part
+
+        def recording(source, name):
+            compiled_parts.append(name)
+            return compile_part(source, name)
+
+        monkeypatch.setattr(codegen, "compile_part", recording)
+        schedule = InputSchedule.from_combinations(
+            list(and_circuit.inputs), [(1, 0), (1, 1)], 20.0, 40.0
+        )
+        template = SimulationJob(
+            model=on_demand_model, t_end=40.0, simulator="ssa", schedule=schedule
+        )
+        jobs = replicate_jobs(template, 2, seed=23)
+        (payload,) = batch_job_payloads(jobs, batch_job_groups(jobs, 2))
+        frame, cache_hit = simulate_batch_payload(payload)
+        assert not cache_hit
+        assert len(decode_trajectories(frame)) == 2
+        assert compiled_parts == ["", "ssa_segment"]
 
     def test_non_ssa_simulators_match_serial_bit_for_bit(
         self, backend, on_demand_jobs, batch_size
     ):
         """Workers compile ``propensities_all``/``propensities_after`` from
-        the shipped source when these simulators ask for them."""
+        their own kernel source when these simulators ask for them."""
         jobs, baseline = on_demand_jobs
         result = backend.materialize(jobs, batch_size=batch_size)
         for index, (_, expected) in enumerate(baseline):

@@ -47,25 +47,7 @@ def _assert_bit_identical(trajectories, baseline):
         assert np.array_equal(trajectory.data, expected.data)
 
 
-@pytest.fixture(autouse=True)
-def _isolate_parent_worker_caches():
-    """Restore the parent-process worker-side caches after every test.
-
-    ``simulate_batch_payload`` is the *worker* entry point; calling it
-    in-process warms this process's module-level worker caches, and
-    fork-started pools inherit parent memory — without this isolation a
-    later test's "fresh" pool would start warm and its cold-compile
-    assertions would fail.
-    """
-    import repro.engine.cache as cache_module
-
-    names = ("_WORKER_CACHE", "_WORKER_MODELS", "_WORKER_KERNELS")
-    saved = {name: dict(getattr(cache_module, name)) for name in names}
-    yield
-    for name, value in saved.items():
-        current = getattr(cache_module, name)
-        current.clear()
-        current.update(value)
+pytestmark = pytest.mark.usefixtures("_isolate_parent_worker_caches")
 
 
 @pytest.fixture(scope="module")

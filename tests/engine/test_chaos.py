@@ -31,22 +31,7 @@ from repro.engine.worker import run_worker
 from repro.stochastic.events import InputSchedule
 
 
-@pytest.fixture(autouse=True)
-def _isolate_parent_worker_caches():
-    """Restore the parent-process worker-side caches after every test.
-
-    The in-thread workers warm this process's module-level caches; without
-    isolation a later test's "fresh" fork-started pool would start warm.
-    """
-    import repro.engine.cache as cache_module
-
-    names = ("_WORKER_CACHE", "_WORKER_MODELS", "_WORKER_KERNELS")
-    saved = {name: dict(getattr(cache_module, name)) for name in names}
-    yield
-    for name, value in saved.items():
-        current = getattr(cache_module, name)
-        current.clear()
-        current.update(value)
+pytestmark = pytest.mark.usefixtures("_isolate_parent_worker_caches")
 
 
 @pytest.fixture()

@@ -39,25 +39,7 @@ from repro.errors import EngineError
 from repro.stochastic.events import InputSchedule
 
 
-@pytest.fixture(autouse=True)
-def _isolate_parent_worker_caches():
-    """Restore the parent-process worker-side caches after every test.
-
-    Some tests here run ``run_worker`` on a thread *inside* the pytest
-    process, which warms this process's module-level worker caches
-    (``_WORKER_CACHE`` etc.).  Fork-started pools inherit parent memory, so
-    without this isolation a later test's "fresh" pool would start warm and
-    its cold-compile assertions would fail.
-    """
-    import repro.engine.cache as cache_module
-
-    names = ("_WORKER_CACHE", "_WORKER_MODELS", "_WORKER_KERNELS")
-    saved = {name: dict(getattr(cache_module, name)) for name in names}
-    yield
-    for name, value in saved.items():
-        current = getattr(cache_module, name)
-        current.clear()
-        current.update(value)
+pytestmark = pytest.mark.usefixtures("_isolate_parent_worker_caches")
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,17 @@
 """Regression tests for the engine bugfix sweep.
 
-Covers: windowed + cancel-on-failure ``map``, LRU (not FIFO) worker-model
-eviction, per-iteration batch cache statistics (concurrent replicate studies
-on one shared executor included), the ``transform`` stream's yielded shape
-and the cache module's ``__all__``.
+Covers: windowed + cancel-on-failure ``map``, LRU (not FIFO) eviction from
+the worker's compiled-model cache, per-iteration batch cache statistics
+(concurrent replicate studies on one shared executor included), the
+``transform`` stream's yielded shape and the cache module's ``__all__``.
 """
 
 import asyncio
+import pickle
+import sys
+import threading
 import time
+from collections import OrderedDict
 
 import pytest
 
@@ -21,7 +25,7 @@ from repro.engine import (
     iter_ensemble,
     replicate_jobs,
 )
-from repro.engine.cache import model_blob, worker_model_from_blob
+from repro.engine.cache import model_blob, worker_compiled
 from repro.engine.jobs import SimulationJob
 
 
@@ -85,29 +89,65 @@ class TestHardenedMap:
 
 
 class TestWorkerModelLRU:
-    def test_hot_fingerprint_survives_eviction(self, monkeypatch):
-        """Eviction must be LRU: a fingerprint re-used on every batch outlives
-        stale ones (the old FIFO behaviour evicted by insertion order)."""
-        monkeypatch.setattr(cache_module, "_WORKER_MODELS_MAX", 2)
-        monkeypatch.setattr(cache_module, "_WORKER_MODELS", {})
-        blob_a, fp_a = model_blob({"model": "a"})
-        blob_b, fp_b = model_blob({"model": "b"})
-        blob_c, fp_c = model_blob({"model": "c"})
-        worker_model_from_blob(fp_a, blob_a)
-        worker_model_from_blob(fp_b, blob_b)
+    def test_hot_key_survives_eviction(self, monkeypatch, toy_model):
+        """Eviction must be LRU: a key re-used on every batch outlives stale
+        ones (the old FIFO behaviour evicted by insertion order)."""
+        monkeypatch.setattr(cache_module, "_WORKER_CACHE_MAX", 2)
+        monkeypatch.setattr(cache_module, "_WORKER_CACHE", OrderedDict())
+        blob, fingerprint = model_blob(toy_model)
+        a, b, c = (), (("kd", 0.2),), (("kd", 0.3),)
+        hot, _ = worker_compiled(fingerprint, blob, a)
+        worker_compiled(fingerprint, blob, b)
         # Touch a: it is now the most recently used entry.
-        assert worker_model_from_blob(fp_a, blob_a) == {"model": "a"}
-        worker_model_from_blob(fp_c, blob_c)
-        assert fp_a in cache_module._WORKER_MODELS  # hot entry survived
-        assert fp_b not in cache_module._WORKER_MODELS  # coldest was evicted
-        assert fp_c in cache_module._WORKER_MODELS
+        assert worker_compiled(fingerprint, blob, a) == (hot, True)
+        worker_compiled(fingerprint, blob, c)
+        assert list(cache_module._WORKER_CACHE) == [(fingerprint, a), (fingerprint, c)]
 
-    def test_unknown_fingerprint_deserializes_once(self, monkeypatch):
-        monkeypatch.setattr(cache_module, "_WORKER_MODELS", {})
-        blob, fingerprint = model_blob({"model": "x"})
-        first = worker_model_from_blob(fingerprint, blob)
-        second = worker_model_from_blob(fingerprint, blob)
-        assert first is second  # same canonical instance, one pickle.loads
+    def test_each_key_unpickles_its_blob_once(self, monkeypatch, toy_model):
+        monkeypatch.setattr(cache_module, "_WORKER_CACHE", OrderedDict())
+        loads = []
+        real_loads = pickle.loads
+        monkeypatch.setattr(pickle, "loads", lambda data: loads.append(data) or real_loads(data))
+        blob, fingerprint = model_blob(toy_model)
+        overrides = (("kd", 0.2),)
+        plain, hit = worker_compiled(fingerprint, blob, ())
+        assert not hit and len(loads) == 1
+        assert worker_compiled(fingerprint, blob, ()) == (plain, True)
+        assert len(loads) == 1  # a hit reads nothing from the blob
+        overridden, hit = worker_compiled(fingerprint, blob, overrides)
+        assert not hit and len(loads) == 2
+        assert worker_compiled(fingerprint, blob, overrides) == (overridden, True)
+        assert len(loads) == 2
+
+    def test_concurrent_callers_unpickle_each_key_once(self, monkeypatch, toy_model):
+        """Many threads missing on the same keys at once: the lock makes the
+        lookup and the insert one step, so no key compiles twice."""
+        monkeypatch.setattr(cache_module, "_WORKER_CACHE", OrderedDict())
+        loads = []
+        real_loads = pickle.loads
+        monkeypatch.setattr(pickle, "loads", lambda data: loads.append(data) or real_loads(data))
+        blob, fingerprint = model_blob(toy_model)
+        keys = [(), (("kd", 0.2),), (("kd", 0.3),)]
+        start = threading.Barrier(8)
+
+        def caller():
+            start.wait(timeout=10)
+            for _ in range(3):
+                for overrides in keys:
+                    worker_compiled(fingerprint, blob, overrides)
+
+        threads = [threading.Thread(target=caller) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(loads) == len(keys)
 
 
 class TestPerIterationBatchStats:
@@ -203,7 +243,7 @@ class TestTransformShape:
 class TestCacheModuleExports:
     def test_all_covers_the_worker_side_entry_points(self):
         assert "model_blob" in cache_module.__all__
-        assert "worker_model_from_blob" in cache_module.__all__
+        assert "worker_compiled" in cache_module.__all__
         for name in cache_module.__all__:
             assert hasattr(cache_module, name)
 

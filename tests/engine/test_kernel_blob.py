@@ -1,4 +1,4 @@
-"""Compiled-propensity serialization through the worker-side caches."""
+"""Worker-side compilation: model blobs through the worker's compiled-model cache."""
 
 import hashlib
 import pickle
@@ -6,18 +6,17 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.engine import ProcessPoolEnsembleExecutor, SerialExecutor, SimulationJob, run_ensemble
-from repro.engine.cache import (
-    KernelArtifact,
-    kernel_artifact_for_blob,
-    model_blob,
-    model_fingerprint,
-    register_worker_kernel,
-    worker_compiled,
-    worker_model_from_blob,
+from repro.engine import (
+    ProcessPoolEnsembleExecutor,
+    SerialExecutor,
+    SimulationJob,
+    StudySpec,
+    replicate_jobs,
+    run_ensemble,
 )
-from repro.stochastic import kernel_source_for
-from repro.stochastic.codegen import KERNEL_FORMAT
+from repro.engine.cache import model_blob, model_fingerprint, worker_compiled
+from repro.engine.core import batch_job_groups, batch_job_payloads, simulate_batch_payload
+from repro.stochastic import CompiledModel
 
 
 def _fresh_model(sid: str):
@@ -41,124 +40,56 @@ def _fresh_model(sid: str):
     return model
 
 
-def _source_only(source: str) -> KernelArtifact:
-    """A kernel artifact a worker can only load from source: its bytecode
-    carries another interpreter's magic, as when shipped across Python builds."""
-    return KernelArtifact(source=source, magic=b"\x00\x00\x00\x00", bytecode=b"")
-
-
 class TestModelBlob:
     def test_fingerprint_is_the_model_content_hash(self):
         model = _fresh_model("blob_fp")
         blob, fingerprint = model_blob(model)
         # The blob is the model's own pickle and the fingerprint its hash, so
-        # every worker-side cache key covers the model alone; kernels travel
-        # beside the blob, one per payload.
+        # every worker-side cache key covers the model and its overrides alone.
         assert blob == pickle.dumps(model)
         assert fingerprint == model_fingerprint(model) == hashlib.sha1(blob).hexdigest()
 
-    def test_worker_round_trips_the_model(self):
-        model = _fresh_model("blob_round_trip")
+    def test_worker_compiles_the_blob_once(self):
+        model = _fresh_model("blob_compile")
         blob, fingerprint = model_blob(model)
-        restored = worker_model_from_blob(fingerprint, blob)
-        assert restored.sid == model.sid
-        assert restored.reaction_ids() == model.reaction_ids()
-        # Same fingerprint again: the memoized instance comes back.
-        assert worker_model_from_blob(fingerprint, blob) is restored
-
-
-class TestWorkerKernelExec:
-    def test_worker_compiled_execs_the_shipped_source(self):
-        model = _fresh_model("blob_exec")
-        source = kernel_source_for(model)
-        blob, fingerprint = model_blob(model)
-        register_worker_kernel(fingerprint, (), _source_only(source))
-        restored = worker_model_from_blob(fingerprint, blob)
-        compiled, hit = worker_compiled(restored, fingerprint, ())
+        compiled, hit = worker_compiled(fingerprint, blob)
         assert not hit
-        assert compiled.kernel is not None
-        assert compiled.kernel.source == source
-        _, hit_again = worker_compiled(restored, fingerprint, ())
-        assert hit_again
+        assert compiled.model.sid == model.sid
+        assert compiled.reaction_ids == model.reaction_ids()
+        assert compiled.kernel_source == CompiledModel(model).kernel_source
+        assert worker_compiled(fingerprint, blob) == (compiled, True)
 
-    def test_override_kernels_are_keyed_separately(self):
+
+class TestWorkerCompiled:
+    def test_override_sets_are_keyed_apart(self):
         model = _fresh_model("blob_overrides")
         overrides = (("kmax", 8.0),)
         blob, fingerprint = model_blob(model)
-        register_worker_kernel(fingerprint, (), _source_only(kernel_source_for(model)))
-        register_worker_kernel(
-            fingerprint,
-            overrides,
-            _source_only(kernel_source_for(model, dict(overrides))),
-        )
-        restored = worker_model_from_blob(fingerprint, blob)
-        plain, _ = worker_compiled(restored, fingerprint, ())
-        overridden, _ = worker_compiled(restored, fingerprint, overrides)
+        plain, _ = worker_compiled(fingerprint, blob, ())
+        overridden, hit = worker_compiled(fingerprint, blob, overrides)
+        assert not hit and overridden is not plain
         assert plain.constants["kmax"] == 4.0
         assert overridden.constants["kmax"] == 8.0
         state = plain.state_from_dict({"A": 0.0})
         assert overridden.propensities(state)[0] == 2.0 * plain.propensities(state)[0]
+        assert worker_compiled(fingerprint, blob, ()) == (plain, True)
 
-    def test_stale_kernel_falls_back_to_ast_compile(self):
-        model = _fresh_model("blob_stale")
-        bogus = kernel_source_for(model).replace(
-            f"KERNEL_FORMAT = {KERNEL_FORMAT}",
-            "KERNEL_FORMAT = 9999",
-        )
-        blob, fingerprint = model_blob(model)
-        register_worker_kernel(fingerprint, (), _source_only(bogus))
-        restored = worker_model_from_blob(fingerprint, blob)
-        compiled, _ = worker_compiled(restored, fingerprint, ())
-        # The run still works; the kernel just got rebuilt from the model.
-        state = compiled.state_from_dict({"A": 8.0})
-        assert np.all(np.isfinite(compiled.propensities(state)))
-        assert compiled.kernel is None or compiled.kernel.source != bogus
+    def test_compiled_model_blob_compiles_by_compile_model_rule(self):
+        compiled = CompiledModel(_fresh_model("blob_compiled"), {"kd": 0.2})
+        blob, fingerprint = model_blob(compiled)
+        same, _ = worker_compiled(fingerprint, blob, (("kd", 0.2),))
+        assert same.constants == compiled.constants
+        other, _ = worker_compiled(fingerprint, blob, (("kmax", 8.0),))
+        # A recompile starts from the source model: only the job's overrides apply.
+        assert other.constants["kmax"] == 8.0 and other.constants["kd"] == 0.1
 
-    def test_payload_attached_kernel_registration(self):
-        # The executor attaches each payload's own kernel artifact; the
-        # worker registers it before compiling (the sweep-friendly carrier).
-        model = _fresh_model("blob_register")
-        fingerprint = model_fingerprint(model)
-        artifact = kernel_artifact_for_blob(model, fingerprint, ())
-        register_worker_kernel(fingerprint, (), artifact)
-        compiled, _ = worker_compiled(model, fingerprint, ())
-        assert compiled.kernel is not None
-        assert compiled.kernel.source == artifact.source
-        register_worker_kernel(fingerprint, (), None)  # no-op by contract
 
-    def test_parent_side_artifact_memo_is_stable(self):
-        model = _fresh_model("blob_memo")
-        fingerprint = model_fingerprint(model)
-        first = kernel_artifact_for_blob(model, fingerprint, ())
-        second = kernel_artifact_for_blob(model, fingerprint, ())
-        assert first is second  # memo hit returns the cached artifact
-        assert first.source == kernel_source_for(model)
-
-    def test_worker_execs_shipped_bytecode(self):
-        model = _fresh_model("blob_bytecode")
-        fingerprint = model_fingerprint(model)
-        artifact = kernel_artifact_for_blob(model, fingerprint, ())
-        assert isinstance(artifact, KernelArtifact)
-        blob, _ = model_blob(model)
-        register_worker_kernel(fingerprint, (), artifact)
-        restored = worker_model_from_blob(fingerprint, blob)
-        compiled, _ = worker_compiled(restored, fingerprint, ())
-        assert compiled.kernel is not None
-        assert compiled.kernel.source == artifact.source
-
-    def test_foreign_bytecode_magic_falls_back_to_source(self):
-        model = _fresh_model("blob_magic")
-        fingerprint = model_fingerprint(model)
-        source = kernel_source_for(model)
-        alien = KernelArtifact(source=source, magic=b"\x00\x00\x00\x00", bytecode=b"junk")
-        blob, _ = model_blob(model)
-        register_worker_kernel(fingerprint, (), alien)
-        restored = worker_model_from_blob(fingerprint, blob)
-        compiled, _ = worker_compiled(restored, fingerprint, ())
-        # The bytecode is ignored (wrong interpreter magic) but the source
-        # still loads, so the kernel is there either way.
-        assert compiled.kernel is not None
-        assert compiled.kernel.source == source
+class TestPayload:
+    def test_one_replicate_payload_carries_no_kernel(self):
+        jobs = replicate_jobs(StudySpec(circuit="0x0B", seed=3).template_job(), 1, seed=3)
+        (payload,) = batch_job_payloads(jobs, batch_job_groups(jobs, 1))
+        assert "kernel" not in payload
+        assert len(pickle.dumps((simulate_batch_payload, payload))) < 10_000
 
 
 class TestPoolParityWithKernels:

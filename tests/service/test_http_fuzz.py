@@ -51,7 +51,7 @@ HEADS = st.builds(
         LATIN1
         | st.builds(
             lambda value: f"Content-Length: {value}",
-            st.integers(-3, 40).map(str) | LATIN1,
+            st.integers(-3, 40).map(str) | st.sampled_from(["+5", "1_0", "-0"]) | LATIN1,
         ),
         max_size=4,
     ),
@@ -102,6 +102,9 @@ SERVER = _stub_server()
 @example(b"POST /v1/studies HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n")
 @example(b"POST /v1/studies HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n")
 @example(b"")
+@example(b"POST /v1/studies HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello")
+@example(b"POST /v1/studies HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789")
+@example(b"POST /v1/studies HTTP/1.1\r\nContent-Length: -0\r\n\r\n")
 def test_reader_parses_or_answers_4xx(data):
     try:
         method, target, headers, body = _read(data)
@@ -110,6 +113,9 @@ def test_reader_parses_or_answers_4xx(data):
         return
     assert isinstance(method, str) and isinstance(target, str)
     assert isinstance(headers, dict) and isinstance(body, bytes)
+    # A body is framed by a Content-Length of ASCII digits only.
+    length = headers.get("content-length")
+    assert length is None or (length.isascii() and length.isdigit() and len(body) == int(length))
 
 
 @settings(max_examples=300, deadline=None)

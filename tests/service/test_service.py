@@ -12,11 +12,14 @@ pins the acceptance criteria: a served study is bit-identical to a direct
 import asyncio
 import http.client
 import json
+import socket
 import threading
+import time
 
 import pytest
 
 import repro.gates.circuits
+import repro.service.http as service_http
 from repro.analysis import run_replicate_study
 from repro.engine import StudySpec, WorkerConnectionError
 from repro.errors import EngineError
@@ -645,6 +648,27 @@ class TestHttpService:
             assert status == 400 and "malformed request target" in body["error"]
 
         self._serve(exercise, runner=_StubRunner(), max_replicates=4)
+
+    def test_a_request_not_sent_in_time_answers_408(self, monkeypatch):
+        monkeypatch.setattr(service_http, "REQUEST_READ_TIMEOUT", 0.2)
+
+        def exercise(port):
+            for sent in (
+                b"",
+                b"POST /v1/studies HTTP/1.1\r\nContent-Le",
+                b"POST /v1/studies HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}",
+            ):
+                start = time.monotonic()
+                # The socket timeout is the test's deadline: recv raises past it.
+                with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+                    sock.sendall(sent)
+                    answer = b""
+                    while chunk := sock.recv(4096):
+                        answer += chunk
+                assert answer.startswith(b"HTTP/1.1 408 "), (sent, answer)
+                assert time.monotonic() - start < 5.0
+
+        self._serve(exercise, runner=_StubRunner())
 
     def test_non_finite_number_maps_to_400(self):
         def exercise(port):

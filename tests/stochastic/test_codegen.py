@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import PropensityError, SimulationError
 from repro.sbml import Model
-from repro.stochastic import CompiledModel, compile_model, kernel_source_for
+from repro.stochastic import CompiledModel, compile_model
 from repro.stochastic import codegen, ziggurat
 from repro.stochastic.codegen import (
     BACKEND_CODEGEN,
@@ -39,7 +39,7 @@ def backends(toy_model):
 
 class TestSourceGeneration:
     def test_module_layout(self, toy_model):
-        source = kernel_source_for(toy_model)
+        source = CompiledModel(toy_model).kernel_source
         assert f"KERNEL_FORMAT = {KERNEL_FORMAT}" in source
         assert "def propensities_all(state, out):" in source
         assert "def propensities_after(r, state, out):" in source
@@ -50,8 +50,8 @@ class TestSourceGeneration:
         assert "DEPENDENTS = " in source
 
     def test_ssa_segment_compiles_apart_with_source_line_numbers(self, toy_model):
-        source = kernel_source_for(toy_model)
-        head, tail = codegen.compile_kernel(source)
+        source = CompiledModel(toy_model).kernel_source
+        head, tail = codegen.compile_part(source, ""), codegen.compile_part(source, "ssa_segment")
 
         def functions(code):
             return {c.co_name: c for c in code.co_consts if hasattr(c, "co_name")}
@@ -61,14 +61,14 @@ class TestSourceGeneration:
         assert source.splitlines()[segment.co_firstlineno - 1].startswith("def ssa_segment(")
 
     def test_constants_folded_to_literals(self, toy_model):
-        source = kernel_source_for(toy_model)
+        source = CompiledModel(toy_model).kernel_source
         # No constant-dictionary lookups survive codegen; the Hill threshold
         # K^n = 10^2.5 is folded to a literal at generation time.
         assert "_c[" not in source
         assert repr(10.0**2.5) in source
 
     def test_generation_is_deterministic(self, toy_model):
-        assert kernel_source_for(toy_model) == kernel_source_for(toy_model)
+        assert CompiledModel(toy_model).kernel_source == CompiledModel(toy_model).kernel_source
 
     def test_compiled_model_exposes_its_source(self, toy_model):
         compiled = CompiledModel(toy_model, backend=BACKEND_CODEGEN)
@@ -80,10 +80,11 @@ class TestSourceGeneration:
         assert interp.kernel_source == compiled.kernel_source
 
     def test_override_constants_change_the_source(self, toy_model):
-        assert kernel_source_for(toy_model) != kernel_source_for(toy_model, {"kmax": 8.0})
+        overridden = CompiledModel(toy_model, {"kmax": 8.0})
+        assert CompiledModel(toy_model).kernel_source != overridden.kernel_source
 
     def test_incompatible_format_rejected(self, toy_model):
-        source = kernel_source_for(toy_model).replace(
+        source = CompiledModel(toy_model).kernel_source.replace(
             f"KERNEL_FORMAT = {KERNEL_FORMAT}",
             "KERNEL_FORMAT = 9999",
         )
@@ -100,7 +101,7 @@ class TestSourceGeneration:
         other.add_parameter("k", 1.0)
         other.add_reaction("decay", reactants=[("X", 1.0)], kinetic_law="k * X")
         with pytest.raises(PropensityError, match="stale"):
-            CompiledModel(other, kernel_source=kernel_source_for(toy_model))
+            CompiledModel(other, kernel_source=CompiledModel(toy_model).kernel_source)
 
 
 class TestKernelSemantics:
@@ -328,7 +329,7 @@ class TestSerialization:
         assert clone.kernel is None
 
     def test_construction_from_source_matches_fresh_compile(self, toy_model):
-        source = kernel_source_for(toy_model)
+        source = CompiledModel(toy_model).kernel_source
         from_source = CompiledModel(toy_model, kernel_source=source, backend=BACKEND_CODEGEN)
         fresh = CompiledModel(toy_model, backend=BACKEND_CODEGEN)
         for state in _random_states(fresh, 10):
