@@ -25,7 +25,7 @@ runners); the measured numbers always land in the JSON artifact.
 import pickle
 import time
 
-from conftest import HOLD_TIME, check_wallclock
+from bench_common import HOLD_TIME, check_wallclock
 from repro.engine import (
     DistributedEnsembleExecutor,
     ProcessPoolEnsembleExecutor,

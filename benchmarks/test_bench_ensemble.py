@@ -22,7 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import HOLD_TIME, check_wallclock
+from bench_common import HOLD_TIME, check_wallclock
 from repro.analysis import run_replicate_study
 from repro.engine import (
     ProcessPoolEnsembleExecutor,

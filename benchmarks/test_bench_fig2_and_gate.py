@@ -10,7 +10,7 @@ would suggest XNOR because of the decaying initial transient at combination
 
 import pytest
 
-from conftest import PAPER_THRESHOLD, paper_analyzer
+from bench_common import PAPER_THRESHOLD, paper_analyzer
 from repro.core import FilterConfig, LogicAnalyzer, format_analysis_report
 from repro.gates import and_gate_circuit
 from repro.vlab import LogicExperiment

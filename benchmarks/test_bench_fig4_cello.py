@@ -14,7 +14,7 @@ regenerated circuits and checks the findings the paper highlights:
 
 import pytest
 
-from conftest import paper_analyzer, run_circuit_experiment
+from bench_common import paper_analyzer, run_circuit_experiment
 from repro.core import format_analysis_report
 from repro.gates import cello_circuit
 from repro.logic import TruthTable

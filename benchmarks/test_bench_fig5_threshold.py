@@ -15,7 +15,7 @@ authors' model and is not asserted — see EXPERIMENTS.md.
 
 import pytest
 
-from conftest import BASE_SEED, PAPER_FOV_UD
+from bench_common import BASE_SEED, PAPER_FOV_UD
 from repro.analysis import threshold_sweep
 from repro.gates import cello_circuit
 
@@ -43,7 +43,7 @@ def test_fig5_threshold_sweep(benchmark, sweep_entries):
     high = sweep_entries[40.0]
 
     # Re-run the (cheap) analysis of the nominal entry as the benchmarked body.
-    from conftest import paper_analyzer
+    from bench_common import paper_analyzer
 
     benchmark(paper_analyzer().analyze, _relog(nominal))
 
@@ -74,7 +74,7 @@ def _relog(entry):
     # The sweep does not retain the raw log; re-running the analysis on the
     # recovered truth table would be meaningless, so instead benchmark the
     # analyzer on a freshly simulated nominal-threshold experiment.
-    from conftest import run_circuit_experiment
+    from bench_common import run_circuit_experiment
     from repro.gates import cello_circuit
 
     circuit = cello_circuit("0x0B")

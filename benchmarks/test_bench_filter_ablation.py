@@ -17,7 +17,7 @@ paper's configuration recovers the correct expression in both scenarios.
 import numpy as np
 import pytest
 
-from conftest import PAPER_THRESHOLD
+from bench_common import PAPER_THRESHOLD
 from repro.core import FilterConfig, LogicAnalyzer
 from repro.gates import and_gate_circuit
 from repro.vlab import LogicExperiment

@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from conftest import check_wallclock
+from bench_common import check_wallclock
 from repro.engine import StudySpec
 from repro.gates import and_gate_circuit, cello_circuit, resolve_circuit
 from repro.gates.cello import CELLO_CIRCUIT_NAMES

@@ -11,7 +11,7 @@ paper's 8.4-second budget.
 
 import pytest
 
-from conftest import paper_analyzer
+from bench_common import paper_analyzer
 from repro.analysis import measure_analysis_runtime, synthetic_experiment_arrays
 from repro.logic import TruthTable
 

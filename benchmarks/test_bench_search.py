@@ -22,7 +22,7 @@ are always hard.
 
 import time
 
-from conftest import BASE_SEED, check_wallclock
+from bench_common import BASE_SEED, check_wallclock
 from repro.engine import DistributedEnsembleExecutor, ProcessPoolEnsembleExecutor
 from repro.search import SearchSpec, run_design_search
 

@@ -10,7 +10,7 @@ FOV_UD 0.25), and verified against its intended truth table.
 
 import pytest
 
-from conftest import paper_analyzer, run_circuit_experiment
+from bench_common import paper_analyzer, run_circuit_experiment
 from repro.core import format_suite_table
 from repro.gates import standard_suite
 

@@ -1,6 +1,8 @@
 """CI smoke for ``genlogic serve``: repeat request must be a cache hit.
 
-Starts the HTTP service over a 2-worker pool on an ephemeral loopback port.
+Starts the HTTP service on an ephemeral loopback port over the executor the
+command-line flags name (default ``--workers 2``, a 2-worker pool;
+``--supervise 2`` runs it over a 2-worker supervised loopback fabric).
 Two malformed bodies (a non-number ``threshold``, a body that is not UTF-8)
 must answer 400 and leave the server serving.  It then submits one StudySpec
 twice, and asserts the repeat is answered from the content-addressed cache:
@@ -9,10 +11,11 @@ request that differs only in ``batch_size`` must hit the same entry, under
 the key this process computes for the spec on its own, so the service's key
 memo never changes a key's value.  Both hits are visible in ``/v1/stats``.
 Finally the server is stopped with SIGTERM, and every child process it had
-(the pool workers) must exit within ``CHILD_EXIT_SECONDS``; survivors are
-killed and fail the smoke.
+(the pool or fabric workers) must exit within ``CHILD_EXIT_SECONDS``;
+survivors are killed and fail the smoke.
 
-Run from the repo root with ``PYTHONPATH=src python scripts/service_smoke.py``.
+Run from the repo root with ``PYTHONPATH=src python scripts/service_smoke.py
+[EXECUTOR FLAGS]``, e.g. ``--supervise 2``.
 """
 
 import glob
@@ -66,10 +69,10 @@ def alive(pid):
         return False
 
 
-def main():
+def main(executor_flags):
     children = set()
     server = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--port", "0", "--workers", "2"],
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0", *executor_flags],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -106,6 +109,8 @@ def main():
 
         status, stats = request(port, "GET", "/v1/stats")
         assert status == 200 and stats["cache"]["hits"] == 2, stats
+        if "--supervise" in executor_flags:
+            assert "fabric" in stats and stats["supervisor"]["alive"] >= 1, stats
 
         children = child_pids(server.pid)
         assert children, "the server has no child processes to check"
@@ -134,4 +139,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:] or ["--workers", "2"])

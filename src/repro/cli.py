@@ -24,11 +24,16 @@ Four sub-commands cover the paper's workflow end to end:
     :class:`~repro.search.SearchSpec` body.
 ``genlogic worker --connect host:port`` / ``--listen host:port``
     Serve as one node of a distributed ensemble fabric (see below).
+``genlogic supervisor N --connect host:port`` / ``--listen-base host:port``
+    Keep N local workers running, restarting any that die
+    (:class:`repro.engine.WorkerSupervisor`).
 ``genlogic serve --port 8080 --workers 4``
     Run the HTTP analysis service (``POST /v1/studies`` with a StudySpec
     body; see :mod:`repro.service`) over one warm worker pool — or over the
-    distributed fabric with ``--dispatch``.  Loopback binds only, until the
-    fabric's HMAC handshake lands.
+    distributed fabric with ``--dispatch``, or over N auto-restarting local
+    workers with ``--supervise N``, which is
+    ``DistributedEnsembleExecutor.loopback(N)``.  Non-loopback binds need a
+    fabric key.
 
 Multi-run execution: ``simulate``, ``verify`` and ``runtime`` accept
 ``--replicates N`` (independent seeded runs; measurement repeats for
@@ -892,36 +897,17 @@ def _command_serve(args: argparse.Namespace) -> int:
         raise ReproError("--supervise needs at least one worker")
 
     executor = None
-    supervisor = None
     if args.dispatch is not None:
         executor = DistributedEnsembleExecutor(
             connect=parse_dispatch_spec(args.dispatch),
             key=secret,
         )
     elif args.supervise is not None:
-        from .engine.supervisor import WorkerSupervisor
-
-        # The executor listens on an ephemeral loopback port; the supervisor
-        # polls bound_address (None until the first study opens the fabric)
-        # and keeps N auto-restarting workers dialed into it.
-        executor = DistributedEnsembleExecutor(
-            listen="127.0.0.1:0",
-            min_workers=args.supervise,
-            key=secret,
-        )
-        supervisor = WorkerSupervisor(
-            args.supervise,
-            connect=lambda: (
-                "{}:{}".format(*executor.bound_address) if executor.bound_address else None
-            ),
-            key=secret,
-        )
-        supervisor.attach_executor(executor)
-        supervisor.start()
+        # N auto-restarting local workers on an ephemeral loopback port.
+        executor = DistributedEnsembleExecutor.loopback(args.supervise, key=secret)
     service = AnalysisService(
         workers=args.workers,
         executor=executor,
-        supervisor=supervisor,
         max_inflight=args.max_inflight,
         max_replicates=args.max_replicates,
         max_search_replicates=args.max_search_replicates,
@@ -935,8 +921,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     try:
         service_serve(host=args.host, port=args.port, service=service, ready=_ready)
     finally:
-        if supervisor is not None:
-            supervisor.stop()
         if executor is not None:
             executor.close()
     return 0

@@ -7,15 +7,19 @@ pays it once per distinct ``(model content, frozen parameter overrides)``
 pair instead, with one keying rule in every process:
 ``(model_fingerprint(model), overrides)``, the SHA-1 of the model's pickle.
 
-* in-process (serial executor and single runs), :class:`CompiledModelCache`
-  keys on it, so two builds of one circuit share an entry and an in-place
-  edit such as ``model.set_initial_amount(...)`` keys the edited model apart;
-* in worker processes, :func:`worker_compiled` keys on the fingerprint the
-  parent computed once per model, so each worker compiles each distinct
-  ``(model, overrides)`` pair once, not once per job.
+* in-process (serial executor and single runs), :func:`default_cache` keys
+  on it, so two builds of one circuit share an entry and an in-place edit
+  such as ``model.set_initial_amount(...)`` keys the edited model apart;
+* in worker processes, :func:`worker_compiled` looks up a second
+  :class:`CompiledModelCache` under the fingerprint the parent computed once
+  per model, so each worker compiles each distinct ``(model, overrides)``
+  pair once, not once per job.
 
-The process that runs a kernel compiles it: a worker payload carries the
-model's pickle (its blob, see :func:`model_blob`) and the blob's
+Every miss compiles through
+:func:`~repro.stochastic.propensity.compile_model`, so a job whose model is
+already a :class:`CompiledModel` counts hits and misses alike in every
+process.  The process that runs a kernel compiles it: a worker payload
+carries the model's pickle (its blob, see :func:`model_blob`) and the blob's
 fingerprint, never generated code, and a worker unpickles and compiles the
 blob only on a miss of its own cache.
 """
@@ -103,23 +107,20 @@ class CompiledModelCache:
         model,
         overrides: Tuple[Tuple[str, float], ...] = (),
         fingerprint: Optional[str] = None,
+        blob: Optional[bytes] = None,
     ) -> Tuple[CompiledModel, bool]:
         """``(compiled, cache_hit)`` — like :meth:`get`, but reporting the hit.
 
         ``fingerprint`` is ``model_fingerprint(model)`` when the caller has
         it already (an executor fingerprints each model object once per job
-        list).  The flag belongs to *this* lookup, so callers keeping
-        per-batch statistics (:class:`~repro.engine.core.BatchCacheStats`)
-        stay accurate even when other threads hit the same cache
-        concurrently — a delta on the global counters could not tell the
-        batches apart.
+        list).  A worker passes ``model=None`` with the model's pickle as
+        ``blob``, which is unpickled only on a miss.  A miss compiles by
+        :func:`~repro.stochastic.propensity.compile_model`'s rule.  The flag
+        belongs to *this* lookup, so callers keeping per-batch statistics
+        (:class:`~repro.engine.core.BatchCacheStats`) stay accurate even when
+        other threads hit the same cache concurrently — a delta on the global
+        counters could not tell the batches apart.
         """
-        if isinstance(model, CompiledModel):
-            if not overrides:
-                return model, False
-            # Overrides cannot be applied to an already-compiled model;
-            # recompile (with caching) from its source model instead.
-            model, fingerprint = model.model, None
         key = (fingerprint or model_fingerprint(model), overrides)
         with self._lock:
             compiled = self._entries.get(key)
@@ -128,7 +129,9 @@ class CompiledModelCache:
                 self._entries.move_to_end(key)
                 return compiled, True
             self.misses += 1
-            compiled = CompiledModel(model, dict(overrides) if overrides else None)
+            if model is None:
+                model = pickle.loads(blob)
+            compiled = compile_model(model, dict(overrides) if overrides else None)
             self._entries[key] = compiled
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -147,17 +150,11 @@ def default_cache() -> CompiledModelCache:
     return _DEFAULT_CACHE
 
 
-#: Per-worker-process LRU of compiled models, keyed on (content fingerprint,
-#: overrides).  It lives at module level so it survives across the dispatches
-#: a worker runs and, with persistent pools, across batches; it is kept apart
-#: from :func:`default_cache` so that a fork-started pool does not inherit the
-#: parent's entries.
-_WORKER_CACHE: "OrderedDict[Tuple[str, Tuple], CompiledModel]" = OrderedDict()
-_WORKER_CACHE_MAX = 64
-
-#: Pool worker processes are single-threaded, but a process that calls the
-#: payload functions itself may do so from several threads at once.
-_WORKER_CACHE_LOCK = threading.Lock()
+#: The worker-process cache (:func:`worker_compiled`).  It survives across
+#: the dispatches a worker runs and, with persistent pools, across batches;
+#: it is kept apart from :func:`default_cache` so that a fork-started pool
+#: does not inherit the parent's entries.
+_WORKER_CACHE = CompiledModelCache()
 
 
 def worker_compiled(
@@ -165,25 +162,11 @@ def worker_compiled(
     blob: bytes,
     overrides: Tuple[Tuple[str, float], ...] = (),
 ) -> Tuple[CompiledModel, bool]:
-    """Worker side: the compiled model of ``blob`` under ``overrides``.
+    """Worker side: ``(compiled, cache_hit)`` for ``blob`` under ``overrides``.
 
     ``blob`` is a model's pickle and ``fingerprint`` its hash, computed once
-    in the parent.  The blob is unpickled and compiled only on a miss; a hit
-    refreshes the entry's recency, so a model reused every batch outlives
-    stale ones.  A blob holding a :class:`CompiledModel` compiles by
-    :func:`~repro.stochastic.propensity.compile_model`'s rule, as the
-    in-process cache does.  Returns ``(compiled, cache_hit)`` so the hit can
-    be reported back to the parent and aggregated into the ensemble's
+    in the parent; the blob is unpickled and compiled only on a miss.  The
+    hit is reported back to the parent and aggregated into the ensemble's
     statistics.
     """
-    key = (fingerprint, overrides)
-    with _WORKER_CACHE_LOCK:
-        compiled = _WORKER_CACHE.get(key)
-        if compiled is not None:
-            _WORKER_CACHE.move_to_end(key)
-            return compiled, True
-        compiled = compile_model(pickle.loads(blob), dict(overrides) if overrides else None)
-        _WORKER_CACHE[key] = compiled
-        while len(_WORKER_CACHE) > _WORKER_CACHE_MAX:
-            _WORKER_CACHE.popitem(last=False)
-        return compiled, False
+    return _WORKER_CACHE.lookup(None, overrides, fingerprint, blob)

@@ -24,6 +24,14 @@ connection is up; the worker always speaks first with a ``hello`` frame):
   started with ``genlogic worker --listen host:port`` and the executor
   connects out to each — the shape behind the CLI's ``--dispatch`` flag.
 
+:meth:`DistributedEnsembleExecutor.loopback` is the listening shape with its
+workers on this machine: once :meth:`~DistributedEnsembleExecutor.open` has
+bound an ephemeral loopback port it starts a
+:class:`~repro.engine.supervisor.WorkerSupervisor` of dialing workers
+(``executor.supervisor``), which restarts any that die, and ``close()``
+stops it, reaping every worker.  ``genlogic serve --supervise N`` is
+``loopback(N)``.
+
 Pipelining: each worker runs one dispatch and holds the next one, which
 waits on its socket, so the worker starts it the moment it sends the previous
 result instead of idling while that result reaches the coordinator and a new
@@ -79,8 +87,6 @@ import os
 import pickle
 import socket
 import struct
-import subprocess
-import sys
 import threading
 import time
 from collections import deque
@@ -97,7 +103,6 @@ from typing import (
 
 from ..errors import EngineError
 from .auth import (
-    KEY_ENV,
     ROLE_COORDINATOR,
     ROLE_WORKER,
     ProtocolError,
@@ -118,7 +123,6 @@ __all__ = [
     "parse_dispatch_spec",
     "send_message",
     "recv_message",
-    "spawn_worker_process",
 ]
 
 #: Bumped on incompatible wire changes.  2 = the authenticated preamble
@@ -393,6 +397,12 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
         self._link_ids = itertools.count()
         #: The address actually bound in listen mode (real port for ":0").
         self.bound_address: Optional[Tuple[str, int]] = None
+        #: Set by :meth:`loopback`: ``open()`` starts local workers under a
+        #: :attr:`supervisor` once it has bound its port.
+        self._supervised = False
+        #: The :class:`~repro.engine.supervisor.WorkerSupervisor` owning a
+        #: loopback fabric's workers (``None`` until a loopback fabric opens).
+        self.supervisor = None
 
     # -- lifecycle -----------------------------------------------------------------
     @property
@@ -422,9 +432,9 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
     def health(self) -> Dict[str, Any]:
         """A point-in-time fabric health snapshot (plain JSON-able types).
 
-        The supervisor's status endpoint and the service's ``/v1/stats``
-        surface this as their backpressure signal: per-worker throughput and
-        staleness, queue depth, and cumulative requeue/drop counters.
+        The service's ``/v1/stats`` surfaces this as its ``fabric`` block,
+        the backpressure signal: per-worker throughput and staleness, queue
+        depth, and cumulative requeue/drop counters.
         """
         with self._state:
             workers = [link.health() for link in self._links if link.alive]
@@ -456,27 +466,19 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
             self._links = []
             self._open = True
             try:
-                self._assemble()
+                if self._listen_address is None:
+                    for address in self._addresses:
+                        self._dial(address)
+                else:
+                    self._start_listening()
                 self._start_thread(self._dispatch_loop, "genlogic-dispatch")
                 self._start_thread(self._heartbeat_loop, "genlogic-heartbeat")
-                self._await_assembled()
+                if self._listen_address is not None:
+                    self._await_min_workers()
             except Exception:
                 self._teardown()
                 raise
         return self
-
-    def _assemble(self) -> None:
-        """Start acquiring workers (subclass hook; runs before the dispatcher)."""
-        if self._listen_address is not None:
-            self._start_listening()
-        else:
-            for address in self._addresses:
-                self._dial(address)
-
-    def _await_assembled(self) -> None:
-        """Block until the fabric is usable (runs after the dispatcher starts)."""
-        if self._listen_address is not None:
-            self._await_min_workers()
 
     def close(self) -> None:
         """Tear the fabric down.  Idempotent; next use re-opens it."""
@@ -496,6 +498,10 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
                 in_flight.extend(link.in_flight.values())
                 link.in_flight.clear()
             self._state.notify_all()
+        if self.supervisor is not None:
+            # Before the shutdown frames: a worker whose session ends must
+            # not be restarted.
+            self.supervisor.stop()
         for task in queued + in_flight:
             # Every outstanding future must settle: a caller blocked in
             # wait_any on a task we will never hear back about would
@@ -542,6 +548,14 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
         self._server = server
         self.bound_address = server.getsockname()[:2]
         self._start_thread(self._accept_loop, "genlogic-accept", server)
+        if self._supervised:
+            # Imported here: the supervisor module imports this one.
+            from .supervisor import WorkerSupervisor
+
+            host, port = self.bound_address
+            self.supervisor = WorkerSupervisor(
+                self._min_workers, connect=f"{host}:{port}", key=self._key
+            ).start()
 
     def _accept_loop(self, server: socket.socket) -> None:
         while self._open:
@@ -865,97 +879,27 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
         **kwargs: Any,
     ) -> "DistributedEnsembleExecutor":
         """A self-contained local fabric: listen on an ephemeral loopback port
-        and spawn ``n_workers`` ``genlogic worker --connect`` subprocesses.
+        and keep ``n_workers`` ``genlogic worker --connect`` processes on it.
 
-        The degenerate-but-real deployment used by the conformance tests, the
-        distributed benchmark and CI's distributed-smoke job: every byte goes
-        through the actual TCP protocol, only the machines are the same.
-        ``key=`` threads a shared secret through to both the coordinator and
-        the spawned workers (via their environment), so the authenticated
-        handshake is exercised end to end.  ``close()`` additionally
-        terminates the spawned worker processes.
+        The degenerate-but-real deployment behind ``genlogic serve
+        --supervise``, the conformance tests and the distributed benchmark:
+        every byte goes through the actual TCP protocol, only the machines
+        are the same.  ``open()`` starts the workers under a
+        :class:`~repro.engine.supervisor.WorkerSupervisor`
+        (:attr:`supervisor`), which restarts any that die; ``close()`` stops
+        it, reaping every worker.  ``key=`` threads a shared secret through
+        to both the coordinator and the workers (via their environment), so
+        the authenticated handshake is exercised end to end.
         """
-        executor = _LoopbackExecutor(
-            n_workers,
-            connect_timeout=connect_timeout,
-            key=key,
-            **kwargs,
-        )
-        return executor
-
-
-class _LoopbackExecutor(DistributedEnsembleExecutor):
-    """Listen-mode executor that owns its spawned local worker subprocesses."""
-
-    def __init__(
-        self,
-        n_workers: int,
-        *,
-        connect_timeout: float = 60.0,
-        key: Optional[Any] = None,
-        **kwargs: Any,
-    ):
-        super().__init__(
+        executor = cls(
             listen="127.0.0.1:0",
             min_workers=n_workers,
             connect_timeout=connect_timeout,
             key=key,
             **kwargs,
         )
-        self._processes: List[subprocess.Popen] = []
-
-    def _assemble(self) -> None:
-        super()._assemble()
-        host, port = self.bound_address
-        for _ in range(self._min_workers):
-            self._processes.append(spawn_worker_process(f"{host}:{port}", key=self._key))
-
-    def _teardown(self) -> None:
-        super()._teardown()
-        processes, self._processes = self._processes, []
-        for process in processes:
-            if process.poll() is None:
-                process.terminate()
-        for process in processes:
-            try:
-                process.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover - last resort
-                process.kill()
-                process.wait(timeout=5.0)
-
-
-def spawn_worker_process(
-    connect: Optional[str] = None,
-    *,
-    listen: Optional[str] = None,
-    python: Optional[str] = None,
-    key: Optional[bytes] = None,
-) -> subprocess.Popen:
-    """Start a local ``genlogic worker`` subprocess (dial-out or listening).
-
-    Runs ``python -m repro.cli worker`` with the current interpreter and the
-    parent's full ``sys.path`` exported as ``PYTHONPATH`` — so a local worker
-    can import exactly what the parent can (source checkouts, test modules),
-    matching the visibility a forked pool worker would have.  A fabric ``key``
-    travels via the child's ``GENLOGIC_FABRIC_KEY`` environment variable (not
-    argv, which is world-readable in ``ps``).  Remote machines start the same
-    entry point by hand and must have the dispatched functions importable
-    themselves.
-    """
-    if (connect is None) == (listen is None):
-        raise EngineError("spawn_worker_process needs exactly one of connect= or listen=")
-    command = [python or sys.executable, "-m", "repro.cli", "worker"]
-    if connect is not None:
-        command += ["--connect", connect]
-    else:
-        command += ["--listen", listen]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(path for path in sys.path if path)
-    if key is not None:
-        env[KEY_ENV] = key.decode("utf-8", errors="surrogateescape")
-    else:
-        env.pop(KEY_ENV, None)
-    return subprocess.Popen(command, env=env)
+        executor._supervised = True
+        return executor
 
 
 def _remote_error(message: Dict[str, Any]) -> BaseException:
@@ -979,6 +923,12 @@ def _remote_error(message: Dict[str, Any]) -> BaseException:
 
 
 def _close_quietly(sock: socket.socket) -> None:
+    # shutdown() first: close() alone does not wake a reader thread blocked
+    # in recv() on this socket, whose join would then wait out its timeout.
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:  # not connected, or the peer is gone
+        pass
     try:
         sock.close()
     except OSError:  # pragma: no cover - close() on a dead socket

@@ -36,7 +36,7 @@ import threading
 from typing import Any, Callable, Collection, Dict, Mapping, Optional, Tuple
 
 from ..errors import EngineError
-from ..stochastic import CompiledModel, resolve_simulator
+from ..stochastic import resolve_simulator
 from .cache import CompiledModelCache, default_cache, model_fingerprint
 from .core import BaseEnsembleExecutor
 
@@ -110,16 +110,13 @@ class SerialExecutor(BaseEnsembleExecutor):
         crosses a process boundary.
         """
         chosen = cache if cache is not None else default_cache()
-        fingerprints: Dict[int, Optional[str]] = {}
+        fingerprints: Dict[int, str] = {}
 
         def run(group) -> Tuple[Any, bool]:
             first = jobs[group[0]]
             model = first.model
             if id(model) not in fingerprints:
-                # A compiled model is its own entry and needs no fingerprint.
-                fingerprints[id(model)] = (
-                    None if isinstance(model, CompiledModel) else model_fingerprint(model)
-                )
+                fingerprints[id(model)] = model_fingerprint(model)
             compiled, cache_hit = chosen.lookup(
                 model, first.frozen_overrides(), fingerprints[id(model)]
             )

@@ -1,13 +1,14 @@
-"""Auto-scaling local worker supervisor for the distributed fabric.
+"""Local worker supervisor: the only code that starts and reaps local workers.
 
-:class:`WorkerSupervisor` keeps a target number of ``genlogic worker``
+:class:`WorkerSupervisor` keeps a fixed number of ``genlogic worker``
 processes running on this machine — launching them at start, restarting the
-ones that crash, retiring the surplus when the target shrinks — so a fabric
-survives worker deaths without an operator in the loop.  It is the process
-half of the production fabric: the coordinator's heartbeat monitor
+ones that crash, and terminating and reaping every one on :meth:`stop` — so a
+fabric survives worker deaths without an operator in the loop.  It is the
+process half of the fabric: the coordinator's heartbeat monitor
 (:mod:`repro.engine.distributed`) detects a dead or hung worker and requeues
 its tasks within seconds, and the supervisor puts a replacement process on
-the fabric shortly after.
+the fabric shortly after.  :func:`spawn_worker_process` is the one place a
+local worker process is started.
 
 Restart policy: each worker slot owns a :class:`~repro.engine.backoff.Backoff`
 over the shared capped-exponential-plus-jitter policy — the same one the
@@ -18,21 +19,20 @@ back.  Jitter keeps N crashed slots from re-execing in lockstep.
 
 Two wirings, mirroring the executor's two assembly modes:
 
-* **connect mode** (``connect="host:port"`` or a callable returning one):
-  supervised workers dial a listening coordinator — the shape behind
-  ``genlogic serve --supervise N``.  A *callable* connect is polled each
-  spawn attempt and may return ``None`` while the coordinator has not bound
-  yet (its ephemeral port is unknown until then); the slot simply retries on
-  the next tick.
+* **connect mode** (``connect="host:port"``): supervised workers dial a
+  listening coordinator.  :meth:`DistributedEnsembleExecutor.loopback
+  <repro.engine.distributed.DistributedEnsembleExecutor.loopback>` (and so
+  ``genlogic serve --supervise N``) starts one on the port it has bound, and
+  stops it on ``close()``.
 * **listen mode** (``listen_base="host:port"``): slot *i* listens on
   ``port + i`` and the supervisor's :attr:`addresses` feed a coordinator's
   ``--dispatch`` list — the shape behind the CI supervisor smoke.
 
 Health: :meth:`status` returns a JSON-able snapshot (per-slot pid, uptime,
-restart counts); :meth:`serve_status` optionally exposes it (plus the
-attached executor's :meth:`~repro.engine.distributed.DistributedEnsembleExecutor.health`)
-over a tiny stdlib HTTP endpoint, and ``genlogic serve`` folds the same
-snapshot into ``/v1/stats`` as its backpressure signal.
+restart counts); :meth:`serve_status` optionally exposes it over a tiny
+stdlib HTTP endpoint (``genlogic supervisor --status-port``), and
+``genlogic serve`` shows the same snapshot as the ``supervisor`` block of
+``/v1/stats``.
 
 The fabric secret (``key=`` / ``GENLOGIC_FABRIC_KEY``) is exported to every
 spawned worker's environment, so a supervised fleet joins an authenticated
@@ -44,17 +44,20 @@ on its socket (see :mod:`repro.engine.distributed`).
 from __future__ import annotations
 
 import json
+import os
 import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import EngineError
+from .auth import KEY_ENV, resolve_key
 from .backoff import Backoff, BackoffPolicy
-from .distributed import parse_address, resolve_key, spawn_worker_process
+from .distributed import parse_address
 
-__all__ = ["WorkerSupervisor", "RESTART_BACKOFF"]
+__all__ = ["WorkerSupervisor", "RESTART_BACKOFF", "spawn_worker_process"]
 
 #: Restart schedule for crashed workers: same family as the coordinator's
 #: re-dial policy, but with a higher cap — re-execing a process is costlier
@@ -99,23 +102,21 @@ class WorkerSupervisor:
     """Keep ``target`` local ``genlogic worker`` processes on a fabric.
 
     A context manager: ``with WorkerSupervisor(2, connect=addr):`` starts the
-    monitor thread and stops it (terminating every supervised worker) on
-    exit.  ``set_target`` rescales live — new slots spawn on the next tick,
-    surplus slots are terminated.  All methods are thread-safe.
+    monitor thread and stops it (terminating and reaping every supervised
+    worker) on exit.  All methods are thread-safe.
     """
 
     def __init__(
         self,
         target: int,
         *,
-        connect: Union[str, Callable[[], Optional[str]], None] = None,
+        connect: Optional[str] = None,
         listen_base: Optional[str] = None,
         key: Optional[Any] = None,
         key_file: Optional[str] = None,
         policy: Optional[BackoffPolicy] = None,
         stable_after: float = 5.0,
         poll_interval: float = 0.2,
-        python: Optional[str] = None,
     ):
         if (connect is None) == (listen_base is None):
             raise EngineError(
@@ -125,7 +126,7 @@ class WorkerSupervisor:
         if int(target) < 0:
             raise EngineError("supervisor target must be non-negative")
         self._connect = connect
-        if isinstance(connect, str):
+        if connect is not None:
             parse_address(connect)
         self._listen_base: Optional[Tuple[str, int]] = None
         if listen_base is not None:
@@ -134,34 +135,22 @@ class WorkerSupervisor:
         self._policy = policy if policy is not None else RESTART_BACKOFF
         self.stable_after = float(stable_after)
         self.poll_interval = float(poll_interval)
-        self._python = python
         self._lock = threading.Lock()
         self._slots: List[_Slot] = []
         self._target = int(target)
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._status_server: Optional[ThreadingHTTPServer] = None
-        self._executor = None
         self.started_at: Optional[float] = None
 
     # -- wiring --------------------------------------------------------------------
-    @property
-    def target(self) -> int:
-        with self._lock:
-            return self._target
-
     @property
     def addresses(self) -> List[str]:
         """The listen-mode worker addresses (for a coordinator's ``--dispatch``)."""
         if self._listen_base is None:
             raise EngineError("addresses only exist in listen_base mode")
         host, port = self._listen_base
-        with self._lock:
-            return [f"{host}:{port + index}" for index in range(self._target)]
-
-    def attach_executor(self, executor) -> None:
-        """Fold ``executor.health()`` into :meth:`status` / the status endpoint."""
-        self._executor = executor
+        return [f"{host}:{port + index}" for index in range(self._target)]
 
     # -- lifecycle -----------------------------------------------------------------
     def start(self) -> "WorkerSupervisor":
@@ -171,6 +160,10 @@ class WorkerSupervisor:
                 return self
             self._stop.clear()
             self.started_at = time.monotonic()
+            listen = self.addresses if self._listen_base is not None else [None] * self._target
+            self._slots = [
+                _Slot(index, address, self._policy) for index, address in enumerate(listen)
+            ]
             self._thread = threading.Thread(
                 target=self._run,
                 name="genlogic-supervisor",
@@ -200,19 +193,6 @@ class WorkerSupervisor:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def set_target(self, target: int) -> None:
-        """Rescale to ``target`` workers (spawn or retire on the next tick)."""
-        if int(target) < 0:
-            raise EngineError("supervisor target must be non-negative")
-        doomed: List[subprocess.Popen] = []
-        with self._lock:
-            self._target = int(target)
-            while len(self._slots) > self._target:
-                slot = self._slots.pop()
-                if slot.process is not None:
-                    doomed.append(slot.process)
-        _terminate(doomed)
-
     # -- the monitor loop ----------------------------------------------------------
     def _run(self) -> None:
         while not self._stop.is_set():
@@ -220,22 +200,10 @@ class WorkerSupervisor:
             self._stop.wait(self.poll_interval)
 
     def _tick(self) -> None:
-        """One supervision round: reap, schedule restarts, spawn, retire."""
+        """One supervision round: reap, schedule restarts, spawn."""
         now = time.monotonic()
-        doomed: List[subprocess.Popen] = []
         to_spawn: List[_Slot] = []
         with self._lock:
-            while len(self._slots) < self._target:
-                index = len(self._slots)
-                listen_address = None
-                if self._listen_base is not None:
-                    host, port = self._listen_base
-                    listen_address = f"{host}:{port + index}"
-                self._slots.append(_Slot(index, listen_address, self._policy))
-            while len(self._slots) > self._target:
-                slot = self._slots.pop()
-                if slot.process is not None:
-                    doomed.append(slot.process)
             for slot in self._slots:
                 if slot.process is not None:
                     if slot.process.poll() is None:
@@ -256,24 +224,13 @@ class WorkerSupervisor:
                     slot.next_start_at = now + slot.backoff.next_delay()
                 if now >= slot.next_start_at:
                     to_spawn.append(slot)
-        _terminate(doomed)
         for slot in to_spawn:
             self._spawn(slot)
 
     def _spawn(self, slot: _Slot) -> None:
         """Launch one worker for ``slot`` (outside the lock: exec is slow)."""
-        connect_address: Optional[str] = None
-        if slot.listen_address is None:
-            connect_address = self._connect() if callable(self._connect) else self._connect
-            if connect_address is None:
-                return  # coordinator not bound yet; retry next tick
         try:
-            process = spawn_worker_process(
-                connect_address,
-                listen=slot.listen_address,
-                python=self._python,
-                key=self._key,
-            )
+            process = spawn_worker_process(self._connect, listen=slot.listen_address, key=self._key)
         except OSError:
             # exec failure (interpreter gone, fd exhaustion): back off like a
             # crash instead of retrying every tick.
@@ -281,8 +238,8 @@ class WorkerSupervisor:
                 slot.next_start_at = time.monotonic() + slot.backoff.next_delay()
             return
         with self._lock:
-            if self._stop.is_set() or slot not in self._slots:
-                # Lost a race with stop()/set_target(): this worker has no slot.
+            if self._stop.is_set():
+                # Lost a race with stop(): this worker has no slot.
                 _terminate([process])
                 return
             slot.process = process
@@ -292,12 +249,7 @@ class WorkerSupervisor:
 
     # -- health --------------------------------------------------------------------
     def status(self) -> Dict[str, Any]:
-        """A JSON-able snapshot: target, per-slot liveness, restart counters.
-
-        When an executor is attached (:meth:`attach_executor`) its
-        :meth:`health` snapshot rides along under ``"fabric"`` — one document
-        answers both "are the processes up" and "is work flowing".
-        """
+        """A JSON-able snapshot: target, per-slot liveness, restart counters."""
         now = time.monotonic()
         with self._lock:
             workers = []
@@ -318,7 +270,7 @@ class WorkerSupervisor:
                         "last_exit_code": slot.last_exit_code,
                     },
                 )
-            status: Dict[str, Any] = {
+            return {
                 "target": self._target,
                 "mode": "listen" if self._listen_base is not None else "connect",
                 "alive": sum(1 for worker in workers if worker["alive"]),
@@ -329,13 +281,6 @@ class WorkerSupervisor:
                     round(now - self.started_at, 3) if self.started_at is not None else 0.0
                 ),
             }
-        executor = self._executor
-        if executor is not None:
-            try:
-                status["fabric"] = executor.health()
-            except Exception:  # pragma: no cover - health must never take us down
-                status["fabric"] = None
-        return status
 
     def wait_for_alive(self, count: int, timeout: float = 30.0) -> None:
         """Block until ``count`` workers are alive (tests and smoke scripts)."""
@@ -382,6 +327,39 @@ class WorkerSupervisor:
         )
         thread.start()
         return server.server_address[:2]
+
+
+def spawn_worker_process(
+    connect: Optional[str] = None,
+    *,
+    listen: Optional[str] = None,
+    key: Optional[bytes] = None,
+) -> subprocess.Popen:
+    """Start a local ``genlogic worker`` subprocess (dial-out or listening).
+
+    Runs ``python -m repro.cli worker`` with the current interpreter and the
+    parent's full ``sys.path`` exported as ``PYTHONPATH`` — so a local worker
+    can import exactly what the parent can (source checkouts, test modules),
+    matching the visibility a forked pool worker would have.  A fabric ``key``
+    travels via the child's ``GENLOGIC_FABRIC_KEY`` environment variable (not
+    argv, which is world-readable in ``ps``).  Remote machines start the same
+    entry point by hand and must have the dispatched functions importable
+    themselves.
+    """
+    if (connect is None) == (listen is None):
+        raise EngineError("spawn_worker_process needs exactly one of connect= or listen=")
+    command = [sys.executable, "-m", "repro.cli", "worker"]
+    if connect is not None:
+        command += ["--connect", connect]
+    else:
+        command += ["--listen", listen]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(path for path in sys.path if path)
+    if key is not None:
+        env[KEY_ENV] = key.decode("utf-8", errors="surrogateescape")
+    else:
+        env.pop(KEY_ENV, None)
+    return subprocess.Popen(command, env=env)
 
 
 def _terminate(processes: List[subprocess.Popen]) -> None:

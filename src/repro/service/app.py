@@ -1,8 +1,9 @@
 """Transport-free core of the analysis service.
 
 :class:`AnalysisService` is everything the HTTP layer is not: it owns ONE
-warm executor (a local process pool, or the distributed fabric behind
-``--dispatch``), a registry of submitted studies, the content-addressed
+warm executor (a local process pool, the distributed fabric behind
+``--dispatch``, or the supervised loopback fabric behind ``--supervise``),
+a registry of submitted studies, the content-addressed
 :class:`~repro.service.cache.ResultCache`, and the admission policy — per
 -request replicate budgets and an in-flight bound that turns overload into an
 explicit backpressure signal instead of an unbounded queue.  Keeping it
@@ -127,9 +128,10 @@ class AnalysisService:
     workers:
         Size of the local worker pool (ignored when ``executor`` is given).
     executor:
-        An opened engine executor to run studies on — e.g. a
+        An engine executor to run studies on — e.g. a
         :class:`~repro.engine.DistributedEnsembleExecutor` over the fabric.
-        Its lifecycle stays with the caller.
+        Its lifecycle stays with the caller.  A loopback fabric's
+        ``supervisor`` status rides along in :meth:`stats`.
     max_inflight:
         Bound on concurrently executing studies; submissions beyond it raise
         :class:`BackpressureError` (HTTP 429) instead of queuing unboundedly.
@@ -156,7 +158,6 @@ class AnalysisService:
         self,
         workers: int = 1,
         executor=None,
-        supervisor=None,
         max_inflight: int = 4,
         max_replicates: int = 64,
         max_search_replicates: int = 5000,
@@ -177,10 +178,6 @@ class AnalysisService:
         self._owns_executor = executor is None
         self._workers = int(workers)
         self._executor = executor
-        #: A :class:`~repro.engine.WorkerSupervisor` (or anything with a
-        #: ``status()`` dict) whose health rides along in :meth:`stats`.
-        #: Lifecycle stays with the caller, like ``executor``.
-        self._supervisor = supervisor
         self._runner = runner if runner is not None else _default_runner
         self._search_runner = (
             search_runner if search_runner is not None else _default_search_runner
@@ -467,24 +464,18 @@ class AnalysisService:
                 "max_search_replicates": self.max_search_replicates,
             },
         }
-        # Fabric health (per-worker throughput, requeues, queue depth) and
-        # supervisor status are the distributed deployment's backpressure
-        # signal — present only when the executor/supervisor expose them.
+        # Fabric health (per-worker throughput, requeues, queue depth) and the
+        # loopback fabric's supervisor status are the distributed deployment's
+        # backpressure signal — present only when the executor exposes them.
         health = getattr(self._executor, "health", None)
         if callable(health):
             try:
                 body["fabric"] = health()
             except Exception:  # noqa: BLE001 - stats must never take the service down
                 body["fabric"] = None
-        if self._supervisor is not None:
-            try:
-                supervisor_status = dict(self._supervisor.status())
-            except Exception:  # noqa: BLE001 - same: degrade, don't die
-                supervisor_status = None
-            if supervisor_status is not None:
-                # The executor's health already rides under "fabric".
-                supervisor_status.pop("fabric", None)
-            body["supervisor"] = supervisor_status
+        supervisor = getattr(self._executor, "supervisor", None)
+        if supervisor is not None:
+            body["supervisor"] = supervisor.status()
         return body
 
 

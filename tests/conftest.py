@@ -82,8 +82,8 @@ def standard_analyzer():
 
 
 @pytest.fixture()
-def _isolate_parent_worker_caches():
-    """Restore this process's worker-side compiled-model cache after a test.
+def _isolate_parent_worker_caches(monkeypatch):
+    """Give a test its own worker-side compiled-model cache.
 
     A test that runs ``simulate_batch_payload`` or ``run_worker`` inside the
     pytest process warms the module-level worker cache, and fork-started
@@ -93,7 +93,4 @@ def _isolate_parent_worker_caches():
     """
     import repro.engine.cache as cache_module
 
-    saved = dict(cache_module._WORKER_CACHE)
-    yield
-    cache_module._WORKER_CACHE.clear()
-    cache_module._WORKER_CACHE.update(saved)
+    monkeypatch.setattr(cache_module, "_WORKER_CACHE", cache_module.CompiledModelCache())

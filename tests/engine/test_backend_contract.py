@@ -20,13 +20,13 @@ The run-path tests are additionally parametrized over ``batch_size`` ∈ {1, 3}
 every backend proves the whole contract (bit-identity included) through the
 batched dispatch/transport path too.
 
-The distributed backend here is a *real* TCP fabric (listen + two spawned
-``genlogic worker --connect`` subprocesses); only the machines are local.
+The distributed backends here are *real* TCP fabrics (listen + two
+supervised ``genlogic worker --connect`` subprocesses, unkeyed and keyed);
+only the machines are local.
 """
 
 import asyncio
 import time
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -36,7 +36,6 @@ from repro.engine import (
     DistributedEnsembleExecutor,
     ProcessPoolEnsembleExecutor,
     SerialExecutor,
-    WorkerSupervisor,
     iter_ensemble,
     replicate_jobs,
     run_ensemble,
@@ -103,29 +102,11 @@ def backend(request):
         with ProcessPoolEnsembleExecutor(2) as executor:
             yield _Backend("pool-on-thread", executor, on_thread=True)
     else:
-        # The hardened deployment shape: an authenticated listening fabric
-        # whose workers are owned by the auto-restarting supervisor.  The
-        # whole contract must hold on it unchanged.
-        executor = DistributedEnsembleExecutor(
-            listen="127.0.0.1:0",
-            min_workers=2,
-            connect_timeout=60.0,
-            key="conformance-secret",
-        )
-        supervisor = WorkerSupervisor(
-            2,
-            connect=lambda: (
-                "{}:{}".format(*executor.bound_address) if executor.bound_address else None
-            ),
-            key="conformance-secret",
-        )
-        supervisor.start()
-        try:
-            executor.open()
+        # The hardened deployment shape (``genlogic serve --supervise``): an
+        # authenticated loopback fabric.  The whole contract must hold on it
+        # unchanged.
+        with DistributedEnsembleExecutor.loopback(2, key="conformance-secret") as executor:
             yield _Backend("distributed-supervised", executor)
-        finally:
-            supervisor.stop()  # before the executor: a teardown must not race a restart
-            executor.close()
 
 
 @pytest.fixture(scope="module", params=[1, 3], ids=["batch1", "batch3"])
@@ -250,7 +231,7 @@ class TestOnDemandKernelParts:
     ):
         # A fresh worker cache, so the model compiles here and no pool forked
         # later inherits the entry.
-        monkeypatch.setattr(cache_module, "_WORKER_CACHE", OrderedDict())
+        monkeypatch.setattr(cache_module, "_WORKER_CACHE", cache_module.CompiledModelCache())
         compiled_parts = []
         compile_part = codegen.compile_part
 

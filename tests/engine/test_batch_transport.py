@@ -10,8 +10,10 @@ that a batched pool run needs no shared memory and no resource tracker.
 import dataclasses
 import glob
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -201,8 +203,9 @@ class TestDistributedBatchFaults:
     def test_worker_death_mid_batch_frame_requeues_bit_identical(self, template, monkeypatch):
         """Kill a fabric worker while batches (frame transport) are in
         flight: the coordinator requeues the dead worker's batches on the
-        survivor, the study comes out bit-identical to serial, and no
-        ``/dev/shm`` segment outlives the run."""
+        survivor, the study comes out bit-identical to serial, the
+        supervisor replaces the dead worker, and no ``/dev/shm`` segment
+        outlives the run."""
         jobs = replicate_jobs(template, 12, seed=33)
         baseline = run_ensemble(jobs, workers=1)
         # The victim is whichever worker receives the first batch, killed the
@@ -226,14 +229,17 @@ class TestDistributedBatchFaults:
             def _send_then_kill(link, task):
                 send_task(link, task)
                 if not victims:
-                    pid = pids[link.sock.getpeername()[1]]
-                    victims.extend(p for p in executor._processes if p.pid == pid)
-                    victims[0].kill()
+                    victims.append(pids[link.sock.getpeername()[1]])
+                    os.kill(victims[0], signal.SIGKILL)
 
             executor._send_task = _send_then_kill
             result = run_ensemble(jobs, executor=executor, batch_size=3)
-            victim = victims[0]
-            assert victim.poll() is not None, "the victim outlived the batch"
+            supervisor = executor.supervisor
+            deadline = time.monotonic() + 30.0
+            while supervisor.status()["restarts_total"] < 1:
+                assert time.monotonic() < deadline, "the killed worker was never replaced"
+                time.sleep(0.05)
+            assert victims[0] not in [worker["pid"] for worker in supervisor.status()["workers"]]
         for index, (_, expected) in enumerate(baseline):
             assert np.array_equal(result.trajectory(index).times, expected.times)
             assert np.array_equal(result.trajectory(index).data, expected.data)

@@ -9,6 +9,7 @@ timeout, worker survival of poison tasks), study-level end-to-end execution
 fabric with no study-code changes), and the ``genlogic worker`` CLI.
 """
 
+import os
 import signal
 import socket
 import threading
@@ -31,9 +32,9 @@ from repro.engine.distributed import (
     parse_dispatch_spec,
     recv_message,
     send_message,
-    spawn_worker_process,
 )
 from repro.engine.jobs import SimulationJob
+from repro.engine.supervisor import spawn_worker_process
 from repro.engine.worker import run_worker
 from repro.errors import EngineError
 from repro.stochastic.events import InputSchedule
@@ -156,7 +157,7 @@ class TestFabricExecution:
         survivor completes the whole batch."""
         with DistributedEnsembleExecutor.loopback(2) as executor:
             executor.open()
-            victim = executor._processes[0]
+            victim = executor.supervisor.status()["workers"][0]["pid"]
             held = []
             drop_link = executor._drop_link
 
@@ -172,7 +173,7 @@ class TestFabricExecution:
 
             def _kill_soon():
                 time.sleep(0.25)
-                victim.send_signal(signal.SIGKILL)
+                os.kill(victim, signal.SIGKILL)
 
             threading.Thread(target=_kill_soon, daemon=True).start()
             results = executor.map(_sleep_briefly, [0.1] * 16)
@@ -224,7 +225,8 @@ class TestFabricExecution:
 
     def test_close_mid_batch_settles_every_outstanding_future(self):
         """close() during an active batch must cancel/fail in-flight and
-        queued futures — a caller blocked on one must not hang forever."""
+        queued futures — a caller blocked on one must not hang forever —
+        and must not wait out the busy worker's task."""
         import concurrent.futures
 
         with DistributedEnsembleExecutor.loopback(1) as executor:
@@ -232,15 +234,15 @@ class TestFabricExecution:
             slow = executor.submit(_sleep_briefly, 8.0)  # runs on the worker
             queued = executor.submit(_sleep_briefly, 8.0)  # waits on its socket
             time.sleep(0.3)
+            started = time.monotonic()
             executor.close()
+            assert time.monotonic() - started < 2.0
             for future in (slow, queued):
                 with pytest.raises((concurrent.futures.CancelledError, WorkerConnectionError)):
                     future.result(timeout=5.0)
 
     def test_task_errors_do_not_kill_the_worker(self, fabric):
         with pytest.raises(FileNotFoundError):
-            import os
-
             fabric.map(os.path.getsize, ["/definitely/not/a/file"])
         # Same fabric, same workers: still fully operational.
         assert fabric.map(_sleep_briefly, [0.0, 0.0]) == [0.0, 0.0]

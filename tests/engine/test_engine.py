@@ -290,6 +290,41 @@ class TestCompiledModelCache:
         assert overridden is not compiled
         assert overridden.constants["kd"] == 0.5
 
+    @pytest.mark.usefixtures("_isolate_parent_worker_caches")
+    def test_compiled_model_jobs_count_alike_in_every_process(
+        self, monkeypatch, and_job, toy_model
+    ):
+        """A job whose model is already a CompiledModel compiles by
+        ``compile_model``'s rule on serial as in a worker: 3 hits / 1 miss
+        at batch 1 on both, and overrides equal to the compiled-in values
+        build nothing."""
+        from repro.stochastic import CompiledModel
+
+        template = SimulationJob(
+            model=CompiledModel(and_job.model),
+            t_end=and_job.t_end,
+            simulator="ssa",
+            schedule=and_job.schedule,
+        )
+        jobs = replicate_jobs(template, 4, seed=2)
+        serial = run_ensemble(jobs, executor=SerialExecutor(), cache=CompiledModelCache())
+        with ProcessPoolEnsembleExecutor(1) as pool:
+            pooled = run_ensemble(jobs, executor=pool)
+        assert (serial.stats.cache_hits, serial.stats.cache_misses) == (3, 1)
+        assert (pooled.stats.cache_hits, pooled.stats.cache_misses) == (3, 1)
+
+        compiled = CompiledModel(toy_model, {"kd": 0.2})
+        builds = []
+        build = CompiledModel.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledModel, "__init__", counting)
+        assert CompiledModelCache().get(compiled, (("kd", 0.2),)) is compiled
+        assert builds == []
+
     def test_parallel_stats_report_worker_cache(self, and_circuit):
         schedule = InputSchedule.from_combinations(
             list(and_circuit.inputs),

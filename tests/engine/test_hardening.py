@@ -11,7 +11,6 @@ import pickle
 import sys
 import threading
 import time
-from collections import OrderedDict
 
 import pytest
 
@@ -92,8 +91,8 @@ class TestWorkerModelLRU:
     def test_hot_key_survives_eviction(self, monkeypatch, toy_model):
         """Eviction must be LRU: a key re-used on every batch outlives stale
         ones (the old FIFO behaviour evicted by insertion order)."""
-        monkeypatch.setattr(cache_module, "_WORKER_CACHE_MAX", 2)
-        monkeypatch.setattr(cache_module, "_WORKER_CACHE", OrderedDict())
+        cache = cache_module.CompiledModelCache(max_entries=2)
+        monkeypatch.setattr(cache_module, "_WORKER_CACHE", cache)
         blob, fingerprint = model_blob(toy_model)
         a, b, c = (), (("kd", 0.2),), (("kd", 0.3),)
         hot, _ = worker_compiled(fingerprint, blob, a)
@@ -101,10 +100,10 @@ class TestWorkerModelLRU:
         # Touch a: it is now the most recently used entry.
         assert worker_compiled(fingerprint, blob, a) == (hot, True)
         worker_compiled(fingerprint, blob, c)
-        assert list(cache_module._WORKER_CACHE) == [(fingerprint, a), (fingerprint, c)]
+        assert list(cache._entries) == [(fingerprint, a), (fingerprint, c)]
 
     def test_each_key_unpickles_its_blob_once(self, monkeypatch, toy_model):
-        monkeypatch.setattr(cache_module, "_WORKER_CACHE", OrderedDict())
+        monkeypatch.setattr(cache_module, "_WORKER_CACHE", cache_module.CompiledModelCache())
         loads = []
         real_loads = pickle.loads
         monkeypatch.setattr(pickle, "loads", lambda data: loads.append(data) or real_loads(data))
@@ -122,7 +121,7 @@ class TestWorkerModelLRU:
     def test_concurrent_callers_unpickle_each_key_once(self, monkeypatch, toy_model):
         """Many threads missing on the same keys at once: the lock makes the
         lookup and the insert one step, so no key compiles twice."""
-        monkeypatch.setattr(cache_module, "_WORKER_CACHE", OrderedDict())
+        monkeypatch.setattr(cache_module, "_WORKER_CACHE", cache_module.CompiledModelCache())
         loads = []
         real_loads = pickle.loads
         monkeypatch.setattr(pickle, "loads", lambda data: loads.append(data) or real_loads(data))

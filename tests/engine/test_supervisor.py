@@ -1,11 +1,12 @@
-"""Tests for the auto-scaling worker supervisor (engine/supervisor.py).
+"""Tests for the local worker supervisor (engine/supervisor.py).
 
-Covers the process-management contract: a supervised fleet joins a
-coordinator (including an authenticated one) and executes work, a killed
-worker is restarted and rejoins, targets rescale live, and the status
-surfaces (dict + HTTP endpoint) report what an operator needs.  The
-fault-injection suite (test_chaos.py) covers how the *coordinator* behaves
-while all this churn happens.
+Covers the process-management contract: a loopback fabric's supervised
+workers (``DistributedEnsembleExecutor.loopback``, including an
+authenticated one) join and execute work, a killed worker is restarted and
+rejoins, ``close()`` reaps every worker, and the status surfaces (dict +
+HTTP endpoint) report what an operator needs.  The fault-injection suite
+(test_chaos.py) covers how the *coordinator* behaves while all this churn
+happens.
 """
 
 import json
@@ -17,7 +18,6 @@ import urllib.request
 import pytest
 
 from repro.engine import DistributedEnsembleExecutor, WorkerSupervisor
-from repro.engine.backoff import BackoffPolicy
 from repro.errors import EngineError
 
 
@@ -25,29 +25,18 @@ def _echo(payload):
     return payload
 
 
-#: Fast restarts so the kill/restart tests finish in seconds.
-FAST_RESTARTS = BackoffPolicy(initial=0.05, multiplier=2.0, maximum=0.5, jitter=0.5)
+def _sleep_briefly(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
-def _supervised_fabric(n_workers, **kwargs):
-    """A listening executor plus a supervisor feeding it ``n_workers``."""
-    executor = DistributedEnsembleExecutor(
-        listen="127.0.0.1:0",
-        min_workers=n_workers,
-        connect_timeout=60.0,
-        **{k: v for k, v in kwargs.items() if k in ("key",)},
-    )
-    supervisor = WorkerSupervisor(
-        n_workers,
-        connect=lambda: (
-            "{}:{}".format(*executor.bound_address) if executor.bound_address else None
-        ),
-        policy=FAST_RESTARTS,
-        stable_after=1.0,
-        poll_interval=0.05,
-        **{k: v for k, v in kwargs.items() if k in ("key",)},
-    )
-    return executor, supervisor
+def _exited(pid):
+    """Whether ``pid`` is gone: exited and reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
 
 
 class TestConstruction:
@@ -73,88 +62,65 @@ class TestConstruction:
 
 class TestSupervisedFabric:
     def test_supervised_workers_join_and_execute(self):
-        executor, supervisor = _supervised_fabric(2)
-        with supervisor:
-            with executor:
-                futures = [executor.submit(_echo, n) for n in range(8)]
-                assert sorted(f.result(timeout=60.0) for f in futures) == list(range(8))
-                status = supervisor.status()
-                assert status["alive"] == 2
-                assert status["mode"] == "connect"
-            supervisor.stop()  # before executor teardown races a restart
+        with DistributedEnsembleExecutor.loopback(2) as executor:
+            futures = [executor.submit(_echo, n) for n in range(8)]
+            assert sorted(f.result(timeout=60.0) for f in futures) == list(range(8))
+            status = executor.supervisor.status()
+            assert status["alive"] == 2
+            assert status["mode"] == "connect"
 
     def test_killed_worker_is_restarted_and_rejoins(self):
-        executor, supervisor = _supervised_fabric(1)
-        with supervisor:
-            with executor:
-                assert executor.submit(_echo, "warm").result(timeout=60.0) == "warm"
-                supervisor.wait_for_alive(1)
-                victim_pid = supervisor.status()["workers"][0]["pid"]
-                os.kill(victim_pid, signal.SIGKILL)
-                deadline = time.monotonic() + 30.0
-                while time.monotonic() < deadline:
-                    status = supervisor.status()
-                    if status["restarts_total"] >= 1 and status["alive"] >= 1:
-                        break
-                    time.sleep(0.05)
-                else:
-                    pytest.fail("supervisor never restarted the killed worker")
-                # The replacement re-joins the fabric and serves work.
-                assert executor.submit(_echo, "again").result(timeout=60.0) == "again"
-            supervisor.stop()
+        with DistributedEnsembleExecutor.loopback(1) as executor:
+            assert executor.submit(_echo, "warm").result(timeout=60.0) == "warm"
+            supervisor = executor.supervisor
+            victim_pid = supervisor.status()["workers"][0]["pid"]
+            os.kill(victim_pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                status = supervisor.status()
+                if status["restarts_total"] >= 1 and status["alive"] >= 1:
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail("supervisor never restarted the killed worker")
+            # The replacement re-joins the fabric and serves work.
+            assert executor.submit(_echo, "again").result(timeout=60.0) == "again"
 
     def test_authenticated_supervised_fabric_executes(self):
-        executor, supervisor = _supervised_fabric(1, key="sup-secret")
-        with supervisor:
-            with executor:
-                assert executor.authenticated
-                assert executor.submit(_echo, 11).result(timeout=60.0) == 11
-                assert supervisor.status()["authenticated"] is True
-            supervisor.stop()
+        with DistributedEnsembleExecutor.loopback(1, key="sup-secret") as executor:
+            assert executor.authenticated
+            assert executor.submit(_echo, 11).result(timeout=60.0) == 11
+            assert executor.supervisor.status()["authenticated"] is True
 
-
-class TestScaling:
-    def test_set_target_scales_down_then_up(self):
-        executor, supervisor = _supervised_fabric(2)
-        with supervisor:
-            with executor:
-                supervisor.wait_for_alive(2)
-                supervisor.set_target(0)
-                deadline = time.monotonic() + 15.0
-                while time.monotonic() < deadline and supervisor.status()["alive"] > 0:
-                    time.sleep(0.05)
-                assert supervisor.status()["alive"] == 0
-                assert supervisor.target == 0
-                supervisor.set_target(1)
-                supervisor.wait_for_alive(1)
-                assert executor.submit(_echo, 5).result(timeout=60.0) == 5
-            supervisor.stop()
+    def test_close_reaps_every_worker(self):
+        """close() with every worker busy returns promptly, stops the
+        supervisor (no restart as the sessions end) and reaps each worker."""
+        executor = DistributedEnsembleExecutor.loopback(2).open()
+        pids = [worker["pid"] for worker in executor.supervisor.status()["workers"]]
+        assert len(pids) == 2 and None not in pids
+        busy = [executor.submit(_sleep_briefly, 8.0) for _ in range(4)]
+        time.sleep(0.3)
+        started = time.monotonic()
+        executor.close()
+        assert time.monotonic() - started < 2.0
+        assert all(future.done() for future in busy)
+        assert [pid for pid in pids if not _exited(pid)] == []
+        assert executor.supervisor.status()["workers"] == []
 
 
 class TestStatusSurfaces:
-    def test_status_shape_and_executor_health_attachment(self):
-        executor, supervisor = _supervised_fabric(1)
-        with supervisor:
-            with executor:
-                supervisor.attach_executor(executor)
-                supervisor.wait_for_alive(1)
-                assert executor.submit(_echo, 3).result(timeout=60.0) == 3
-                status = supervisor.status()
-                assert set(status) >= {
-                    "target",
-                    "mode",
-                    "alive",
-                    "restarts_total",
-                    "workers",
-                    "fabric",
-                }
-                worker = status["workers"][0]
-                assert worker["alive"] is True and worker["pid"] is not None
-                fabric = status["fabric"]
-                assert fabric["queue_depth"] == 0
-                assert fabric["tasks_completed"] >= 1
-                assert fabric["workers"][0]["tasks_per_second"] >= 0.0
-            supervisor.stop()
+    def test_status_shape_and_executor_health(self):
+        with DistributedEnsembleExecutor.loopback(1) as executor:
+            assert executor.submit(_echo, 3).result(timeout=60.0) == 3
+            status = executor.supervisor.status()
+            assert set(status) >= {"target", "mode", "alive", "restarts_total", "workers"}
+            assert "fabric" not in status
+            worker = status["workers"][0]
+            assert worker["alive"] is True and worker["pid"] is not None
+            health = executor.health()
+            assert health["queue_depth"] == 0
+            assert health["tasks_completed"] >= 1
+            assert health["workers"][0]["tasks_per_second"] >= 0.0
 
     def test_http_status_endpoint_serves_the_snapshot(self):
         supervisor = WorkerSupervisor(0, connect="127.0.0.1:1")

@@ -12,6 +12,7 @@ pins the acceptance criteria: a served study is bit-identical to a direct
 import asyncio
 import http.client
 import json
+import os
 import socket
 import threading
 import time
@@ -21,7 +22,7 @@ import pytest
 import repro.gates.circuits
 import repro.service.http as service_http
 from repro.analysis import run_replicate_study
-from repro.engine import StudySpec, WorkerConnectionError
+from repro.engine import DistributedEnsembleExecutor, StudySpec, WorkerConnectionError
 from repro.errors import EngineError
 from repro.gates.cello import cello_circuit
 from repro.gates.parts_library import resolve_library
@@ -263,6 +264,32 @@ class TestAnalysisService:
         assert record.status == "done"
         assert service.cache.stats()["entries"] == 0
         assert service.inflight == 0
+
+    def test_loopback_fabric_reports_its_supervisor(self):
+        """The ``serve --supervise`` shape: a seeded study runs on a
+        one-worker loopback fabric, ``stats()`` carries the fabric and the
+        supervisor blocks, and closing the fabric reaps its worker."""
+        executor = DistributedEnsembleExecutor.loopback(1)
+        service = AnalysisService(executor=executor)
+        try:
+            service.open()
+
+            async def _go():
+                record = await service.submit(_spec())
+                await record.done_event.wait()
+                return record
+
+            record = asyncio.run(_go())
+            assert record.status == "done", record.error
+            stats = service.stats()
+            assert stats["fabric"]["tasks_completed"] >= 1
+            assert stats["supervisor"]["alive"] == 1
+            assert "fabric" not in stats["supervisor"]
+            pid = stats["supervisor"]["workers"][0]["pid"]
+        finally:
+            executor.close()
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
     def test_admission_limits_validated(self):
         with pytest.raises(EngineError):
