@@ -15,92 +15,16 @@ Typical use::
     data = run_logic_experiment(circuit, rng=1)        # virtual laboratory
     result = LogicAnalyzer(threshold=15).analyze(data, expected=circuit.expected_table)
     print(result.summary())
+
+Names are re-exported lazily: ``import repro`` loads no subpackage, and
+reading a name imports the one that defines it, so a process loads only the
+modules it uses.  A subpackage is an attribute once imported
+(``import repro.engine``).
 """
 
-from .analysis import (
-    CandidateScore,
-    ReplicateStudy,
-    RobustnessReport,
-    RuntimeMeasurement,
-    ThresholdSweepEntry,
-    assess_robustness,
-    measure_analysis_runtime,
-    run_replicate_study,
-    threshold_sweep,
-)
-from .core import (
-    FilterConfig,
-    LogicAnalysisResult,
-    LogicAnalyzer,
-    analyze_logic,
-    format_analysis_report,
-    format_case_table,
-    format_suite_table,
-    percentage_fitness,
-)
-from .engine import (
-    CompiledModelCache,
-    DistributedEnsembleExecutor,
-    EnsembleResult,
-    EnsembleStats,
-    EnsembleStream,
-    ProcessPoolEnsembleExecutor,
-    SerialExecutor,
-    SimulationJob,
-    StudySpec,
-    get_executor,
-    iter_ensemble,
-    replicate_jobs,
-    run_ensemble,
-    run_job,
-)
+from ._lazy import lazy_exports
 from .errors import ReproError
-from .gates import (
-    CELLO_CIRCUIT_NAMES,
-    GeneticCircuit,
-    Netlist,
-    PartAssignment,
-    and_gate_circuit,
-    build_circuit,
-    cello_circuit,
-    cello_suite,
-    default_library,
-    diverse_library,
-    enumerate_assignments,
-    myers_suite,
-    nand_gate_circuit,
-    nor_gate_circuit,
-    not_gate_circuit,
-    or_gate_circuit,
-    standard_suite,
-    synthesize,
-    synthesize_from_expression,
-    synthesize_from_hex,
-)
-from .io import read_datalog_csv, result_to_dict, save_result_json, write_datalog_csv
-from .logic import TruthTable, compare_tables, identify_gate, minimize, parse_expr
-from .sbml import Model, read_sbml_file, read_sbml_string, write_sbml_file, write_sbml_string
-from .sbol import ConversionParameters, SBOLDocument, sbol_to_sbml
-from .search import SearchFrontier, SearchSpec, run_design_search
-from .service import AnalysisService, ResultCache, ServiceServer, serve
-from .stochastic import (
-    InputSchedule,
-    Trajectory,
-    simulate_next_reaction,
-    simulate_ode,
-    simulate_ssa,
-    simulate_tau_leap,
-)
 from .version import __version__
-from .vlab import (
-    LogicExperiment,
-    SimulationDataLog,
-    estimate_propagation_delay,
-    estimate_threshold,
-    exhaustive_protocol,
-    gray_code_protocol,
-    run_logic_experiment,
-)
 
 __all__ = [
     "__version__",
@@ -205,3 +129,98 @@ __all__ = [
     "result_to_dict",
     "save_result_json",
 ]
+
+#: The subpackage that defines each re-exported name.  Reading ``repro.X``
+#: imports it the first time, so ``import repro`` loads only what is used.
+_EXPORTS = {
+    "CandidateScore": "analysis",
+    "ReplicateStudy": "analysis",
+    "RobustnessReport": "analysis",
+    "RuntimeMeasurement": "analysis",
+    "ThresholdSweepEntry": "analysis",
+    "assess_robustness": "analysis",
+    "measure_analysis_runtime": "analysis",
+    "run_replicate_study": "analysis",
+    "threshold_sweep": "analysis",
+    "FilterConfig": "core",
+    "LogicAnalysisResult": "core",
+    "LogicAnalyzer": "core",
+    "analyze_logic": "core",
+    "format_analysis_report": "core",
+    "format_case_table": "core",
+    "format_suite_table": "core",
+    "percentage_fitness": "core",
+    "CompiledModelCache": "engine",
+    "DistributedEnsembleExecutor": "engine",
+    "EnsembleResult": "engine",
+    "EnsembleStats": "engine",
+    "EnsembleStream": "engine",
+    "ProcessPoolEnsembleExecutor": "engine",
+    "SerialExecutor": "engine",
+    "SimulationJob": "engine",
+    "StudySpec": "engine",
+    "get_executor": "engine",
+    "iter_ensemble": "engine",
+    "replicate_jobs": "engine",
+    "run_ensemble": "engine",
+    "run_job": "engine",
+    "CELLO_CIRCUIT_NAMES": "gates",
+    "GeneticCircuit": "gates",
+    "Netlist": "gates",
+    "PartAssignment": "gates",
+    "and_gate_circuit": "gates",
+    "build_circuit": "gates",
+    "cello_circuit": "gates",
+    "cello_suite": "gates",
+    "default_library": "gates",
+    "diverse_library": "gates",
+    "enumerate_assignments": "gates",
+    "myers_suite": "gates",
+    "nand_gate_circuit": "gates",
+    "nor_gate_circuit": "gates",
+    "not_gate_circuit": "gates",
+    "or_gate_circuit": "gates",
+    "standard_suite": "gates",
+    "synthesize": "gates",
+    "synthesize_from_expression": "gates",
+    "synthesize_from_hex": "gates",
+    "read_datalog_csv": "io",
+    "result_to_dict": "io",
+    "save_result_json": "io",
+    "write_datalog_csv": "io",
+    "TruthTable": "logic",
+    "compare_tables": "logic",
+    "identify_gate": "logic",
+    "minimize": "logic",
+    "parse_expr": "logic",
+    "Model": "sbml",
+    "read_sbml_file": "sbml",
+    "read_sbml_string": "sbml",
+    "write_sbml_file": "sbml",
+    "write_sbml_string": "sbml",
+    "ConversionParameters": "sbol",
+    "SBOLDocument": "sbol",
+    "sbol_to_sbml": "sbol",
+    "SearchFrontier": "search",
+    "SearchSpec": "search",
+    "run_design_search": "search",
+    "AnalysisService": "service",
+    "ResultCache": "service",
+    "ServiceServer": "service",
+    "serve": "service",
+    "InputSchedule": "stochastic",
+    "Trajectory": "stochastic",
+    "simulate_next_reaction": "stochastic",
+    "simulate_ode": "stochastic",
+    "simulate_ssa": "stochastic",
+    "simulate_tau_leap": "stochastic",
+    "LogicExperiment": "vlab",
+    "SimulationDataLog": "vlab",
+    "estimate_propagation_delay": "vlab",
+    "estimate_threshold": "vlab",
+    "exhaustive_protocol": "vlab",
+    "gray_code_protocol": "vlab",
+    "run_logic_experiment": "vlab",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

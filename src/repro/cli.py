@@ -69,21 +69,10 @@ import time
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from .analysis.replicates import run_replicate_study
-from .analysis.runtime import measure_analysis_runtime
-from .engine.distributed import DistributedEnsembleExecutor, parse_dispatch_spec
-from .engine.spec import StudySpec
-from .core.analyzer import LogicAnalyzer
-from .core.report import format_analysis_report
+# Each command imports what it runs, so a process loads only that: a
+# ``genlogic worker`` (one per fabric node) never imports the analysis,
+# search or service layers.
 from .errors import ReproError
-from .gates.cello import CELLO_CIRCUIT_NAMES, cello_circuit
-from .gates.circuits import resolve_circuit, standard_suite
-from .gates.synthesis import synthesize_from_expression, synthesize_from_hex
-from .io.csvlog import read_datalog_csv, write_datalog_csv
-from .io.results import save_result_json
-from .sbml.reader import read_sbml_file
-from .search import SearchSpec, run_design_search
-from .vlab.experiment import LogicExperiment
 from .version import __version__
 
 __all__ = ["main", "build_parser"]
@@ -443,6 +432,9 @@ def _progress_hook(args: argparse.Namespace, unit: str = "runs"):
 
 
 def _command_list(args: argparse.Namespace) -> int:
+    from .gates.cello import CELLO_CIRCUIT_NAMES, cello_circuit
+    from .gates.circuits import standard_suite
+
     circuits = (
         [cello_circuit(name) for name in CELLO_CIRCUIT_NAMES]
         if args.cello_only
@@ -460,6 +452,11 @@ def _replicate_out_path(out: str, replicate: int) -> str:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
+    from .gates.circuits import resolve_circuit
+    from .io.csvlog import write_datalog_csv
+    from .sbml.reader import read_sbml_file
+    from .vlab.experiment import LogicExperiment
+
     if args.replicates < 1:
         raise ReproError("--replicates must be at least 1")
     _validate_workers(args)
@@ -516,6 +513,11 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 
 def _command_analyze(args: argparse.Namespace) -> int:
+    from .core.analyzer import LogicAnalyzer
+    from .core.report import format_analysis_report
+    from .io.csvlog import read_datalog_csv
+    from .io.results import save_result_json
+
     log = read_datalog_csv(args.datalog)
     analyzer = LogicAnalyzer(threshold=args.threshold, fov_ud=args.fov)
     result = analyzer.analyze(log, expected=args.expected, output_species=args.output_species)
@@ -549,6 +551,8 @@ def _dispatch_executor(args: argparse.Namespace):
     if spec is None:
         yield None
         return
+    from .engine.distributed import DistributedEnsembleExecutor, parse_dispatch_spec
+
     executor = DistributedEnsembleExecutor(
         connect=parse_dispatch_spec(spec),
         key_file=getattr(args, "key_file", None),
@@ -568,10 +572,11 @@ def _warn_if_workers_unused(args: argparse.Namespace) -> None:
         )
 
 
-def _load_spec_file(path: str) -> StudySpec:
+def _load_spec_file(spec_class, path: str):
+    """The ``StudySpec`` or ``SearchSpec`` (``spec_class``) in a JSON file."""
     try:
         with open(path, "rb") as handle:  # the decoder reports bad UTF-8
-            return StudySpec.from_json(handle.read())
+            return spec_class.from_json(handle.read())
     except OSError as error:
         raise ReproError(f"cannot read spec file {path!r}: {error}") from None
 
@@ -590,6 +595,14 @@ def _print_replicate_study(study, args: argparse.Namespace) -> int:
 
 
 def _command_verify(args: argparse.Namespace) -> int:
+    from .analysis.replicates import run_replicate_study
+    from .core.analyzer import LogicAnalyzer
+    from .core.report import format_analysis_report
+    from .engine.spec import StudySpec
+    from .gates.circuits import resolve_circuit
+    from .io.results import save_result_json
+    from .vlab.experiment import LogicExperiment
+
     _validate_workers(args)
     if args.spec is not None:
         # The canonical request form: the spec IS the study; study-defining
@@ -613,7 +626,7 @@ def _command_verify(args: argparse.Namespace) -> int:
                 f"--spec may not be combined with {conflicting}; "
                 "edit the spec file instead",
             )
-        spec = _load_spec_file(args.spec)
+        spec = _load_spec_file(StudySpec, args.spec)
         knobs = {}
         if args.workers != spec.workers and args.workers != 1:
             knobs["workers"] = args.workers
@@ -680,15 +693,9 @@ def _parse_variant(text: str):
     return tuple(pairs)
 
 
-def _load_search_spec_file(path: str) -> SearchSpec:
-    try:
-        with open(path, "rb") as handle:  # the decoder reports bad UTF-8
-            return SearchSpec.from_json(handle.read())
-    except OSError as error:
-        raise ReproError(f"cannot read spec file {path!r}: {error}") from None
-
-
 def _command_search(args: argparse.Namespace) -> int:
+    from .search import SearchSpec, run_design_search
+
     _validate_workers(args)
     if args.spec is not None:
         conflicting = [
@@ -718,7 +725,7 @@ def _command_search(args: argparse.Namespace) -> int:
                 f"--spec may not be combined with {conflicting}; "
                 "edit the spec file instead",
             )
-        spec = _load_search_spec_file(args.spec)
+        spec = _load_spec_file(SearchSpec, args.spec)
         knobs = {}
         if args.workers != spec.workers and args.workers != 1:
             knobs["workers"] = args.workers
@@ -778,6 +785,8 @@ def _command_search(args: argparse.Namespace) -> int:
 
 
 def _command_synth(args: argparse.Namespace) -> int:
+    from .gates.synthesis import synthesize_from_expression, synthesize_from_hex
+
     inputs = args.inputs or ["LacI", "TetR", "AraC"]
     if args.spec.lower().startswith("0x"):
         netlist = synthesize_from_hex(args.spec, inputs=inputs)
@@ -789,6 +798,8 @@ def _command_synth(args: argparse.Namespace) -> int:
 
 
 def _command_runtime(args: argparse.Namespace) -> int:
+    from .analysis.runtime import measure_analysis_runtime
+
     _validate_workers(args)
     with _dispatch_executor(args) as executor:
         measurements = measure_analysis_runtime(
@@ -859,6 +870,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     import socket
 
     from .engine.auth import resolve_key
+    from .engine.distributed import DistributedEnsembleExecutor, parse_dispatch_spec
     from .service import AnalysisService, serve as service_serve
 
     _validate_workers(args)
@@ -945,10 +957,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe early (``genlogic list | head -1``).
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush cannot raise too, and exit 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

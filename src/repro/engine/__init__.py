@@ -45,35 +45,7 @@ on top, and the CLI's ``--workers`` / ``--replicates`` flags for the
 user-facing entry points.
 """
 
-from .api import (
-    EnsembleStream,
-    iter_ensemble,
-    replicate_jobs,
-    run_ensemble,
-    run_job,
-)
-from .spec import STUDY_SPEC_SCHEMA, StudySpec
-from .auth import AuthenticationError, ProtocolError, resolve_key
-from .backoff import Backoff, BackoffPolicy
-from .cache import CompiledModelCache, default_cache, model_fingerprint
-from .core import (
-    BaseEnsembleExecutor,
-    BatchCacheStats,
-    ExecutorBackend,
-    batch_job_groups,
-)
-from .distributed import (
-    DistributedEnsembleExecutor,
-    RemoteWorkerError,
-    WorkerConnectionError,
-)
-from .executors import (
-    ProcessPoolEnsembleExecutor,
-    SerialExecutor,
-    get_executor,
-)
-from .jobs import EnsembleResult, EnsembleStats, SimulationJob
-from .supervisor import WorkerSupervisor
+from .._lazy import lazy_exports
 
 __all__ = [
     "STUDY_SPEC_SCHEMA",
@@ -106,3 +78,39 @@ __all__ = [
     "replicate_jobs",
     "batch_job_groups",
 ]
+
+#: The submodule that defines each re-exported name, imported the first
+#: time ``repro.engine.X`` is read.
+_EXPORTS = {
+    "EnsembleStream": "api",
+    "iter_ensemble": "api",
+    "replicate_jobs": "api",
+    "run_ensemble": "api",
+    "run_job": "api",
+    "STUDY_SPEC_SCHEMA": "spec",
+    "StudySpec": "spec",
+    "AuthenticationError": "auth",
+    "ProtocolError": "auth",
+    "resolve_key": "auth",
+    "Backoff": "backoff",
+    "BackoffPolicy": "backoff",
+    "CompiledModelCache": "cache",
+    "default_cache": "cache",
+    "model_fingerprint": "cache",
+    "BaseEnsembleExecutor": "core",
+    "BatchCacheStats": "core",
+    "ExecutorBackend": "core",
+    "batch_job_groups": "core",
+    "DistributedEnsembleExecutor": "distributed",
+    "RemoteWorkerError": "distributed",
+    "WorkerConnectionError": "distributed",
+    "ProcessPoolEnsembleExecutor": "executors",
+    "SerialExecutor": "executors",
+    "get_executor": "executors",
+    "EnsembleResult": "jobs",
+    "EnsembleStats": "jobs",
+    "SimulationJob": "jobs",
+    "WorkerSupervisor": "supervisor",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

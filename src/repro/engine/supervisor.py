@@ -49,13 +49,15 @@ import subprocess
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..errors import EngineError
 from .auth import KEY_ENV, resolve_key
 from .backoff import Backoff, BackoffPolicy
 from .distributed import parse_address
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 __all__ = ["WorkerSupervisor", "RESTART_BACKOFF", "spawn_worker_process"]
 
@@ -298,6 +300,8 @@ class WorkerSupervisor:
         The endpoint is an operational read-only peephole (health checks,
         the CI smoke), not the service API — ``/v1/stats`` is that.
         """
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         if self._status_server is not None:
             raise EngineError("the status endpoint is already serving")
         supervisor = self

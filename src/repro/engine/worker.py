@@ -248,9 +248,3 @@ def run_worker(
                 sock.close()
     return executed
 
-
-def main(argv=None) -> int:  # pragma: no cover - exercised via the CLI tests
-    """Standalone entry point (``python -m repro.engine.worker``)."""
-    from ..cli import main as cli_main
-
-    return cli_main(["worker", *(argv if argv is not None else sys.argv[1:])])

@@ -5,31 +5,7 @@ expressed as reaction networks with kinetic laws, exactly as the SBML models
 the paper simulates in D-VASim.
 """
 
-from .ast import (
-    BinOp,
-    Call,
-    Expr,
-    Neg,
-    Num,
-    Sym,
-    compile_function,
-    from_mathml,
-    parse,
-    to_mathml,
-)
-from .model import (
-    Compartment,
-    KineticLaw,
-    Model,
-    Parameter,
-    Reaction,
-    Species,
-    SpeciesReference,
-    is_valid_sid,
-)
-from .reader import read_sbml_file, read_sbml_string
-from .validation import check_model, validate_model
-from .writer import write_sbml_file, write_sbml_string
+from .._lazy import lazy_exports
 
 __all__ = [
     "Expr",
@@ -57,3 +33,34 @@ __all__ = [
     "validate_model",
     "check_model",
 ]
+
+#: The submodule that defines each re-exported name, imported the first
+#: time ``repro.sbml.X`` is read.
+_EXPORTS = {
+    "BinOp": "ast",
+    "Call": "ast",
+    "Expr": "ast",
+    "Neg": "ast",
+    "Num": "ast",
+    "Sym": "ast",
+    "compile_function": "ast",
+    "from_mathml": "ast",
+    "parse": "ast",
+    "to_mathml": "ast",
+    "Compartment": "model",
+    "KineticLaw": "model",
+    "Model": "model",
+    "Parameter": "model",
+    "Reaction": "model",
+    "Species": "model",
+    "SpeciesReference": "model",
+    "is_valid_sid": "model",
+    "read_sbml_file": "reader",
+    "read_sbml_string": "reader",
+    "check_model": "validation",
+    "validate_model": "validation",
+    "write_sbml_file": "writer",
+    "write_sbml_string": "writer",
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

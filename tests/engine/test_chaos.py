@@ -12,6 +12,7 @@ it never hangs.
 """
 
 import pickle
+import queue
 import threading
 import time
 
@@ -27,7 +28,7 @@ from repro.engine import (
 )
 from repro.engine.auth import ProtocolError
 from repro.engine.jobs import SimulationJob
-from repro.engine.worker import run_worker
+from repro.engine.worker import run_worker, serve_connection
 from repro.stochastic.events import InputSchedule
 
 
@@ -130,9 +131,21 @@ class TestHandshakeFaults:
         worker.join()
 
     @pytest.mark.parametrize("offset", [2, 20, 36])
-    def test_connection_dropped_mid_preamble_rejected(self, offset, no_unpickling):
+    def test_connection_dropped_mid_preamble_rejected(self, offset, no_unpickling, monkeypatch):
         """Losing the peer at any byte of the raw preamble is a clean
         ProtocolError, not a hang and not an unpickling attempt."""
+        outcomes = queue.Queue()
+
+        def _recorded_session(sock, **kwargs):
+            try:
+                executed = serve_connection(sock, **kwargs)
+            except Exception as error:
+                outcomes.put(error)
+                raise
+            outcomes.put(executed)
+            return executed
+
+        monkeypatch.setattr("repro.engine.worker.serve_connection", _recorded_session)
         worker = _WorkerThread()
         fault = Fault(action="cut", at_bytes=offset)
         with ChaosProxy(worker.address, upstream_to_client=fault) as proxy:
@@ -143,7 +156,16 @@ class TestHandshakeFaults:
             finally:
                 executor.close()
         assert no_unpickling == []
+        # Where the cut lands races the proxy's two pump threads.  If the
+        # coordinator's preamble reached the worker, its handshake passed and
+        # the cut ended its one session.  If not, its handshake failed, which
+        # spends no session, and it is back to accepting: spend that session.
+        if isinstance(outcomes.get(timeout=10.0), Exception):
+            monkeypatch.undo()
+            with DistributedEnsembleExecutor(connect=[worker.address]) as executor:
+                assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
         worker.join()
+        assert not worker.thread.is_alive()
 
     def test_rejected_probe_does_not_burn_a_session_slot(self):
         """A hostile probe turned away at the handshake must not consume the

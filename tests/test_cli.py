@@ -1,9 +1,13 @@
 """Tests for the genlogic command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -388,6 +392,20 @@ class TestList:
         out = capsys.readouterr().out
         assert "cello_0x0b" in out
         assert out.count("\n") == 10
+
+    def test_reader_closing_the_pipe_early_exits_quietly(self):
+        """``genlogic list | head -1``: exit status 1, no traceback."""
+        source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "list"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": source},
+        )
+        process.stdout.close()  # the interpreter is still starting: no line is written yet
+        _, stderr = process.communicate(timeout=120)
+        assert process.returncode == 1
+        assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr, stderr
 
 
 class TestSearch:

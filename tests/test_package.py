@@ -1,9 +1,36 @@
-"""Package-level tests: public API surface, version, error hierarchy."""
+"""Package-level tests: public API surface, lazy imports, version, error hierarchy."""
+
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import repro
 from repro import errors
+
+#: The directory this test process imports ``repro`` from (``src`` in a checkout).
+SOURCE = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+def _fresh_interpreter(code: str):
+    """Run ``code`` in a new interpreter on ``SOURCE``; the JSON it prints last."""
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": SOURCE},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+def _loaded_after(code: str) -> set:
+    """The modules a new interpreter holds after running ``code``."""
+    report = "\nimport json, sys\nprint(json.dumps(list(sys.modules)))"
+    return set(_fresh_interpreter(code + report))
 
 
 class TestPublicApi:
@@ -30,6 +57,7 @@ class TestPublicApi:
     def test_subpackage_all_lists_resolve(self):
         import repro.analysis
         import repro.core
+        import repro.engine
         import repro.gates
         import repro.logic
         import repro.sbml
@@ -39,6 +67,7 @@ class TestPublicApi:
 
         for module in (
             repro.core,
+            repro.engine,
             repro.gates,
             repro.logic,
             repro.sbml,
@@ -77,6 +106,55 @@ class TestPublicApi:
             assert name in repro.__all__
         for name in ("StudySpec", "STUDY_SPEC_SCHEMA"):
             assert name in repro.engine.__all__
+
+
+class TestImportSets:
+    """Each entry point loads only the modules its work runs."""
+
+    def test_a_study_loads_no_transport_service_search_or_xml_writer(self):
+        loaded = _loaded_after(
+            "import repro\n"
+            "repro.run_replicate_study(\n"
+            "    repro.StudySpec(circuit='and', n_replicates=1, hold_time=20, seed=1)\n"
+            ")"
+        )
+        unwanted = {
+            "asyncio",
+            "http.server",
+            "http.client",
+            "urllib.request",
+            "xml.sax",
+            "repro.service",
+            "repro.search",
+            "repro.engine.distributed",
+            "repro.engine.supervisor",
+            "repro.sbml.writer",
+            "repro.sbol.serialize",
+        }
+        assert sorted(loaded & unwanted) == []
+
+    def test_worker_entry_point_loads_only_engine_stochastic_and_sbml(self):
+        loaded = _loaded_after("import repro.cli, repro.engine.worker")
+        unwanted = {
+            "repro.analysis",
+            "repro.vlab",
+            "repro.gates",
+            "repro.sbol",
+            "repro.search",
+            "repro.service",
+            "asyncio",
+        }
+        assert sorted(loaded & unwanted) == []
+
+    def test_star_import_and_dir_list_every_exported_name(self):
+        missing = _fresh_interpreter(
+            "import json, repro\n"
+            "not_in_dir = sorted(set(repro.__all__) - set(dir(repro)))\n"
+            "from repro import *\n"
+            "unbound = sorted(set(repro.__all__) - set(globals()))\n"
+            "print(json.dumps([not_in_dir, unbound]))"
+        )
+        assert missing == [[], []]
 
 
 class TestErrorHierarchy:
