@@ -34,6 +34,7 @@ from repro.stochastic import (
     BACKEND_INTERP,
     KERNEL_ENV_VAR,
     CompiledModel,
+    ziggurat,
 )
 from repro.stochastic.ssa import DirectMethodSimulator
 
@@ -112,12 +113,36 @@ def test_kernel_events_per_sec_and_gate(benchmark, and_model):
     benchmark.extra_info["codegen_speedup"] = round(codegen_eps / interp_eps, 2)
 
 
-def test_kernel_events_per_sec_and_gate_short_segments(benchmark):
+def _words_fetched_per_run(model, t_end, schedule, monkeypatch, runs=20):
+    """(blocks fetched, words decoded) per codegen run, averaged over seeds.
+
+    Counts every ``decode_words`` call of a kernel loaded while it is
+    patched, the rare draws' few extra words included.
+    """
+    assert ziggurat.block_draws_verified()  # its own blocks are not the runs'
+    fetched = []
+    decode = ziggurat.decode_words
+
+    def counting_decode(ke, we, words):
+        fetched.append(len(words))
+        return decode(ke, we, words)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ziggurat, "decode_words", counting_decode)
+        simulator = DirectMethodSimulator(CompiledModel(model, backend=BACKEND_CODEGEN))
+    for seed in range(runs):
+        simulator.run(t_end, schedule=schedule, rng=BASE_SEED + seed)
+    return len(fetched) / runs, sum(fetched) / runs
+
+
+def test_kernel_events_per_sec_and_gate_short_segments(benchmark, monkeypatch):
     """The AND gate clamped through its four input combinations at hold 30.
 
     Four segments of a few hundred events each, as in a short-hold study:
-    unlike the long single-segment runs above, this shows what each segment
-    pays once per block of raw words it fetches and decodes.
+    unlike the long single-segment runs above, this shows what a run pays
+    per block of raw words it fetches and decodes, reported per run as
+    ``blocks_per_run`` and ``words_per_run`` (one block serves every
+    segment until it runs out).
     """
     job = StudySpec(circuit="and", hold_time=SHORT_HOLD).template_job()
     codegen_eps, events = _events_per_second(
@@ -128,11 +153,15 @@ def test_kernel_events_per_sec_and_gate_short_segments(benchmark):
     )
     assert events == interp_events
 
+    blocks, words = _words_fetched_per_run(job.model, job.t_end, job.schedule, monkeypatch)
+
     simulator = DirectMethodSimulator(job.model)
     benchmark(simulator.run, job.t_end, schedule=job.schedule, rng=BASE_SEED)
     benchmark.extra_info["events"] = events
     benchmark.extra_info["events_per_sec_codegen"] = round(codegen_eps)
     benchmark.extra_info["events_per_sec_interp"] = round(interp_eps)
+    benchmark.extra_info["blocks_per_run"] = round(blocks, 2)
+    benchmark.extra_info["words_per_run"] = round(words, 1)
 
 
 def test_kernel_events_per_sec_cello_scale(benchmark, cello_scale_model):
@@ -161,8 +190,9 @@ def test_kernel_build_ms_suite_circuits(benchmark):
 
     A build is what a study pays on a compiled-model cache miss: model
     tables, kernel generation and the byte-compilation of what loading runs.
-    Best of five per circuit, in ms, lands in ``extra_info``; nothing is
-    asserted about the time.  The five passes run as one benchmark round.
+    Best of five per circuit, in ms, lands in ``extra_info`` beside the
+    lines of the circuit's generated ``ssa_segment`` part; nothing is
+    asserted about either.  The five passes run as one benchmark round.
     """
     models = {name: resolve_circuit(name).model for name in SUITE_CIRCUITS}
 
@@ -180,3 +210,14 @@ def test_kernel_build_ms_suite_circuits(benchmark):
     for name, seconds in best.items():
         benchmark.extra_info[f"build_ms_{name}"] = round(seconds * 1e3, 3)
     benchmark.extra_info["build_ms_total"] = round(sum(best.values()) * 1e3, 2)
+    lines = {name: _ssa_segment_lines(model) for name, model in models.items()}
+    for name, count in lines.items():
+        benchmark.extra_info[f"ssa_segment_lines_{name}"] = count
+    benchmark.extra_info["ssa_segment_lines_total"] = sum(lines.values())
+
+
+def _ssa_segment_lines(model) -> int:
+    """Lines of the ``ssa_segment`` part of the model's generated kernel."""
+    source = CompiledModel(model, backend=BACKEND_INTERP).kernel_source
+    start = source.index("# part: ssa_segment\n")
+    return source.count("\n", start, source.index("\n# part: ", start + 1))

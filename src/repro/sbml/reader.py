@@ -3,9 +3,16 @@
 The reader accepts the documents produced by :mod:`repro.sbml.writer` as well
 as hand-written SBML that sticks to the core constructs used by genetic logic
 circuits: compartments, species, global parameters and reactions with MathML
-kinetic laws.  Unknown elements are ignored rather than rejected so that
-models exported by other tools (iBioSim, COPASI) remain loadable as long as
-their kinetic laws stay within the supported MathML subset.
+kinetic laws.  A species' ``initialConcentration`` becomes an amount (times
+its compartment's ``size``); one whose laws would read a concentration
+(``hasOnlySubstanceUnits="false"`` where the size is not 1) is refused,
+since the simulators read amounts.  Function definitions, initial assignments,
+rules and events change what a model computes, so a document using any of
+them is refused with an :class:`~repro.errors.SBMLParseError` naming it
+rather than simulated without it.  Other unknown elements (unit definitions,
+annotations) are ignored, so that models exported by other tools (iBioSim,
+COPASI) remain loadable as long as their kinetic laws stay within the
+supported MathML subset.
 """
 
 from __future__ import annotations
@@ -18,6 +25,15 @@ from .ast import from_mathml
 from .model import KineticLaw, Model, SpeciesReference
 
 __all__ = ["read_sbml_string", "read_sbml_file"]
+
+#: Model lists the reader refuses when they hold anything: the model would
+#: run without the functions, assignments, rules or events they define.
+UNSUPPORTED_LISTS = (
+    "listOfFunctionDefinitions",
+    "listOfInitialAssignments",
+    "listOfRules",
+    "listOfEvents",
+)
 
 
 def _strip(tag: str) -> str:
@@ -67,6 +83,17 @@ def read_sbml_string(text: str) -> Model:
     if model_element is None:
         raise SBMLParseError("document has no <model> element")
 
+    for name in UNSUPPORTED_LISTS:
+        element = _find_child(model_element, name)
+        tags = [] if element is None else [_strip(child.tag) for child in element]
+        items = [tag for tag in tags if tag not in ("notes", "annotation")]
+        if items:
+            more = f" and {len(items) - 1} more" if len(items) > 1 else ""
+            raise SBMLParseError(
+                f"<{name}> is not supported (it holds <{items[0]}>{more}); "
+                "the model cannot be simulated faithfully without it",
+            )
+
     model = Model(
         sid=model_element.get("id", "model"),
         name=model_element.get("name", ""),
@@ -94,14 +121,30 @@ def read_sbml_string(text: str) -> Model:
         compartment = element.get("compartment", next(iter(model.compartments)))
         if compartment not in model.compartments:
             model.add_compartment(compartment)
-        model.add_species(
+        amount = _parse_float(element.get("initialAmount"), 0.0)
+        concentration = element.get("initialConcentration")
+        if concentration is not None:
+            if element.get("initialAmount") is not None:
+                raise SBMLParseError(
+                    f"species {sid!r} sets both initialAmount and initialConcentration",
+                )
+            amount = _parse_float(concentration) * model.compartments[compartment].size
+        substance_only = _parse_bool(element.get("hasOnlySubstanceUnits"), True)
+        if not substance_only and model.compartments[compartment].size != 1.0:
+            raise SBMLParseError(
+                f"species {sid!r} has hasOnlySubstanceUnits='false' in a compartment of "
+                "size other than 1: kinetic laws would read its concentration, and the "
+                "simulators read amounts",
+            )
+        species = model.add_species(
             sid,
-            initial_amount=_parse_float(element.get("initialAmount"), 0.0),
+            initial_amount=amount,
             compartment=compartment,
             boundary_condition=_parse_bool(element.get("boundaryCondition")),
             constant=_parse_bool(element.get("constant")),
             name=element.get("name", ""),
         )
+        species.has_only_substance_units = substance_only
 
     parameters = _find_child(model_element, "listOfParameters")
     for element in _iter_children(parameters, "parameter"):

@@ -9,15 +9,17 @@ emits **one generated Python module per model**: a preamble (the model's
 shape, its ``DEPENDENTS`` table and the ``_clamp``/``_exceeded`` helpers) and
 three parts, each opened by a ``# part: NAME`` line:
 
-* ``ssa_segment(state, t, t_stop, generator, recorder, events, max_events)``
+* ``ssa_segment(state, t, t_stop, words, recorder, events, max_events)``
   — the whole direct-method loop (Gillespie 1977) up to the end of one input
-  segment, with species counts and propensities held as Python locals.  Each
-  law is split into single-species factors held in locals shared by every
-  law that contains them (a factor containing another's reads its local);
-  an event recomputes the factors of the species the fired reaction changed
-  and the laws that read one of those species (its own law only if it
-  does).  When ``t`` passes a sample time the loop appends the state row to
-  the recorder's list itself
+  segment, with species counts, propensities and their partial sums held as
+  Python locals.  Each law is split into single-species factors held in
+  locals shared by every law that contains them (a factor containing
+  another's reads its local); an event recomputes the factors of the species
+  the fired reaction changed, the laws that read one of those species (its
+  own law only if it does) and the partial sums above those laws.  It draws
+  from ``words``, the run's :class:`~repro.stochastic.ziggurat.WordBlock`.
+  When ``t`` passes a sample time the loop appends the state row to the
+  recorder's list itself
   (:class:`~repro.stochastic.sampling.SampleRecorder` fields ``times``,
   ``rows`` and ``cursor``);
 * ``propensities_all(state, out)`` — the full propensity vector with every
@@ -60,21 +62,31 @@ trajectories to the per-event numpy loop in :mod:`repro.stochastic.ssa`:
   under float semantics where numpy scalars yield ``inf``/``nan`` with a
   warning; no finite propensity value ever differs;
 * ``ssa_segment`` sums the propensities in numpy's own pairwise ``.sum()``
-  order (:func:`pairwise_sum_source`), selects the firing reaction with a
-  running sum in ``np.cumsum`` order (the first index whose sum exceeds the
-  threshold, falling through to the last reaction), and applies the same
-  floating-point state deltas (verified in
+  order, each partial sum a local (:class:`SumTree`).  A partial sum is
+  current whenever it is read: all are computed at segment entry, and a
+  branch recomputes, in order, every one above a law it recomputed, so each
+  holds the value a full recompute would.  The top one is the total without
+  numpy's final ``+0.0``, which changes only a ``-0.0`` sum, and a clamped
+  propensity is ``+0.0`` or positive (or ``inf``), so no partial sum is
+  ``-0.0``;
+* it selects the firing reaction in ``np.cumsum`` order (the first index
+  whose cumulative sum exceeds the threshold, falling through to the last
+  reaction): below 8 reactions the partial sums *are* the cumulative sums
+  (``-0.0 + v`` is ``v``), from 8 on a running sum recomputes them.  It
+  applies the same floating-point state deltas (verified in
   ``tests/stochastic/test_kernel_parity.py`` and ``test_codegen.py``);
 * ``ssa_segment`` makes no numpy call per event: it reads the PCG64 stream
   in blocks of raw words, decodes each block with numpy into lists of first
   tries and uniforms, and rebuilds ``generator.exponential`` and
   ``generator.random`` from them bit for bit, in the numpy loop's order,
-  with the statements of :mod:`repro.stochastic.ziggurat`.  On every exit,
-  exceptions included, it hands the generator back where numpy's calls
-  would have left it.  The rebuilt draws are only valid for PCG64
-  generators and only while numpy's ziggurat stays the one the tables were
-  copied from: :class:`~repro.stochastic.ssa.DirectMethodSimulator` runs
-  the kernel only for a PCG64 generator and after
+  with the statements of :mod:`repro.stochastic.ziggurat`.  The block lives
+  in the run's :class:`~repro.stochastic.ziggurat.WordBlock`, which
+  carries it from one segment to the next; closing it when the run ends,
+  exceptions included, hands the generator back where numpy's calls would
+  have left it.  The rebuilt draws are only valid for PCG64 generators and
+  only while numpy's ziggurat stays the one the tables were copied from:
+  :class:`~repro.stochastic.ssa.DirectMethodSimulator` runs the kernel only
+  for a PCG64 generator and after
   :func:`~repro.stochastic.ziggurat.block_draws_verified` has passed in the
   process.
 
@@ -104,7 +116,7 @@ __all__ = [
     "ReactionKernelSpec",
     "dependents_table",
     "generate_kernel_source",
-    "pairwise_sum_source",
+    "SumTree",
     "ON_DEMAND_PARTS",
     "PropensityKernel",
     "compile_part",
@@ -122,7 +134,7 @@ BACKEND_INTERP = "interp"
 #: Version stamp embedded in every generated module.  Kernel source from a
 #: different package version (say, in a compiled model pickled by it) is
 #: refused rather than silently run as a stale kernel.
-KERNEL_FORMAT = 6
+KERNEL_FORMAT = 7
 
 #: Starts the line opening each part of a generated module.
 _PART_MARK = "# part: "
@@ -131,7 +143,9 @@ _PART_MARK = "# part: "
 #: functions would bloat the module (dense dependency graphs are O(R^2));
 #: ``propensities_after`` and each ``ssa_segment`` event then degrade to a
 #: full recompute, which is always correct because untouched reactions
-#: recompute to their previous values.
+#: recompute to their previous values.  The partial-sum updates of the
+#: ``ssa_segment`` branches have the same cap; above it each event
+#: recomputes every partial sum instead.
 _AFTER_STATEMENT_CAP = 20_000
 
 #: Branches per ``if``/``elif`` chain in the generated reaction selection.
@@ -513,71 +527,119 @@ def _emit_function(
     lines.append("")
 
 
-def _sequential_sum(start: str, terms: Sequence[str]) -> str:
-    expression = start
-    for term in terms:
-        expression = f"({expression} + {term})"
-    return expression
-
-
-def _pairwise_sum(terms: Sequence[str]) -> str:
-    """numpy's pairwise summation of a contiguous block (``pairwise_sum``)."""
-    n = len(terms)
-    if n < 8:
-        return _sequential_sum("-0.0", terms)
-    if n <= 128:
-        full = n - n % 8
-        acc = list(terms[:8])
-        for i in range(8, full, 8):
-            for j in range(8):
-                acc[j] = f"({acc[j]} + {terms[i + j]})"
-        combined = (
-            f"((({acc[0]} + {acc[1]}) + ({acc[2]} + {acc[3]})) + "
-            f"(({acc[4]} + {acc[5]}) + ({acc[6]} + {acc[7]})))"
-        )
-        return _sequential_sum(combined, terms[full:])
-    half = n // 2
-    half -= half % 8
-    return f"({_pairwise_sum(terms[:half])} + {_pairwise_sum(terms[half:])})"
-
-
-def pairwise_sum_source(terms: Sequence[str]) -> str:
-    """A Python expression summing ``terms`` in numpy's ``.sum()`` order.
+class SumTree:
+    """The partial sums of numpy's pairwise ``.sum()`` over ``terms``.
 
     numpy reduces a contiguous float64 vector by adding its pairwise sum to
     the identity ``+0.0``.  The pairwise sum adds fewer than 8 values
     sequentially onto ``-0.0``; up to 128 go into eight stride-8 accumulators
     combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then a sequential
     tail; longer blocks split at ``n // 2`` rounded down to a multiple of 8
-    and recurse.  (Below 8 terms, ``0.0 + (-0.0 + v0 + ...)`` equals
-    ``0.0 + v0 + ...`` for every input, so the identity is the start value.)
-    Emitting the same order keeps the fused loop's ``total`` — and with it
-    the waiting time and the overshoot fall-through — bit-identical to
-    ``float(propensities.sum())``.
+    and recurse.  Each addition is one node of :attr:`nodes`, a
+    ``(name, operands)`` pair meaning ``name = operands[0] + operands[1]``,
+    listed after the nodes it reads; the last is the whole pairwise sum,
+    :attr:`total`.  ``-0.0 + v`` is ``v`` for every ``v``, so below 8 terms
+    the first node copies the first term and the nodes ``_c0, _c1, ...`` are
+    exactly ``np.cumsum``'s running sums.  ``+0.0 +`` the total is
+    ``float(values.sum())`` bit for bit, and the fused loop's waiting times
+    and overshoot fall-through depend on that.
     """
-    if len(terms) < 8:
-        return _sequential_sum("0.0", terms)
-    return f"(0.0 + {_pairwise_sum(terms)})"
+
+    def __init__(self, terms: Sequence[str]) -> None:
+        self.nodes: List[Tuple[str, Tuple[str, ...]]] = []
+
+        def node(*operands: str) -> str:
+            name = f"_c{len(self.nodes)}"
+            self.nodes.append((name, operands))
+            return name
+
+        def sequential(start: str, tail: Sequence[str]) -> str:
+            for term in tail:
+                start = node(start, term)
+            return start
+
+        def pairwise(block: Sequence[str]) -> str:
+            n = len(block)
+            if n < 8:
+                return sequential(node(block[0]), block[1:])
+            if n <= 128:
+                full = n - n % 8
+                acc = list(block[:8])
+                for i in range(8, full, 8):
+                    acc = [node(acc[j], block[i + j]) for j in range(8)]
+                low = node(node(acc[0], acc[1]), node(acc[2], acc[3]))
+                high = node(node(acc[4], acc[5]), node(acc[6], acc[7]))
+                return sequential(node(low, high), block[full:])
+            half = n // 2
+            half -= half % 8
+            return node(pairwise(block[:half]), pairwise(block[half:]))
+
+        if terms:
+            pairwise(terms)
+        #: Operand → index of the one node that reads it.
+        self._reader = {
+            operand: k for k, (_, operands) in enumerate(self.nodes) for operand in operands
+        }
+
+    @property
+    def total(self) -> str:
+        """The name holding the whole sum (``0.0`` for no terms)."""
+        return self.nodes[-1][0] if self.nodes else "0.0"
+
+    def statements(self, changed: Optional[Iterable[str]] = None) -> List[str]:
+        """Statements recomputing, in order, every node that reads one of
+        the ``changed`` terms, directly or through another node (all nodes
+        when ``changed`` is None)."""
+        if changed is None:
+            dirty: Iterable[int] = range(len(self.nodes))
+        else:
+            dirty = set()
+            for operand in changed:
+                k = self._reader.get(operand)
+                while k is not None and k not in dirty:
+                    dirty.add(k)
+                    k = self._reader.get(self.nodes[k][0])
+            dirty = sorted(dirty)
+        return [f"{self.nodes[k][0]} = {' + '.join(self.nodes[k][1])}" for k in dirty]
+
+
+def _recomputed_laws(
+    specs: Sequence[ReactionKernelSpec],
+    laws: Sequence[_RenderedReaction],
+    dependents: Sequence[Sequence[int]],
+) -> List[List[int]]:
+    """For each reaction, the laws in ``dependents`` that read a species it
+    changes: those its firing branch recomputes."""
+    recomputed = []
+    for r, spec in enumerate(specs):
+        changed = {idx for idx, _ in spec.changes}
+        recomputed.append(
+            [j for j in dependents[r] if any(idx in changed for _, idx in laws[j].used_species)]
+        )
+    return recomputed
 
 
 def _selection(
     specs: Sequence[ReactionKernelSpec],
     factors: Sequence[_Factor],
     laws: Sequence[_RenderedReaction],
-    dependents: Sequence[Sequence[int]],
-    incremental: bool,
+    recomputed: Optional[Sequence[Sequence[int]]],
+    sum_updates: Optional[Sequence[Sequence[str]]],
 ) -> List[str]:
     """The reaction-selection chain, each branch firing its reaction.
 
-    A running sum in ``np.cumsum`` order picks the first reaction whose
-    cumulative propensity exceeds ``_threshold``; the last reaction is the
-    unconditional fall-through (the numpy loop's overshoot clamp).  Chains
+    The chain picks the first reaction whose cumulative propensity in
+    ``np.cumsum`` order exceeds ``_threshold``; the last reaction is the
+    unconditional fall-through (the numpy loop's overshoot clamp).  Below 8
+    reactions the partial sums ``_cK`` are those cumulative sums, so a
+    branch compares one; longer chains keep a running sum ``_c``.  Chains
     are at most :data:`_SELECT_BLOCK` branches long: a miss sets ``_b`` to
     the next block, whose chain continues the same running sum.  A branch
     applies its reaction's state deltas, then recomputes the factors of the
-    species it changed and the laws in ``dependents`` that read one of them
-    (all of them, at the loop top, for dense models).  A law that reads none
-    of them keeps its value, the reaction's own law included.
+    species it changed, the laws ``recomputed`` lists for it and the
+    partial sums ``sum_updates`` lists for it (all of them, at the loop top,
+    where either is None).  A law that reads none of the species keeps its
+    value, the reaction's own law included.
     """
     last = len(specs) - 1
     by_column: Dict[int, List[_Factor]] = {}
@@ -586,15 +648,21 @@ def _selection(
 
     def fire(r: int) -> List[str]:
         statements = [f"_s{idx} += {_literal(delta)}" for idx, delta in specs[r].changes]
-        if incremental:
-            changed = sorted({idx for idx, _ in specs[r].changes})
-            for idx in changed:
+        if recomputed is not None:
+            for idx in sorted({idx for idx, _ in specs[r].changes}):
                 for factor in by_column.get(idx, ()):
                     statements.extend(factor.lines)
-            for j in dependents[r]:
-                if any(idx in changed for _, idx in laws[j].used_species):
-                    statements.extend(laws[j].assign(f"_p{j}"))
+            for j in recomputed[r]:
+                statements.extend(laws[j].assign(f"_p{j}"))
+        if sum_updates is not None:
+            statements += sum_updates[r]
         return statements or ["pass"]
+
+    def exceeds(r: int) -> str:
+        if len(specs) < 8:
+            return f"_c{r} > _threshold"  # the SumTree node np.cumsum's sum r equals
+        running = f"_p{r}" if r == 0 else f"_c + _p{r}"
+        return f"(_c := {running}) > _threshold"
 
     starts = range(0, len(specs), _SELECT_BLOCK)
     lines: List[str] = ["_b = 0"] if len(starts) > 1 else []
@@ -606,8 +674,7 @@ def _selection(
         chain = [r for r in block if r != last]
         for position, r in enumerate(chain):
             keyword = "elif" if position else "if"
-            running = f"_p{r}" if r == 0 else f"_c + _p{r}"
-            lines.append(f"{pad}{keyword} (_c := {running}) > _threshold:")
+            lines.append(f"{pad}{keyword} {exceeds(r)}:")
             lines.extend(f"{pad}    {line}" for line in fire(r))
         if chain:
             lines.append(f"{pad}else:")
@@ -644,7 +711,8 @@ def _emit_ssa_segment(
     after every event, this one appends the row to ``recorder.rows`` itself
     when ``t`` passes the next sample time, and stores the row cursor back
     on exit.  Propensities are held in locals built from single-species
-    factors (:func:`_factor_laws`).  ``generator`` must be PCG64-backed (see
+    factors (:func:`_factor_laws`), and their sum in the partial sums of a
+    :class:`SumTree`.  ``words`` must read a PCG64 generator (see
     :func:`~repro.stochastic.ziggurat.block_draws_verified`).
     """
     species = [f"_s{i}" for i in range(n_species)]
@@ -652,32 +720,41 @@ def _emit_ssa_segment(
     factors, laws = _factor_laws(rendered, counter)
     compute_all = [line for factor in factors for line in factor.lines]
     compute_all += [line for law in laws for line in law.assign(f"_p{law.index}")]
-    total = pairwise_sum_source([f"_p{r}" for r in range(len(specs))])
+    sums = SumTree([f"_p{r}" for r in range(len(specs))])
+    total = sums.total
+    recomputed = _recomputed_laws(specs, laws, dependents) if incremental else None
+    sum_updates = None
+    if recomputed is not None:
+        sum_updates = [sums.statements(f"_p{j}" for j in js) for js in recomputed]
+        if sum(map(len, sum_updates)) > _AFTER_STATEMENT_CAP:
+            sum_updates = None
+    # Whatever the branches do not keep current is recomputed per event.
+    at_entry: List[str] = []
+    at_top: List[str] = []
+    (at_top if recomputed is None else at_entry).extend(compute_all)
+    (at_top if sum_updates is None else at_entry).extend(sums.statements())
     # Each block holds the draws the rest of the segment is expected to take:
     # two words per event at the current total.
-    block = ziggurat.block_for("2.0 * (t_stop - t) * _total")
+    block = ziggurat.block_for(f"2.0 * (t_stop - t) * {total}")
 
-    # Samples before the entry time take the entry state.
-    prologue = _record_rows(row)
+    # Samples before the entry time take the entry state.  An event then
+    # tests `t` against `_limit`, the sooner of the next sample time and the
+    # segment end, before testing either.
+    prologue = [*_record_rows(row), "_limit = _next if _next < t_stop else t_stop", *at_entry]
     loop = [
-        f"_total = {total}",
-        "if _total <= 0.0:",
+        *at_top,
+        f"if {total} <= 0.0:",
         "    break",
-        *ziggurat.draw_exponential("_tau", "(1.0 / _total)", block),
-        "if t + _tau >= t_stop:",
-        "    break",
+        *ziggurat.draw_exponential("_tau", f"(1.0 / {total})", block),
         "t += _tau",
-        *_record_rows(row),
-        *ziggurat.draw_uniform("_threshold", "_total", block),
-        *_selection(specs, factors, laws, dependents, incremental),
-        "events += 1",
-        "if events > max_events:",
-        "    _exceeded(max_events)",
+        "if t >= _limit:",
+        "    if t >= t_stop:",
+        "        break",
+        *(f"    {line}" for line in _record_rows(row)),
+        "    _limit = _next if _next < t_stop else t_stop",
+        *ziggurat.draw_uniform("_threshold", total, block),
+        *_selection(specs, factors, laws, recomputed, sum_updates),
     ]
-    if incremental:
-        prologue += compute_all
-    else:
-        loop = compute_all + loop
 
     body = ["if t >= t_stop:", "    return events"]
     if species:
@@ -687,20 +764,25 @@ def _emit_ssa_segment(
         "_rows = recorder.rows",
         "_cursor = recorder.cursor",
         "_next = _times[_cursor]",
-        *ziggurat.WORDS_OPEN,
+        *ziggurat.WORDS_LOAD,
         "try:",
         *(f"    {line}" for line in prologue),
-        "    while True:",
+        # `events` counts the events fired; the one that would pass
+        # max_events ends the range and raises (after one event when
+        # max_events is negative, as in the numpy loop).
+        "    for events in range(events, max(events, max_events) + 1):",
         *(f"        {line}" for line in loop),
+        "    else:",
+        "        _exceeded(max_events)",
         "finally:",
         "    recorder.cursor = _cursor",
-        *(f"    {line}" for line in ziggurat.WORDS_CLOSE),
+        *(f"    {line}" for line in ziggurat.WORDS_STORE),
     ]
     if species:
         body.append(f"state[:] = {row}")
     body.append("return events")
 
-    lines.append("def ssa_segment(state, t, t_stop, generator, recorder, events, max_events):")
+    lines.append("def ssa_segment(state, t, t_stop, words, recorder, events, max_events):")
     lines.extend(f"    {line}" for line in body)
     lines.append("")
 

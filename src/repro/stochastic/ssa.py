@@ -12,15 +12,19 @@ mirroring how the virtual laboratory applies input combinations during a run.
 Between two clamps the loop runs in the model's generated ``ssa_segment``
 (see :mod:`repro.stochastic.codegen`), which rebuilds the generator's
 exponential and uniform draws from blocks of raw PCG64 words instead of
-calling numpy per event.  :func:`_numpy_segment`, the per-event numpy
-reference loop, runs instead with ``REPRO_KERNEL=interp``, for a generator
-whose bit generator is not PCG64, and when the once-per-process check
+calling numpy per event.  A run reads its words through one
+:class:`~repro.stochastic.ziggurat.WordBlock`: a block fetched in one
+segment serves the next, and the generator is handed back once, when the
+run ends or raises.  :func:`_numpy_segment`, the per-event numpy reference
+loop, runs instead with ``REPRO_KERNEL=interp``, for a generator whose bit
+generator is not PCG64, and when the once-per-process check
 :func:`~repro.stochastic.ziggurat.block_draws_verified` fails.  Both loops
 produce bit-identical trajectories and leave the generator in the same state.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from functools import partial
 from typing import Dict, Optional, Sequence
 
@@ -32,7 +36,7 @@ from .propensity import compile_model
 from .rng import RandomState, make_rng
 from .sampling import SampleRecorder, make_sample_times
 from .trajectory import Trajectory
-from .ziggurat import block_draws_verified
+from .ziggurat import WordBlock, block_draws_verified
 
 __all__ = ["simulate_ssa", "DirectMethodSimulator"]
 
@@ -42,9 +46,11 @@ def _numpy_segment(compiled, state, t, t_stop, generator, recorder, events, max_
 
     The reference loop: one whole propensity vector per event, its pairwise
     ``.sum()``, a sequential ``cumsum`` and ``searchsorted``.  The generated
-    ``ssa_segment`` of every codegen kernel has this signature (minus
-    ``compiled``) and reproduces it bit for bit.  Updates ``state`` and
-    ``recorder`` in place; returns the running event count.
+    ``ssa_segment`` of every codegen kernel has this signature, minus
+    ``compiled`` and with the run's
+    :class:`~repro.stochastic.ziggurat.WordBlock` for ``generator``, and
+    reproduces it bit for bit.  Updates ``state`` and ``recorder`` in place;
+    returns the running event count.
     """
     propensities = np.empty(compiled.n_reactions, dtype=float)
     cumulative = np.empty(compiled.n_reactions, dtype=float)
@@ -152,24 +158,27 @@ class DirectMethodSimulator:
             and block_draws_verified()
         ):
             segment = compiled.kernel.ssa_segment
+            draws = WordBlock(generator)
         else:
             segment = partial(_numpy_segment, compiled)
+            draws = nullcontext(generator)
 
         events_fired = 0
         segment_start = 0.0
-        for segment_end in schedule.segment_boundaries(t_end):
-            # Apply every event scheduled at the start of this segment.
-            for event in schedule.events_between(segment_start, segment_start + 1e-12):
-                compiled.clamp(state, event.settings)
-            for event in schedule.events_between(segment_start + 1e-12, segment_end):
-                # Events strictly inside a segment cannot happen: boundaries
-                # are derived from the schedule itself.  Guard anyway.
-                compiled.clamp(state, event.settings)
-            events_fired = segment(
-                state, segment_start, segment_end, generator, recorder, events_fired, max_events
-            )
-            recorder.fill_before(segment_end, state)
-            segment_start = segment_end
+        with draws as source:
+            for segment_end in schedule.segment_boundaries(t_end):
+                # Apply every event scheduled at the start of this segment.
+                for event in schedule.events_between(segment_start, segment_start + 1e-12):
+                    compiled.clamp(state, event.settings)
+                for event in schedule.events_between(segment_start + 1e-12, segment_end):
+                    # Events strictly inside a segment cannot happen: boundaries
+                    # are derived from the schedule itself.  Guard anyway.
+                    compiled.clamp(state, event.settings)
+                events_fired = segment(
+                    state, segment_start, segment_end, source, recorder, events_fired, max_events
+                )
+                recorder.fill_before(segment_end, state)
+                segment_start = segment_end
 
         recorder.finish(state)
         self.last_event_count = events_fired

@@ -22,24 +22,24 @@ index, and one ``< 0.0`` test sends both a rejected first try and the end
 of the block (the :data:`END` slot) to the rare branch.
 
 This module owns every part of that: the tables, the decode, the rare-path
-helper, the statements a kernel inlines (:data:`WORDS_OPEN`,
-:func:`draw_exponential`, :func:`draw_uniform`, :data:`WORDS_CLOSE`) and the
-names they need (:func:`statement_namespace`).  A function using the
-statements opens a word block, draws from it, and closes it in a
-``finally``: the close restores the generator state saved at the open and
-consumes exactly the words the draws used, so on every exit the generator
-stands where numpy's own calls would have left it.  On a 2-vCPU Xeon VM,
-fetching and decoding a block costs ~5-13 µs plus ~40-60 ns per word (the
-two float lists are most of the per-word cost), and a segment pays ~7-12 µs
-once to save, restore and replay the state.  A function sizes each block
-from the draws it expects still to take (:func:`block_for`): the
-direct-method loop asks for the rest of its segment, two words per event
-at the current total (``2 * (t_stop - t) * total``), plus
-:data:`BLOCK_PAD`, so a segment of a few events decodes a few dozen words,
-not hundreds, and a segment whose total drifts refetches what is left
-instead of twice its last block.  On the AND gate at holds 30 to 200 that
-fetches 2.1-2.3 words per event, against ~4 for blocks of 256 words
-doubling up to :data:`BLOCK_CAP`.
+helper, the per-run :class:`WordBlock`, the statements a kernel inlines
+(:data:`WORDS_LOAD`, :func:`draw_exponential`, :func:`draw_uniform`,
+:data:`WORDS_STORE`) and the names they need (:func:`statement_namespace`).
+A run makes one :class:`WordBlock`; each function drawing from it loads the
+block into locals, draws, and stores it back in a ``finally``, so a block
+fetched in one input segment serves the next.  Closing the block when the run
+ends (or raises) steps the generator back over the words fetched but not
+drawn, so it stands where numpy's own calls would have left it.  On a 2-vCPU
+Xeon VM, fetching and decoding a block costs ~5-13 µs plus ~40-60 ns per word
+(the two float lists are most of the per-word cost), and a run pays ~3-6 µs
+once to read the generator's state and step it back.  A function sizes each
+block from the draws it expects still to take (:func:`block_for`): the
+direct-method loop asks for the rest of its segment, two words per event at
+the current total (``2 * (t_stop - t) * total``), plus :data:`BLOCK_PAD`, so
+a segment of a few events decodes a few dozen words, not hundreds, and a
+segment whose total drifts refetches what is left instead of twice its last
+block.  The words a segment fetched but did not draw are the next segment's
+first.
 
 The tables are numpy's ``ke_double``, ``we_double`` and ``fe_double``, copied
 value for value from the ``_generator`` extension of numpy 2.4.6, where ``fe``
@@ -72,8 +72,9 @@ __all__ = [
     "END",
     "decode_words",
     "exponential_rare",
-    "WORDS_OPEN",
-    "WORDS_CLOSE",
+    "WordBlock",
+    "WORDS_LOAD",
+    "WORDS_STORE",
     "block_for",
     "draw_exponential",
     "draw_uniform",
@@ -383,32 +384,72 @@ def _append_words(firsts, uniforms, raw, decode):
 # Statements a generated function inlines
 # ---------------------------------------------------------------------------
 
-#: Opens the word block of a function with a ``generator`` argument:
-#: ``_zx`` and ``_zu`` are the decoded block, ``_zu[_i:]`` its unused
-#: words, ``_n`` its length and ``_used`` counts the words of earlier blocks.
-WORDS_OPEN = [
-    "_bits = generator.bit_generator",
-    "_saved = _bits.state",
-    "_raw = _bits.random_raw",
-    f"_zx = [{END!r}]",
-    "_zu = []",
-    "_n = _i = _used = 0",
+class WordBlock:
+    """One run's read position in a PCG64 generator's stream of raw words.
+
+    Holds the decoded block the draws read (``firsts``, ``uniforms``), its
+    length ``n`` and the index ``i`` of its first unused word.  A function
+    drawing from it copies these into locals (:data:`WORDS_LOAD`) and stores
+    them back on every exit (:data:`WORDS_STORE`), so a block survives from
+    one call to the next.  :meth:`close` steps the generator back over the
+    words fetched but not drawn, leaving it where numpy's own calls would
+    have; use the block as a context manager to close it however the run
+    ends.
+    """
+
+    __slots__ = ("raw", "firsts", "uniforms", "n", "i", "_bits", "_half_word")
+
+    def __init__(self, generator: np.random.Generator) -> None:
+        self._bits = generator.bit_generator
+        state = self._bits.state
+        self._half_word = (state["has_uint32"], state["uinteger"])
+        self.raw = self._bits.random_raw
+        self.firsts: List[float] = [END]
+        self.uniforms: List[float] = []
+        self.n = self.i = 0
+
+    def close(self) -> None:
+        """Hand the generator back: ``advance`` steps it back over the
+        ``n - i`` undrawn words (PCG64 advances modulo its period) and
+        clears a buffered uint32 half-word, which is put back."""
+        if self.i != self.n:
+            self._bits.advance(self.i - self.n)
+            self.n = self.i
+            if self._half_word[0]:
+                state = self._bits.state
+                state["has_uint32"], state["uinteger"] = self._half_word
+                self._bits.state = state
+
+    def __enter__(self) -> "WordBlock":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+#: Copies a :class:`WordBlock` argument ``words`` into the locals the draws
+#: read: ``_zx`` and ``_zu`` are the decoded block, ``_zu[_i:]`` its unused
+#: words and ``_n`` its length.
+WORDS_LOAD = [
+    "_raw = words.raw",
+    "_zx = words.firsts",
+    "_zu = words.uniforms",
+    "_n = words.n",
+    "_i = words.i",
 ]
 
-#: Closes the block (in a ``finally``): when words were fetched but not
-#: drawn, rewind to the entry state and consume exactly the drawn ones.
-#: ``advance`` would be cheaper but drops a buffered uint32 half-word.
-WORDS_CLOSE = [
-    "if _i != _n:",
-    "    _bits.state = _saved",
-    "    _raw(_used + _i, output=False)",
+#: Stores the draws' locals back into ``words`` (in a ``finally``).
+WORDS_STORE = [
+    "words.firsts = _zx",
+    "words.uniforms = _zu",
+    "words.n = _n",
+    "words.i = _i",
 ]
 
 
 def _next_block(size: str) -> List[str]:
     """Fetches and decodes the next block, ``size`` words; the draw sets ``_i``."""
     return [
-        "_used += _n",
         f"_n = {size}",
         "_zx, _zu = _decode(_raw(_n))",
     ]
@@ -476,15 +517,17 @@ def statement_namespace() -> Dict[str, object]:
 
 
 def load_draw_pairs():
-    """``draw_pairs(generator, scales)``, built from the kernels' statements.
+    """``draw_pairs(words, scales)``, built from the kernels' statements.
 
     Returns the list ``[exponential(scales[0]), random(), exponential(scales[1]),
-    random(), ...]`` that the same calls on ``generator`` would return, drawn
-    by the statements the kernels inline, and hands the generator back the
-    way the kernels do.  It exists to check those statements against numpy;
-    ``generator`` must be PCG64-backed.
+    random(), ...]`` that the same calls on the generator of ``words`` (a
+    :class:`WordBlock`) would return, drawn by the statements the kernels
+    inline.  Like a kernel's ``ssa_segment`` it leaves its place in
+    ``words``, so several calls draw on where the last one stopped, and
+    closing ``words`` hands the generator back.  It exists to check those
+    statements against numpy; the generator must be PCG64-backed.
     """
-    body = ["_out = []", *WORDS_OPEN, "try:", "    for _scale in scales:"]
+    body = ["_out = []", *WORDS_LOAD, "try:", "    for _scale in scales:"]
     # Sized like the kernels' blocks: two words for each pair of the call.
     block = block_for("2.0 * len(scales)")
     draws = [
@@ -494,9 +537,9 @@ def load_draw_pairs():
     ]
     body.extend(f"        {line}" for line in draws)
     body.append("finally:")
-    body.extend(f"    {line}" for line in WORDS_CLOSE)
+    body.extend(f"    {line}" for line in WORDS_STORE)
     body.append("return _out")
-    source = "\n".join(["def draw_pairs(generator, scales):", *(f"    {line}" for line in body)])
+    source = "\n".join(["def draw_pairs(words, scales):", *(f"    {line}" for line in body)])
     namespace = statement_namespace()
     exec(compile(source, "<repro-draw-pairs>", "exec"), namespace)  # noqa: S102
     return namespace["draw_pairs"]
@@ -525,7 +568,8 @@ def block_draws_verified() -> bool:
             expected += (theirs.exponential(scale), theirs.random())
         reason = ""
         try:
-            matched = draw_pairs(ours, scales) == expected
+            with WordBlock(ours) as words:
+                matched = draw_pairs(words, scales) == expected
         except Exception as error:  # noqa: BLE001 - any failure rules the block path out
             matched, reason = False, f" ({type(error).__name__}: {error})"
         if not (matched and ours.bit_generator.state == theirs.bit_generator.state):

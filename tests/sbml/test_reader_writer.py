@@ -149,3 +149,80 @@ class TestReaderErrors:
           </model></sbml>"""
         model = read_sbml_string(text)
         assert model.species_ids() == ["X"]
+
+
+MATHML = 'xmlns="http://www.w3.org/1998/Math/MathML"'
+
+#: One hand-written use of each model list the reader refuses.
+UNSUPPORTED = {
+    "listOfFunctionDefinitions": f"""<functionDefinition id="double"><math {MATHML}>
+        <lambda><bvar><ci>x</ci></bvar><apply><times/><cn>2</cn><ci>x</ci></apply></lambda>
+        </math></functionDefinition>""",
+    "listOfInitialAssignments": f"""<initialAssignment symbol="X"><math {MATHML}>
+        <apply><times/><ci>k</ci><cn>10</cn></apply></math></initialAssignment>""",
+    "listOfRules": f"""<assignmentRule variable="k"><math {MATHML}>
+        <apply><divide/><ci>X</ci><cn>100</cn></apply></math></assignmentRule>""",
+    "listOfEvents": f"""<event id="knockout" useValuesFromTriggerTime="true">
+        <trigger initialValue="false" persistent="true"><math {MATHML}>
+          <apply><gt/><csymbol encoding="text"
+            definitionURL="http://www.sbml.org/sbml/symbols/time">t</csymbol><cn>50</cn></apply>
+        </math></trigger>
+        <listOfEventAssignments><eventAssignment variable="X"><math {MATHML}><cn>0</cn></math>
+        </eventAssignment></listOfEventAssignments></event>""",
+}
+
+
+def _document(species: str, extra: str = "") -> str:
+    """A one-compartment decay model around the given species and extra lists."""
+    return f"""<sbml xmlns="http://www.sbml.org/sbml/level3/version1/core" level="3" version="1">
+      <model id="m">
+        <listOfCompartments><compartment id="cell" size="2.5" constant="true"/></listOfCompartments>
+        <listOfSpecies>{species}</listOfSpecies>
+        <listOfParameters><parameter id="k" value="0.1" constant="false"/></listOfParameters>
+        {extra}
+        <listOfReactions><reaction id="decay" reversible="false">
+          <listOfReactants><speciesReference species="X" stoichiometry="1"/></listOfReactants>
+          <kineticLaw><math {MATHML}><apply><times/><ci>k</ci><ci>X</ci></apply></math></kineticLaw>
+        </reaction></listOfReactions>
+      </model></sbml>"""
+
+
+AMOUNT = '<species id="X" compartment="cell" initialAmount="10" hasOnlySubstanceUnits="true"/>'
+
+
+class TestUnsupportedConstructs:
+    """A construct the simulators cannot honour is refused by name, never
+    skipped: the model would otherwise run and give wrong answers."""
+
+    @pytest.mark.parametrize("name", sorted(UNSUPPORTED))
+    def test_a_used_list_is_rejected_by_name(self, name):
+        with pytest.raises(SBMLParseError, match=f"<{name}> is not supported"):
+            read_sbml_string(_document(AMOUNT, f"<{name}>{UNSUPPORTED[name]}</{name}>"))
+
+    @pytest.mark.parametrize("name", sorted(UNSUPPORTED))
+    def test_an_empty_list_is_accepted(self, name):
+        extra = f"<{name}><annotation><note/></annotation></{name}>"
+        assert read_sbml_string(_document(AMOUNT, extra)).species["X"].initial_amount == 10.0
+
+    def test_initial_concentration_becomes_an_amount(self):
+        species = '<species id="X" compartment="cell" initialConcentration="4"/>'
+        assert read_sbml_string(_document(species)).species["X"].initial_amount == 10.0
+
+    def test_a_law_reading_a_concentration_is_rejected(self):
+        """``hasOnlySubstanceUnits="false"`` makes ``X`` in ``k * X`` a
+        concentration, amount / 2.5 here; the simulators would read 10."""
+        species = AMOUNT.replace('"true"', '"false"')
+        with pytest.raises(SBMLParseError, match="hasOnlySubstanceUnits='false'"):
+            read_sbml_string(_document(species))
+
+    def test_substance_units_flag_survives_a_unit_compartment(self):
+        species = AMOUNT.replace('"true"', '"false"')
+        model = read_sbml_string(_document(species).replace('size="2.5"', 'size="1"'))
+        again = read_sbml_string(write_sbml_string(model))
+        assert model.species["X"].has_only_substance_units is False
+        assert again.species["X"].has_only_substance_units is False
+
+    def test_amount_and_concentration_together_are_rejected(self):
+        species = '<species id="X" compartment="cell" initialAmount="1" initialConcentration="4"/>'
+        with pytest.raises(SBMLParseError, match="both initialAmount and initialConcentration"):
+            read_sbml_string(_document(species))

@@ -15,7 +15,13 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sbml import Model
-from repro.stochastic import BACKEND_CODEGEN, BACKEND_INTERP, CompiledModel, ziggurat
+from repro.stochastic import (
+    BACKEND_CODEGEN,
+    BACKEND_INTERP,
+    CompiledModel,
+    InputSchedule,
+    ziggurat,
+)
 from repro.stochastic.ssa import DirectMethodSimulator
 
 
@@ -58,7 +64,8 @@ class TestRebuiltDraws:
         scales = 10.0 ** np.random.default_rng(20170664).uniform(-7.0, 7.0, 1_000_000)
         ours, theirs = np.random.default_rng(20170665), np.random.default_rng(20170665)
         for chunk in np.split(scales, 20):
-            drawn = np.array(draw_pairs(ours, chunk.tolist()))
+            with ziggurat.WordBlock(ours) as words:
+                drawn = np.array(draw_pairs(words, chunk.tolist()))
             expected = np.empty_like(drawn)
             for j, scale in enumerate(chunk.tolist()):
                 expected[2 * j] = theirs.exponential(scale)
@@ -106,7 +113,8 @@ class TestRebuiltDraws:
             expected = []
             for scale in scales:
                 expected += (theirs.exponential(scale), theirs.random())
-            assert draw_pairs(ours, scales) == expected
+            with ziggurat.WordBlock(ours) as words:
+                assert draw_pairs(words, scales) == expected
             assert ours.bit_generator.state == theirs.bit_generator.state
         assert min(taken.values()) > 0, taken
 
@@ -198,6 +206,26 @@ class TestGeneratorHandBack:
             states.append(after)
         assert states[0] == states[1]
 
+    @pytest.mark.parametrize("rate", ["0.5", "0.0"])
+    @pytest.mark.parametrize("cap", [-3, 0, 5])
+    def test_event_cap_edges_equal_interp(self, rate, cap):
+        """A cap the first events pass, or a negative one, raises after the
+        event that passes it, as the numpy loop does; a run without events
+        never raises."""
+        model = Model("birth")
+        model.add_species("Y")
+        model.add_reaction("make", products=[("Y", 1.0)], kinetic_law=rate)
+        outcomes = []
+        for backend in (BACKEND_CODEGEN, BACKEND_INTERP):
+            generator = np.random.default_rng(20170675)
+            try:
+                outcome = _run(model, backend, generator, 20.0, max_events=cap)[0].tolist()
+            except SimulationError as error:
+                outcome = str(error)
+            outcomes.append((outcome, generator.bit_generator.state))
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0][0], str) == (rate != "0.0")
+
     def test_raise_mid_segment_leaves_interp_state(self, and_circuit):
         states = []
         for backend in (BACKEND_CODEGEN, BACKEND_INTERP):
@@ -206,3 +234,70 @@ class TestGeneratorHandBack:
                 _run(and_circuit.model, backend, generator, 600.0, max_events=777)
             states.append(generator.bit_generator.state)
         assert states[0] == states[1]
+
+
+class TestShortSegments:
+    """One word block serves a whole run: the words a segment fetched but
+    did not draw are the next segment's first, and the generator is handed
+    back once, when the run ends or raises."""
+
+    SEGMENTS, HOLD = 400, 0.2
+
+    def _schedule(self, model):
+        """The inputs step through their combinations every ``HOLD``."""
+        inputs = model.boundary_species()
+        schedule = InputSchedule()
+        for k in range(self.SEGMENTS):
+            schedule.add(k * self.HOLD, {sid: 30.0 * (k >> j & 1) for j, sid in enumerate(inputs)})
+        return schedule
+
+    def _watched(self, model):
+        """A codegen simulator whose segments record ``(events, block end)``:
+        the events each fired and whether it stopped on its block's last word."""
+        compiled = CompiledModel(model, backend=BACKEND_CODEGEN)
+        segment, segments = compiled.kernel.ssa_segment, []
+
+        def watched(state, t, t_stop, words, recorder, events, max_events):
+            fired = segment(state, t, t_stop, words, recorder, events, max_events)
+            segments.append((fired - events, words.i == words.n > 0))
+            return fired
+
+        compiled.kernel.ssa_segment = watched
+        return DirectMethodSimulator(compiled), segments
+
+    def _both(self, model, seed, **kwargs):
+        """(codegen, interp) runs: each (data or error, events, generator state)."""
+        assert ziggurat.block_draws_verified()
+        watched, segments = self._watched(model)
+        interp = DirectMethodSimulator(CompiledModel(model, backend=BACKEND_INTERP))
+        runs = []
+        for simulator in (watched, interp):
+            generator = np.random.default_rng(seed)
+            generator.integers(0, 4)  # a buffered half-word the hand-back keeps
+            try:
+                outcome = simulator.run(self.SEGMENTS * self.HOLD, rng=generator, **kwargs).data
+            except SimulationError as error:
+                outcome = str(error)
+            runs.append((outcome, simulator.last_event_count, generator.bit_generator.state))
+        return runs, segments
+
+    def test_hundreds_of_segments_equal_interp(self, and_circuit):
+        model = and_circuit.model
+        (ours, theirs), segments = self._both(model, 20170673, schedule=self._schedule(model))
+        assert len(segments) == self.SEGMENTS + 1  # the schedule's first, [0, 0), is empty
+        assert any(fired == 0 for fired, _ in segments[1:])
+        assert any(at_end for _, at_end in segments)
+        assert ours[1] == theirs[1] == sum(fired for fired, _ in segments) > self.SEGMENTS
+        assert np.array_equal(ours[0], theirs[0])
+        assert ours[2] == theirs[2]
+
+    def test_raise_in_a_late_segment_leaves_interp_state(self, and_circuit):
+        model = and_circuit.model
+        schedule = self._schedule(model)
+        (full, _), _ = self._both(model, 20170674, schedule=schedule)
+        cap = full[1] * 9 // 10
+        (ours, theirs), segments = self._both(model, 20170674, schedule=schedule, max_events=cap)
+        assert ours[0] == theirs[0] == f"simulation exceeded {cap} reaction events before t_end"
+        # The segment that raised records nothing; the ones before it ran whole.
+        assert len(segments) > self.SEGMENTS * 3 // 4
+        assert ours[2] == theirs[2]

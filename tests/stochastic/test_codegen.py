@@ -17,9 +17,9 @@ from repro.stochastic.codegen import (
     BACKEND_INTERP,
     KERNEL_ENV_VAR,
     KERNEL_FORMAT,
+    SumTree,
     default_backend,
     load_kernel,
-    pairwise_sum_source,
 )
 from repro.stochastic.ssa import DirectMethodSimulator
 
@@ -43,10 +43,7 @@ class TestSourceGeneration:
         assert f"KERNEL_FORMAT = {KERNEL_FORMAT}" in source
         assert "def propensities_all(state, out):" in source
         assert "def propensities_after(r, state, out):" in source
-        assert (
-            "def ssa_segment(state, t, t_stop, generator, recorder, events, max_events):"
-            in source
-        )
+        assert "def ssa_segment(state, t, t_stop, words, recorder, events, max_events):" in source
         assert "DEPENDENTS = " in source
 
     def test_ssa_segment_compiles_apart_with_source_line_numbers(self, toy_model):
@@ -276,10 +273,27 @@ class TestDependencyGraph:
         assert "DEPENDENTS = ((0, 1,), (1,),)" in source
         after = source[source.index("def _after_0(") : source.index("def _after_1(")]
         assert "out[0] = _v" in after and "out[1] = _v" in after
-        loop = source[source.index("if (_c := _p0) > _threshold:") :]
+        loop = source[source.index("if _c0 > _threshold:") :]
         branch = loop[: loop.index("else:")]
         assert "_p1 = _v if (_v := " in branch and "_clamp(_v, 1)" in branch
         assert "_p0 = " not in branch and "_clamp(_v, 0)" not in branch
+
+    def test_and_gate_branches_recompute_only_the_sums_above_their_laws(self, and_circuit):
+        """Below 8 reactions the partial sums are ``np.cumsum``'s ``_c0..``:
+        GFP production changes only GFP degradation's law, the last one, so
+        its branch reassigns only the last sum; no reaction changes the two
+        input-driven productions, so no branch reassigns ``_c0`` or ``_c1``."""
+        model = and_circuit.model
+        gfp = ["production_tu_g_inv_GFP", "degradation_CI", "degradation_GFP"]
+        assert model.reaction_ids()[2:] == gfp
+        source = CompiledModel(model, backend=BACKEND_CODEGEN).kernel.source
+        loop = source[source.index("for events in range(") : source.index("    finally:")]
+        branches = re.split(r"^ +(?:(?:el)?if _c\d > _threshold|else):\n", loop, flags=re.M)[1:]
+        assert len(branches) == 6  # five reactions and the loop's own `else`
+        reassigned = [re.findall(r"^ +(_c\d) = ", branch, re.M) for branch in branches[:5]]
+        assert reassigned[2] == ["_c4"]
+        assert all(reassigned)
+        assert not {"_c0", "_c1"} & {name for names in reassigned for name in names}
 
 
 class TestCompileModelEarlyOut:
@@ -396,10 +410,10 @@ class TestFusedLoopContracts:
         """A sample-row or factor local named like a draw statement's local
         (``_k``, ``_r``, ``_i``, ``_n``, ``_w``, ...) would be clobbered per event."""
         draws = [
-            *ziggurat.WORDS_OPEN,
+            *ziggurat.WORDS_LOAD,
             *ziggurat.draw_exponential("_tau", "1.0", ziggurat.block_for("1.0")),
             *ziggurat.draw_uniform("_threshold", None, ziggurat.block_for("1.0")),
-            *ziggurat.WORDS_CLOSE,
+            *ziggurat.WORDS_STORE,
         ]
         drawn = {n.id for n in ast.walk(ast.parse("\n".join(draws))) if isinstance(n, ast.Name)}
         source = CompiledModel(cello_0x0b.model, backend=BACKEND_CODEGEN).kernel.source
@@ -415,14 +429,18 @@ class TestFusedLoopContracts:
         assert not (recorder_locals | factor_locals) & drawn
 
     def test_total_matches_numpy_sum_bit_for_bit(self):
-        """The emitted total reproduces numpy's pairwise ``.sum()`` order.
+        """The emitted partial sums reproduce numpy's pairwise ``.sum()``
+        order: the top one plus numpy's identity ``+0.0`` is the sum, for
+        any values, ``-0.0`` and negatives included.
 
         Guards against a numpy upgrade changing its pairwise blocking: the
         loop's waiting times and overshoot fall-through depend on it.
         """
         rng = np.random.default_rng(20170659)
         for n in range(1, 301):
-            code = compile(pairwise_sum_source([f"v[{i}]" for i in range(n)]), "<sum>", "eval")
+            tree = SumTree([f"v[{i}]" for i in range(n)])
+            statements = [*tree.statements(), f"total = 0.0 + {tree.total}"]
+            code = compile("\n".join(statements), "<sum>", "exec")
             for kind in range(6):
                 values = 10.0 ** rng.uniform(-6.0, 6.0, n) * rng.random(n)
                 if kind == 1:
@@ -435,9 +453,59 @@ class TestFusedLoopContracts:
                     values[rng.random(n) < 0.5] = -0.0
                 elif kind == 5:
                     values *= rng.choice([-1.0, 1.0], n)
-                emitted = eval(code, {"v": values.tolist()})  # noqa: S307 - generated sum
-                expected = float(np.sum(values))
+                namespace = {"v": values.tolist()}
+                exec(code, namespace)  # noqa: S102 - generated sums
+                emitted, expected = namespace["total"], float(np.sum(values))
                 assert struct.pack("<d", emitted) == struct.pack("<d", expected), (n, kind)
+
+    def test_cached_partial_sums_match_numpy_after_any_update(self):
+        """The loop keeps numpy's partial sums in locals and an event
+        recomputes only those above the laws it changed.
+
+        For every size, change random subsets of the values, run only the
+        statements :meth:`SumTree.statements` marks for each subset, and
+        compare bit for bit: every node with a full recompute, the top node
+        with ``np.sum`` (no ``+0.0`` identity: a clamped propensity is never
+        ``-0.0``) and, below 8 values, the nodes with ``np.cumsum``.  Values
+        are what a clamp can leave: ``+0.0``, subnormals, ``inf`` and
+        positive normals over twelve decades.
+        """
+        rng = np.random.default_rng(20170672)
+
+        def clamped(size):
+            values = 10.0 ** rng.uniform(-6.0, 6.0, size)
+            kind = rng.random(size)
+            values[kind < 0.2] = 0.0
+            subnormal = (kind >= 0.2) & (kind < 0.35)
+            values[subnormal] = 5e-324 * rng.integers(1, 1000, subnormal.sum())
+            values[kind > 0.98] = np.inf
+            return values
+
+        def bits(values):
+            return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+        for n in range(1, 301):
+            tree = SumTree([f"v[{i}]" for i in range(n)])
+            names = [name for name, _ in tree.nodes]
+            code = compile("\n".join(tree.statements()), "<sums>", "exec")
+            values = clamped(n)
+            cached = {"v": values.tolist()}
+            exec(code, cached)  # noqa: S102 - generated sums
+            for _ in range(4):
+                changed = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+                values[changed] = clamped(len(changed))
+                cached["v"] = values.tolist()
+                update = tree.statements(f"v[{i}]" for i in changed)
+                assert len(update) <= len(names)
+                exec("\n".join(update), cached)  # noqa: S102 - generated sums
+                full = {"v": values.tolist()}
+                exec(code, full)  # noqa: S102 - generated sums
+                ours, theirs = [[space[name] for name in names] for space in (cached, full)]
+                assert bits(ours) == bits(theirs), n
+                assert bits([cached[tree.total]]) == bits([np.sum(values)]), n
+                if n < 8:
+                    assert names == [f"_c{k}" for k in range(n)]
+                    assert bits(ours) == bits(np.cumsum(values)), n
 
     def test_five_thousand_reactions_bit_identical_to_interp(self):
         """Selection scans 64-branch blocks; a flat 5000-branch chain would

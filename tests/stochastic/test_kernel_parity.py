@@ -39,6 +39,7 @@ MODEL_NAMES = [
     "literal_bits",
     "floor_factor",
     "hill_nonatomic",
+    "cascade_40",
 ]
 
 #: Shorter horizons for the bigger circuits keep the SSA runs quick; the
@@ -54,6 +55,7 @@ T_END = {
     "literal_bits": 60.0,
     "floor_factor": 60.0,
     "hill_nonatomic": 60.0,
+    "cascade_40": 60.0,
 }
 
 
@@ -134,6 +136,25 @@ def _local_shadowing_model() -> Model:
     return model
 
 
+def _cascade_model(n_genes: int = 20) -> Model:
+    """A repressor cascade of ``2 * n_genes`` reactions: input ``I``
+    activates ``G0``, each ``G{k}`` represses ``G{k+1}``, every gene decays.
+
+    Each law reads one species, so the model is sparse and an event
+    recomputes one or two laws of a 40-term pairwise sum: five stride-8
+    passes, whose partial sums the fused loop keeps and updates in place.
+    """
+    model = Model("cascade_40")
+    model.add_species("I", boundary_condition=True, initial_amount=5.0)
+    for k in range(n_genes):
+        model.add_species(f"G{k}", initial_amount=float(k % 4))
+    for k in range(n_genes):
+        source = "hill_act(I, 5.0, 2.0)" if k == 0 else f"hill_rep(G{k - 1}, 10.0, 2.0)"
+        model.add_reaction(f"make_G{k}", products=[(f"G{k}", 1.0)], kinetic_law=f"2.0 * {source}")
+        model.add_reaction(f"decay_G{k}", reactants=[(f"G{k}", 1.0)], kinetic_law=f"0.1 * G{k}")
+    return model
+
+
 @pytest.fixture()
 def example_models(toy_model, and_circuit, not_circuit, cello_0x0b):
     return {
@@ -143,6 +164,7 @@ def example_models(toy_model, and_circuit, not_circuit, cello_0x0b):
         "cello_0x0B": cello_0x0b.model,
         "mixed_functions": _mixed_functions_model(),
         "local_shadowing": _local_shadowing_model(),
+        "cascade_40": _cascade_model(),
         **{name: build() for name, build in FACTORED_MODELS.items()},
     }
 
@@ -319,11 +341,19 @@ FACTORED_MODELS = {
 }
 
 
+#: The line opening the event loop of ``ssa_segment``.
+LOOP_HEADER = "for events in range(events, max(events, max_events) + 1):"
+
+#: A line opening a branch of the loop's reaction selection: a cached
+#: partial sum below 8 reactions, a running sum from 8 on, or the fall-through.
+BRANCH = re.compile(r"^ +(?:(?:el)?if (?:_c\d+|\(_c := .*\)) > _threshold|else):\n", re.M)
+
+
 def _segment_entry(model) -> str:
     """The source of ``ssa_segment`` up to its event loop."""
     source = CompiledModel(model, backend=BACKEND_CODEGEN).kernel.source
     segment = source[source.index("def ssa_segment(") :]
-    return segment[: segment.index("while True:")]
+    return segment[: segment.index(LOOP_HEADER)]
 
 
 def _segment_factors(model) -> list:
@@ -373,8 +403,8 @@ class TestFactoredLoopSource:
         source = CompiledModel(model, backend=BACKEND_CODEGEN).kernel.source
         start = source.index("def ssa_segment(")
         segment = source[start : source.index("# part: propensities_all")]
-        entry, loop = segment.split("while True:")
-        branches = re.split(r"^ +(?:(?:el)?if \(_c := .*|else):\n", loop, flags=re.M)
+        entry, loop = segment.split(LOOP_HEADER)
+        branches = BRANCH.split(loop)
         assert len(branches) > 10
         for block in (entry, *branches):
             powers = re.findall(r"_s\d+ \*\* 4\.0", block)

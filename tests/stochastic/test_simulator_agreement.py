@@ -155,7 +155,9 @@ class TestIsomerisationOracle:
     summation path.  Each molecule flips independently, so ``A_i`` has the
     exact autocorrelation ``rho = exp(-(kf + kb) * lag)``; the tolerances
     below follow from the analytic law, that correlation and the number of
-    samples the grid yields — all fixed before anything is simulated.
+    samples the grid yields — all fixed before anything is simulated.  The
+    chi-square test checks the whole pmf on samples ``LAG`` apart, where
+    ``rho`` = e⁻⁵ < 0.7%, so the samples are close to independent.
     """
 
     COUNTS = (20, 30, 40, 50, 60)
@@ -178,6 +180,43 @@ class TestIsomerisationOracle:
         se_mean = math.sqrt(variance / n * (1.0 + rho) / (1.0 - rho))
         se_var = math.sqrt((mu4 - variance**2) / n * (1.0 + rho**2) / (1.0 - rho**2))
         return self.Z * se_mean, self.Z * se_var
+
+    #: Chi-square sampling: ``SAMPLES`` per species, ``LAG`` apart after the
+    #: burn-in, binned so that every bin expects at least ``MIN_EXPECTED``.
+    LAG, SAMPLES, MIN_EXPECTED = 10.0, 400, 5.0
+
+    def _bins(self, count, p):
+        """Expected counts and edges of ``A_i``'s bins, fixed before
+        simulating: one bin per count expected ``MIN_EXPECTED`` times or
+        more, and a bin for each tail (which takes the next count too when
+        it would expect fewer)."""
+        pmf = self.SAMPLES * stats.binom.pmf(np.arange(count + 1), count, p)
+        low, high = np.nonzero(pmf >= self.MIN_EXPECTED)[0][[0, -1]]
+        low += pmf[:low].sum() < self.MIN_EXPECTED
+        high -= pmf[high + 1 :].sum() < self.MIN_EXPECTED
+        expected = np.concatenate([[pmf[:low].sum()], pmf[low : high + 1], [pmf[high + 1 :].sum()]])
+        assert expected.min() >= self.MIN_EXPECTED
+        return expected, np.arange(low, high + 2)
+
+    @pytest.mark.parametrize(("simulate", "seed"), [(simulate_ssa, 4), (simulate_next_reaction, 5)])
+    def test_binomial_law_chi_square(self, simulate, seed):
+        """Pearson's statistic summed over the five independent species,
+        against a chi-square with the summed degrees of freedom."""
+        p = self.KB / (self.KF + self.KB)
+        bins = [self._bins(count, p) for count in self.COUNTS]
+        t_end = self.BURN_IN + self.LAG * (self.SAMPLES - 1)
+        model = isomerisation_model(self.COUNTS, self.KF, self.KB)
+        run = simulate(model, t_end, sample_interval=self.LAG, rng=seed)
+        run = run.slice_time(self.BURN_IN, t_end)
+        statistic, dof = 0.0, 0
+        for i, (expected, edges) in enumerate(bins):
+            samples = run[f"A{i}"]
+            assert len(samples) == self.SAMPLES
+            which = np.searchsorted(edges, samples, side="right")
+            observed = np.bincount(which, minlength=len(expected))
+            statistic += float(((observed - expected) ** 2 / expected).sum())
+            dof += len(expected) - 1
+        assert stats.chi2.sf(statistic, dof) > 1e-3
 
     @pytest.mark.parametrize("simulate", [simulate_ssa, simulate_next_reaction])
     def test_binomial_mean_and_variance(self, simulate):
