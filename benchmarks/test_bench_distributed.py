@@ -16,7 +16,7 @@ loopback fabric: per-replicate dispatch overhead at ``batch_size`` 1, 8 and
 bytes-on-the-wire cost of one batch's results as per-replicate pickles vs
 one compact binary frame (``extra_info["result_bytes_*"]``).
 
-The loopback fabric spawns real ``genlogic worker`` subprocesses and ships
+The loopback fabric forks real worker processes from this one and ships
 every payload through the length-prefixed pickle protocol — only the wire is
 local.  Wall-clock gates are soft under ``REPRO_BENCH_SOFT=1`` (shared
 runners); the measured numbers always land in the JSON artifact.

@@ -1,9 +1,10 @@
 """CI smoke for the worker supervisor: kill a worker, the fabric heals.
 
-Starts a :class:`WorkerSupervisor` owning two keyed ``genlogic worker
---listen`` processes, SIGKILLs one, asserts the supervisor restarts it, and
-then runs a real ``genlogic verify --dispatch`` batch across both workers —
-proving the healed, authenticated fabric serves work end to end.
+Starts a :class:`WorkerSupervisor` owning two keyed listening worker
+processes forked from this one, SIGKILLs one, asserts the supervisor
+restarts it, and then runs a real ``genlogic verify --dispatch`` batch
+across both workers — proving the healed, authenticated fabric serves work
+end to end.
 
 Run from the repo root with ``PYTHONPATH=src python scripts/supervisor_smoke.py``.
 """

@@ -354,6 +354,24 @@ def simulate_batch_payload(payload: Dict[str, Any]) -> Tuple[bytes, bool]:
     return encode_trajectories(trajectories), cache_hit
 
 
+def reset_worker_signals() -> None:
+    """Give a forked worker default SIGTERM/SIGINT handling and no wakeup fd.
+
+    A fork copies the parent's handlers, and under ``genlogic serve`` those
+    include asyncio's: a Python-level no-op plus a wakeup fd, the write end
+    of the parent loop's self-pipe.  A signal sent to the worker would then
+    be written into the parent's loop and run the parent's handler (SIGTERM
+    stops the service) instead of ending the worker.  Process-pool workers
+    run this as their initializer and fabric workers forked by
+    :func:`~repro.engine.supervisor.spawn_worker_process` run it first.
+    """
+    import signal  # here: only worker processes need it
+
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
+
+
 class BaseEnsembleExecutor:
     """Shared orchestration surface of every executor; transport left abstract.
 

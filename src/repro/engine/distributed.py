@@ -27,10 +27,10 @@ connection is up; the worker always speaks first with a ``hello`` frame):
 :meth:`DistributedEnsembleExecutor.loopback` is the listening shape with its
 workers on this machine: once :meth:`~DistributedEnsembleExecutor.open` has
 bound an ephemeral loopback port it starts a
-:class:`~repro.engine.supervisor.WorkerSupervisor` of dialing workers
-(``executor.supervisor``), which restarts any that die, and ``close()``
-stops it, reaping every worker.  ``genlogic serve --supervise N`` is
-``loopback(N)``.
+:class:`~repro.engine.supervisor.WorkerSupervisor` of dialing workers forked
+from this process (``executor.supervisor``), which restarts any that die,
+and ``close()`` stops it, reaping every worker.  ``genlogic serve
+--supervise N`` is ``loopback(N)``.
 
 Pipelining: each worker runs one dispatch and holds the next one, which
 waits on its socket, so the worker starts it the moment it sends the previous
@@ -547,15 +547,19 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
         server.settimeout(0.2)
         self._server = server
         self.bound_address = server.getsockname()[:2]
-        self._start_thread(self._accept_loop, "genlogic-accept", server)
         if self._supervised:
             # Imported here: the supervisor module imports this one.
             from .supervisor import WorkerSupervisor
 
+            # Before the accept thread: the supervisor forks its first
+            # workers at once, and a caller with no threads of its own then
+            # forks a single-threaded process.  The workers' connections
+            # wait in the listen backlog until the thread accepts them.
             host, port = self.bound_address
             self.supervisor = WorkerSupervisor(
                 self._min_workers, connect=f"{host}:{port}", key=self._key
             ).start()
+        self._start_thread(self._accept_loop, "genlogic-accept", server)
 
     def _accept_loop(self, server: socket.socket) -> None:
         while self._open:
@@ -879,17 +883,19 @@ class DistributedEnsembleExecutor(BaseEnsembleExecutor):
         **kwargs: Any,
     ) -> "DistributedEnsembleExecutor":
         """A self-contained local fabric: listen on an ephemeral loopback port
-        and keep ``n_workers`` ``genlogic worker --connect`` processes on it.
+        and keep ``n_workers`` dialing worker processes on it.
 
         The degenerate-but-real deployment behind ``genlogic serve
         --supervise``, the conformance tests and the distributed benchmark:
         every byte goes through the actual TCP protocol, only the machines
-        are the same.  ``open()`` starts the workers under a
-        :class:`~repro.engine.supervisor.WorkerSupervisor`
+        are the same.  ``open()`` forks the workers from this process under
+        a :class:`~repro.engine.supervisor.WorkerSupervisor`
         (:attr:`supervisor`), which restarts any that die; ``close()`` stops
-        it, reaping every worker.  ``key=`` threads a shared secret through
-        to both the coordinator and the workers (via their environment), so
-        the authenticated handshake is exercised end to end.
+        it, reaping every worker.  A forked worker imports nothing at start:
+        it has this process's modules and ``sys.path``, so functions defined
+        in a test module dispatch to it.  ``key=`` threads a shared secret
+        through to both the coordinator and the workers, so the
+        authenticated handshake is exercised end to end.
         """
         executor = cls(
             listen="127.0.0.1:0",

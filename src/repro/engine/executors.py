@@ -38,7 +38,7 @@ from typing import Any, Callable, Collection, Dict, Mapping, Optional, Tuple
 from ..errors import EngineError
 from ..stochastic import resolve_simulator
 from .cache import CompiledModelCache, default_cache, model_fingerprint
-from .core import BaseEnsembleExecutor
+from .core import BaseEnsembleExecutor, reset_worker_signals
 
 __all__ = [
     "SerialExecutor",
@@ -138,6 +138,10 @@ class ProcessPoolEnsembleExecutor(BaseEnsembleExecutor):
     (or context-manager exit); a closed executor transparently re-opens a
     fresh pool on its next use.  Reusing one pool is what keeps worker-side
     compiled-model caches warm between the batches of a multi-batch study.
+    Each worker starts with default SIGTERM/SIGINT handling
+    (:func:`~repro.engine.core.reset_worker_signals`), so a signal ends the
+    worker it was sent to; a pool that a dead worker has broken fails its
+    outstanding futures and is replaced on the next submit.
 
     Jobs must carry picklable seeds (``None``, ``int`` or ``SeedSequence``);
     a live generator cannot cross the process boundary without breaking the
@@ -167,12 +171,18 @@ class ProcessPoolEnsembleExecutor(BaseEnsembleExecutor):
 
     def open(self) -> "ProcessPoolEnsembleExecutor":
         """Start the worker pool now (otherwise it starts on first use)."""
+        self._live_pool()
+        return self
+
+    def _live_pool(self, broken=None) -> concurrent.futures.ProcessPoolExecutor:
+        """The current pool, started if there is none or if it is ``broken``."""
         with self._lifecycle_lock:
-            if self._pool is None:
+            if self._pool is None or self._pool is broken:
                 self._pool = concurrent.futures.ProcessPoolExecutor(
                     max_workers=self.workers,
+                    initializer=reset_worker_signals,
                 )
-        return self
+            return self._pool
 
     def close(self) -> None:
         """Shut the worker pool down.  Idempotent; next use re-opens a pool."""
@@ -188,7 +198,15 @@ class ProcessPoolEnsembleExecutor(BaseEnsembleExecutor):
 
     # -- transport (wait_any: the base's first-completion wait) ----------------------
     def submit(self, fn, payload) -> concurrent.futures.Future:
-        return self.open()._pool.submit(fn, payload)
+        pool = self._live_pool()
+        try:
+            return pool.submit(fn, payload)
+        except concurrent.futures.BrokenExecutor:  # BrokenProcessPool
+            # A worker died (a signal, the OOM killer) and the pool refuses
+            # all further work: replace it once, unless another thread has.
+            replacement = self._live_pool(broken=pool)
+            pool.shutdown(wait=False)
+            return replacement.submit(fn, payload)
 
 
 def get_executor(workers: int = 1):

@@ -1,21 +1,24 @@
 """Local worker supervisor: the only code that starts and reaps local workers.
 
-:class:`WorkerSupervisor` keeps a fixed number of ``genlogic worker``
-processes running on this machine — launching them at start, restarting the
-ones that crash, and terminating and reaping every one on :meth:`stop` — so a
-fabric survives worker deaths without an operator in the loop.  It is the
-process half of the fabric: the coordinator's heartbeat monitor
+:class:`WorkerSupervisor` keeps a fixed number of local worker processes
+running on this machine — forking them at start, restarting the ones that
+crash, and terminating and reaping every one on :meth:`stop` — so a fabric
+survives worker deaths without an operator in the loop.  It is the process
+half of the fabric: the coordinator's heartbeat monitor
 (:mod:`repro.engine.distributed`) detects a dead or hung worker and requeues
 its tasks within seconds, and the supervisor puts a replacement process on
 the fabric shortly after.  :func:`spawn_worker_process` is the one place a
-local worker process is started.
+local worker process is started: it forks this process, so a worker starts
+with everything already imported here instead of importing numpy and the
+engine again, and runs the same :func:`~repro.engine.worker.run_worker` as a
+``genlogic worker`` on another machine.
 
 Restart policy: each worker slot owns a :class:`~repro.engine.backoff.Backoff`
 over the shared capped-exponential-plus-jitter policy — the same one the
 coordinator's re-dial loop uses — so a worker that keeps dying is restarted
 at a decaying rate rather than in a hot loop (no restart storms), and a slot
 that then stays up ``stable_after`` seconds earns its small initial delay
-back.  Jitter keeps N crashed slots from re-execing in lockstep.
+back.  Jitter keeps N crashed slots from restarting in lockstep.
 
 Two wirings, mirroring the executor's two assembly modes:
 
@@ -34,35 +37,50 @@ stdlib HTTP endpoint (``genlogic supervisor --status-port``), and
 ``genlogic serve`` shows the same snapshot as the ``supervisor`` block of
 ``/v1/stats``.
 
-The fabric secret (``key=`` / ``GENLOGIC_FABRIC_KEY``) is exported to every
-spawned worker's environment, so a supervised fleet joins an authenticated
+The fabric secret (``key=`` / ``GENLOGIC_FABRIC_KEY``) is handed to every
+forked worker as an argument, so a supervised fleet joins an authenticated
 coordinator without per-worker configuration.  No other per-worker setting
 exists: every worker runs one dispatch and holds the next one, which waits
 on its socket (see :mod:`repro.engine.distributed`).
+
+Forking and threads: :meth:`WorkerSupervisor.start` forks its first workers
+before its monitor thread starts, so a caller with no other Python thread
+(perfbench, a script) forks a single-threaded interpreter.  Restarts, and
+``genlogic serve``, fork while other threads run; that is safe because the
+child touches no lock created before the fork (see
+:func:`spawn_worker_process`).  On Python 3.12+ every such fork raises a
+``DeprecationWarning`` ("This process is multi-threaded, use of fork() may
+lead to deadlocks in the child"), since numpy's OpenBLAS threads make any
+process that has imported numpy multi-threaded; the process pool's forked
+workers warn the same way.  The warning is not suppressed.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+import traceback
+from typing import TYPE_CHECKING, Any, Dict, List, NoReturn, Optional, Tuple
 
 from ..errors import EngineError
 from .auth import KEY_ENV, resolve_key
 from .backoff import Backoff, BackoffPolicy
+from .core import reset_worker_signals
 from .distributed import parse_address
 
 if TYPE_CHECKING:
     from http.server import ThreadingHTTPServer
 
-__all__ = ["WorkerSupervisor", "RESTART_BACKOFF", "spawn_worker_process"]
+__all__ = ["WorkerSupervisor", "WorkerProcess", "RESTART_BACKOFF", "spawn_worker_process"]
 
 #: Restart schedule for crashed workers: same family as the coordinator's
-#: re-dial policy, but with a higher cap — re-execing a process is costlier
+#: re-dial policy, but with a higher cap — starting a process is costlier
 #: than re-dialing a socket, and a crash-looping worker should settle at a
 #: gentle steady rate.
 RESTART_BACKOFF = BackoffPolicy(initial=0.1, multiplier=2.0, maximum=10.0, jitter=0.5)
@@ -86,7 +104,7 @@ class _Slot:
     def __init__(self, index: int, listen_address: Optional[str], policy: BackoffPolicy):
         self.index = index
         self.listen_address = listen_address
-        self.process: Optional[subprocess.Popen] = None
+        self.process: Optional[WorkerProcess] = None
         self.backoff = Backoff(policy)
         self.spawns = 0
         self.started_at: Optional[float] = None
@@ -101,7 +119,7 @@ class _Slot:
 
 
 class WorkerSupervisor:
-    """Keep ``target`` local ``genlogic worker`` processes on a fabric.
+    """Keep ``target`` local worker processes on a fabric.
 
     A context manager: ``with WorkerSupervisor(2, connect=addr):`` starts the
     monitor thread and stops it (terminating and reaping every supervised
@@ -156,9 +174,13 @@ class WorkerSupervisor:
 
     # -- lifecycle -----------------------------------------------------------------
     def start(self) -> "WorkerSupervisor":
-        """Start the monitor thread (idempotent)."""
+        """Fork the first workers, then start the monitor thread (idempotent).
+
+        Every slot has a live process when this returns; the forks happen
+        before the monitor thread exists (see the module docstring).
+        """
         with self._lock:
-            if self._thread is not None and self._thread.is_alive():
+            if self._thread is not None:
                 return self
             self._stop.clear()
             self.started_at = time.monotonic()
@@ -166,12 +188,13 @@ class WorkerSupervisor:
             self._slots = [
                 _Slot(index, address, self._policy) for index, address in enumerate(listen)
             ]
-            self._thread = threading.Thread(
+            thread = self._thread = threading.Thread(
                 target=self._run,
                 name="genlogic-supervisor",
                 daemon=True,
             )
-            self._thread.start()
+        self._tick()
+        thread.start()
         return self
 
     def stop(self) -> None:
@@ -197,9 +220,8 @@ class WorkerSupervisor:
 
     # -- the monitor loop ----------------------------------------------------------
     def _run(self) -> None:
-        while not self._stop.is_set():
+        while not self._stop.wait(self.poll_interval):
             self._tick()
-            self._stop.wait(self.poll_interval)
 
     def _tick(self) -> None:
         """One supervision round: reap, schedule restarts, spawn."""
@@ -230,12 +252,12 @@ class WorkerSupervisor:
             self._spawn(slot)
 
     def _spawn(self, slot: _Slot) -> None:
-        """Launch one worker for ``slot`` (outside the lock: exec is slow)."""
+        """Start one worker for ``slot`` (outside the lock)."""
         try:
             process = spawn_worker_process(self._connect, listen=slot.listen_address, key=self._key)
         except OSError:
-            # exec failure (interpreter gone, fd exhaustion): back off like a
-            # crash instead of retrying every tick.
+            # fork failure (process or memory limits): back off like a crash
+            # instead of retrying every tick.
             with self._lock:
                 slot.next_start_at = time.monotonic() + slot.backoff.next_delay()
             return
@@ -333,40 +355,124 @@ class WorkerSupervisor:
         return server.server_address[:2]
 
 
+class WorkerProcess:
+    """A forked worker process, driven like a :class:`subprocess.Popen`.
+
+    ``pid``, ``returncode``, ``poll()``, ``wait(timeout)`` (raising
+    :class:`subprocess.TimeoutExpired`), ``terminate()`` and ``kill()`` mean
+    what they mean on ``Popen``, and the child is reaped through
+    :func:`os.waitpid`.  All methods are thread-safe.
+    """
+
+    def __init__(self, pid: int):
+        self.pid = pid
+        self.returncode: Optional[int] = None
+        self._reap_lock = threading.Lock()
+
+    def poll(self) -> Optional[int]:
+        """The exit code (``-N`` for signal N) once the child has exited, else ``None``."""
+        with self._reap_lock:
+            if self.returncode is None:
+                try:
+                    pid, status = os.waitpid(self.pid, os.WNOHANG)
+                except ChildProcessError:  # reaped elsewhere: its status is lost
+                    pid, status = self.pid, 0
+                if pid == self.pid:
+                    self.returncode = os.waitstatus_to_exitcode(status)
+            return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        """Wait for the child to exit and reap it; returns its exit code."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        delay = 0.001
+        while self.poll() is None:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise subprocess.TimeoutExpired(f"worker process {self.pid}", timeout)
+            time.sleep(delay)
+            delay = min(2 * delay, 0.05)
+        return self.returncode
+
+    def send_signal(self, signum: int) -> None:
+        """Send ``signum`` unless the child has been reaped (its pid may be reused)."""
+        with self._reap_lock:
+            if self.returncode is None:
+                os.kill(self.pid, signum)
+
+    def terminate(self) -> None:
+        self.send_signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+
 def spawn_worker_process(
     connect: Optional[str] = None,
     *,
     listen: Optional[str] = None,
     key: Optional[bytes] = None,
-) -> subprocess.Popen:
-    """Start a local ``genlogic worker`` subprocess (dial-out or listening).
+) -> WorkerProcess:
+    """Fork a local worker (dial-out or listening) from this process.
 
-    Runs ``python -m repro.cli worker`` with the current interpreter and the
-    parent's full ``sys.path`` exported as ``PYTHONPATH`` — so a local worker
-    can import exactly what the parent can (source checkouts, test modules),
-    matching the visibility a forked pool worker would have.  A fabric ``key``
-    travels via the child's ``GENLOGIC_FABRIC_KEY`` environment variable (not
-    argv, which is world-readable in ``ps``).  Remote machines start the same
-    entry point by hand and must have the dispatched functions importable
-    themselves.
+    The child starts as a copy of this process, with its ``sys.path`` and
+    every module it has imported (numpy, the engine, test modules), so it
+    can run whatever this process can and pays no interpreter start-up.  It
+    never returns into its caller: :func:`_run_forked_worker` resets what it
+    inherited, runs :func:`~repro.engine.worker.run_worker` with ``key`` as
+    an argument and leaves through :func:`os._exit`.  Machines without a
+    coordinator to fork from start the same ``run_worker`` as ``genlogic
+    worker`` and must have the dispatched functions importable themselves.
     """
     if (connect is None) == (listen is None):
         raise EngineError("spawn_worker_process needs exactly one of connect= or listen=")
-    command = [sys.executable, "-m", "repro.cli", "worker"]
-    if connect is not None:
-        command += ["--connect", connect]
-    else:
-        command += ["--listen", listen]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(path for path in sys.path if path)
-    if key is not None:
-        env[KEY_ENV] = key.decode("utf-8", errors="surrogateescape")
-    else:
-        env.pop(KEY_ENV, None)
-    return subprocess.Popen(command, env=env)
+    pid = os.fork()
+    if pid == 0:
+        _run_forked_worker(connect, listen, key)
+    return WorkerProcess(pid)
 
 
-def _terminate(processes: List[subprocess.Popen]) -> None:
+def _run_forked_worker(connect: Optional[str], listen: Optional[str], key: Optional[bytes]) -> NoReturn:
+    """The forked child: reset what it inherited, serve, and exit.
+
+    The parent may have had other threads at the fork, holding locks whose
+    owners do not exist here, so the child touches no lock created before
+    the fork: it makes its own stdio objects (line-buffered, so nothing is
+    left to flush at ``os._exit``) and compiled-model cache.
+    """
+    code = 1
+    try:
+        reset_worker_signals()
+        # The coordinator's sockets, its event loop's descriptors, a test
+        # runner's capture files: none of them is the worker's.
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        # The parent's objects are never collected here, so no finalizer of
+        # one (a socket closing a descriptor number since reused) runs.
+        gc.freeze()
+        for name, fd in (("stdout", 1), ("stderr", 2)):
+            try:
+                setattr(sys, name, open(fd, "w", buffering=1, errors="backslashreplace", closefd=False))
+            except OSError:  # not open in the parent either
+                setattr(sys, name, None)
+        from . import cache
+
+        cache._WORKER_CACHE = cache.CompiledModelCache()
+        from .worker import run_worker
+
+        if key is None:
+            # Unkeyed like the supervisor that forked it, whatever the
+            # environment says now.
+            os.environ.pop(KEY_ENV, None)
+        run_worker(connect, listen, key=key)
+        code = 0
+    except (EngineError, OSError) as error:
+        print(f"genlogic worker: {error}", file=sys.stderr)
+        code = 2
+    except BaseException:  # Ctrl-C included: report it, exit, never unwind
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def _terminate(processes: List[WorkerProcess]) -> None:
     """Terminate (then kill) worker processes, reaping every one."""
     for process in processes:
         if process.poll() is None:

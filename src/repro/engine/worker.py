@@ -1,4 +1,11 @@
-"""The ``genlogic worker`` process: one node of a distributed fabric.
+"""The worker process: one node of a distributed fabric.
+
+:func:`run_worker` is the worker's main loop wherever it runs: ``genlogic
+worker`` calls it in a fresh interpreter (the entry point on other
+machines), and :func:`repro.engine.supervisor.spawn_worker_process` calls it
+in a process forked from a local coordinator, which is how
+``DistributedEnsembleExecutor.loopback``, ``genlogic serve --supervise`` and
+``genlogic supervisor`` start their workers.
 
 A worker is the remote half of
 :class:`~repro.engine.distributed.DistributedEnsembleExecutor`: it speaks the

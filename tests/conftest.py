@@ -6,8 +6,19 @@ are session-scoped: many test modules read them, none mutates them.
 
 from __future__ import annotations
 
+import glob
+import http.client
+import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
+import repro
 from repro.core import LogicAnalyzer
 from repro.gates import and_gate_circuit, cello_circuit, default_library, not_gate_circuit
 from repro.sbml import Model
@@ -94,3 +105,82 @@ def _isolate_parent_worker_caches(monkeypatch):
     import repro.engine.cache as cache_module
 
     monkeypatch.setattr(cache_module, "_WORKER_CACHE", cache_module.CompiledModelCache())
+
+
+class ServeProcess:
+    """A ``genlogic serve --port 0 FLAGS`` subprocess and a small HTTP client."""
+
+    def __init__(self, *flags: str):
+        source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        self.process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0", *flags],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env={**os.environ, "PYTHONPATH": source},
+        )
+        line = self.process.stdout.readline()
+        match = re.search(r"http://127\.0\.0\.1:(\d+)", line)
+        assert match, f"expected a listening line, got {line!r}"
+        self.port = int(match.group(1))
+
+    def request(self, method: str, path: str, body=None):
+        """``(status, decoded JSON)`` of one request."""
+        connection = http.client.HTTPConnection("127.0.0.1", self.port, timeout=120)
+        try:
+            connection.request(method, path, body=None if body is None else json.dumps(body))
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    def run_study(self, spec):
+        """POST a study and wait for it: ``(status, response)``."""
+        return self.request("POST", "/v1/studies?wait=1", spec)
+
+    def children(self):
+        """The server's child processes, from every one of its threads' lists."""
+        pids = set()
+        for path in glob.glob(f"/proc/{self.process.pid}/task/*/children"):
+            with open(path) as handle:
+                pids.update(int(token) for token in handle.read().split())
+        return pids
+
+    def reaped(self, pid: int, timeout: float = 10.0) -> bool:
+        """Whether child ``pid`` exits and is reaped within ``timeout`` seconds."""
+        deadline = time.monotonic() + timeout
+        while os.path.exists(f"/proc/{pid}"):
+            if time.monotonic() >= deadline:
+                return False
+            time.sleep(0.02)
+        return True
+
+    def close(self) -> None:
+        """Stop the server with SIGTERM, then kill any child it left behind."""
+        children = self.children()
+        if self.process.poll() is None:
+            self.process.terminate()
+        self.process.communicate(timeout=60)
+        for pid in children:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
+@pytest.fixture()
+def serve_process():
+    """Start ``genlogic serve`` subprocesses: ``serve_process(*flags)``.
+
+    Each server is stopped, and its leftover children killed, at teardown.
+    """
+    started = []
+
+    def start(*flags: str) -> ServeProcess:
+        started.append(ServeProcess(*flags))
+        return started[-1]
+
+    yield start
+    for server in started:
+        server.close()
+

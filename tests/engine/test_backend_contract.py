@@ -21,7 +21,7 @@ every backend proves the whole contract (bit-identity included) through the
 batched dispatch/transport path too.
 
 The distributed backends here are *real* TCP fabrics (listen + two
-supervised ``genlogic worker --connect`` subprocesses, unkeyed and keyed);
+supervised dialing workers forked from this process, unkeyed and keyed);
 only the machines are local.
 """
 

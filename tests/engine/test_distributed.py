@@ -12,12 +12,15 @@ fabric with no study-code changes), and the ``genlogic worker`` CLI.
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import run_replicate_study
 from repro.engine import (
     DistributedEnsembleExecutor,
@@ -27,6 +30,7 @@ from repro.engine import (
     replicate_jobs,
     run_ensemble,
 )
+from repro.engine.auth import KEY_ENV
 from repro.engine.distributed import (
     parse_address,
     parse_dispatch_spec,
@@ -45,7 +49,7 @@ pytestmark = pytest.mark.usefixtures("_isolate_parent_worker_caches")
 
 @pytest.fixture(scope="module")
 def fabric():
-    """One real loopback fabric (2 spawned worker processes) for the module."""
+    """One real loopback fabric (2 forked worker processes) for the module."""
     with DistributedEnsembleExecutor.loopback(2) as executor:
         yield executor
 
@@ -271,8 +275,12 @@ class TestFabricExecution:
                 process.wait(timeout=10.0)
 
 
-def _open_with_first_worker(executor, processes):
-    """Open a listen-mode fabric, dialing its first worker once bound."""
+def _open_with_first_worker(executor, processes, start=spawn_worker_process):
+    """Open a listen-mode fabric, dialing its first worker once bound.
+
+    ``start(address)`` starts a worker dialing ``address`` and returns its
+    process handle.
+    """
     opened = threading.Event()
     error = []
 
@@ -291,13 +299,47 @@ def _open_with_first_worker(executor, processes):
         assert time.monotonic() < deadline, "listener never bound"
         time.sleep(0.02)
     host, port = executor.bound_address
-    processes.append(spawn_worker_process(f"{host}:{port}"))
+    processes.append(start(f"{host}:{port}"))
     assert opened.wait(timeout=30.0)
     assert not error, error
     return host, port
 
 
 class TestWorkerEntryPoint:
+    def test_genlogic_worker_subprocess_runs_a_study_bit_identical(self, and_circuit):
+        """The remote entry point: a ``genlogic worker --connect`` started in
+        a fresh interpreter, keyed through its environment, runs a replicate
+        study that equals the serial run."""
+        key = "remote-entry-secret"
+        source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+        def _exec_worker(address):
+            return subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "worker", "--connect", address],
+                env={**os.environ, "PYTHONPATH": source, KEY_ENV: key},
+            )
+
+        spec = StudySpec.for_circuit(and_circuit, n_replicates=4, hold_time=80.0, seed=33)
+        executor = DistributedEnsembleExecutor(
+            listen="127.0.0.1:0", min_workers=1, connect_timeout=60.0, key=key
+        )
+        processes = []
+        try:
+            _open_with_first_worker(executor, processes, start=_exec_worker)
+            remote = run_replicate_study(spec, executor=executor).to_payload()
+        finally:
+            executor.close()
+            for process in processes:
+                try:
+                    assert process.wait(timeout=30.0) == 0  # the session ended: it exits
+                finally:
+                    if process.poll() is None:
+                        process.kill()
+        serial = run_replicate_study(spec).to_payload()
+        assert remote.pop("engine")["executor"] == "distributed"
+        serial.pop("engine")
+        assert remote == serial
+
     def test_run_worker_needs_exactly_one_mode(self):
         with pytest.raises(EngineError):
             run_worker()

@@ -13,6 +13,7 @@ import asyncio
 import http.client
 import json
 import os
+import signal
 import socket
 import threading
 import time
@@ -891,3 +892,23 @@ class TestHttpService:
             search_runner=_StubSearchRunner(),
             max_search_replicates=7,
         )
+
+
+class TestServeProcess:
+    """``genlogic serve`` as a subprocess, as an operator runs it."""
+
+    def test_sigterm_to_a_pool_worker_leaves_the_service_serving(self, serve_process):
+        """A pool worker forked after the server installed its SIGTERM
+        handler dies of a SIGTERM instead of passing it to the server, and
+        the next study runs on a replacement pool."""
+        server = serve_process("--workers", "2")
+        spec = {"circuit": "and", "n_replicates": 2, "hold_time": 60.0}
+        status, answer = server.run_study(dict(spec, seed=1))
+        assert status == 200 and answer["status"] == "done", answer
+        victim = min(server.children())
+        os.kill(victim, signal.SIGTERM)
+        assert server.reaped(victim), "the pool never reaped the killed worker"
+        assert server.process.poll() is None, "the server exited"
+        status, answer = server.run_study(dict(spec, seed=2))
+        assert status == 200 and answer["status"] == "done", answer
+        assert server.process.poll() is None
